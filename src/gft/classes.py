@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import OperatorParams, multiplier, multiplier_row
+from .kernels import OperatorParams, multiplier_row
 from .operators import apply_L, deiterate, iterate_closed
 from .series import (
     HerglotzMixture,
@@ -220,25 +220,35 @@ def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None, grid:
     raise RuntimeError("coefficient inflation failed to leave the class")
 
 
-def extremal_B_upper(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
-    """Member with every coefficient on its sharp bound: a_k = 2 (1 - beta) multiplier(sigma, n, k - 1)."""
-    n = default_order() if order is None else int(order)
-    row = multiplier_row(spec.sigma, spec.n, n - 1)
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[1] = 1.0
-    c[2:] = 2.0 * (1.0 - spec.beta) * row
-    return SchlichtSeries(TruncatedSeries(c))
-
-
-def extremal_B_lower(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
-    """Alternating-sign extremal; its modulus on the positive axis attains the lower growth bound."""
+def _extremal_B(spec: ClassSpec, order: int | None, sign: float) -> SchlichtSeries:
+    """Class member with a_k = 2 (1 - beta) multiplier(sigma, n, k - 1) sign**(k - 1)."""
     n = default_order() if order is None else int(order)
     row = multiplier_row(spec.sigma, spec.n, n - 1)
     k = np.arange(2, n + 1)
     c = np.zeros(n + 1, dtype=np.complex128)
     c[1] = 1.0
-    c[2:] = 2.0 * (1.0 - spec.beta) * row * (-1.0) ** (k - 1)
+    c[2:] = 2.0 * (1.0 - spec.beta) * row * sign ** (k - 1)
     return SchlichtSeries(TruncatedSeries(c))
+
+
+def extremal_B_upper(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
+    """Member with every coefficient on its sharp bound: a_k = 2 (1 - beta) multiplier(sigma, n, k - 1)."""
+    return _extremal_B(spec, order, 1.0)
+
+
+def extremal_B_lower(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
+    """Alternating-sign extremal; its modulus on the positive axis attains the lower growth bound."""
+    return _extremal_B(spec, order, -1.0)
+
+
+def _row_tail(sigma: float, n: int, row: np.ndarray, r: float) -> float:
+    """multiplier_tail past the last entry of row = multiplier_row(sigma, n, order)."""
+    order = row.size
+    if n >= 0:
+        return tail_bound(float(row[-1]), order, r)
+    g = r ** (order + 1) / (1.0 - r)
+    kg = r ** (order + 1) * ((order + 1) - order * r) / (1.0 - r) ** 2
+    return ((sigma + 1.0) * g + kg) / (sigma + 1.0)
 
 
 def multiplier_tail(sigma: float, n: int, order: int, r: float) -> float:
@@ -248,11 +258,20 @@ def multiplier_tail(sigma: float, n: int, order: int, r: float) -> float:
     with the last computed value dominates.  For n = -1 the sum is evaluated
     exactly from the two classical geometric identities.
     """
-    if n >= 0:
-        return multiplier(sigma, n, order) * r ** (order + 1) / (1.0 - r)
-    g = r ** (order + 1) / (1.0 - r)
-    kg = r ** (order + 1) * ((order + 1) - order * r) / (1.0 - r) ** 2
-    return ((sigma + 1.0) * g + kg) / (sigma + 1.0)
+    return _row_tail(sigma, n, multiplier_row(sigma, n, order), r)
+
+
+def multiplier_sums(sigma: float, n: int, order: int, r: float) -> tuple:
+    """(s_minus, s_plus, tail) at radius r.
+
+    s_minus and s_plus are sum_{k=1..order} multiplier(sigma, n, k) x**k at
+    x = -r and x = +r; tail is multiplier_tail(sigma, n, order, r).
+    """
+    row = multiplier_row(sigma, n, order)
+    k = np.arange(1, order + 1)
+    s_minus = float(np.sum(row * (-r) ** k))
+    s_plus = float(np.sum(row * r**k))
+    return s_minus, s_plus, _row_tail(sigma, n, row, r)
 
 
 def growth_partials(spec: ClassSpec, r: float, order: int) -> tuple:
@@ -262,7 +281,7 @@ def growth_partials(spec: ClassSpec, r: float, order: int) -> tuple:
     scale = 2.0 * (1.0 - spec.beta)
     upper = r + scale * float(np.sum(row * r**k))
     lower = r + scale * float(np.sum(row * (-1.0) ** (k - 1) * r**k))
-    tail = scale * multiplier_tail(spec.sigma, spec.n, order - 1, r) * r
+    tail = scale * _row_tail(spec.sigma, spec.n, row, r) * r
     return lower, upper, tail
 
 
@@ -319,11 +338,7 @@ def distortion_bounds(spec: ClassSpec, r: float, order: int | None = None) -> tu
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
     n = default_order() if order is None else int(order)
-    row = multiplier_row(spec.sigma, spec.n - 1, n)
-    k = np.arange(1, n + 1)
-    s_plus = float(np.sum(row * r**k))
-    s_minus = float(np.sum(row * (-r) ** k))
-    tail = multiplier_tail(spec.sigma, spec.n - 1, n, r)
+    s_minus, s_plus, tail = multiplier_sums(spec.sigma, spec.n - 1, n, r)
     lam = spec.sigma - (spec.n - 1)
     scale = 2.0 * (1.0 - spec.beta)
     upper = lam * (1.0 + scale * (s_plus + tail))

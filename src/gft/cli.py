@@ -15,6 +15,7 @@ import json
 import sys
 
 from .classes import (
+    CircleGrid,
     ClassSpec,
     bounds_rows,
     extremal_B_lower,
@@ -24,7 +25,20 @@ from .classes import (
 from .kernels import OperatorParams, extremal_iterate, tau_coeffs, tau_inv_coeffs
 from .operators import apply_L, apply_l, bernardi, deiterate, iterate_closed, noor, ruscheweyh
 from .series import SchlichtSeries, from_json, to_json
-from .verify import SUITE_ORDER, run_all, run_suite
+from .verify import (
+    DEFAULT_BETAS,
+    DEFAULT_NS,
+    DEFAULT_SIGMAS,
+    SUITE_ORDER,
+    default_lattice,
+    run_all,
+    run_suite,
+)
+
+
+def _joined(values) -> str:
+    """Comma-separated flag default that _parse_floats reads back exactly."""
+    return ",".join(map(str, values))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     extremal.add_argument("--out", default=None)
 
     bounds = sub.add_parser("bounds", help="closed-form bound table as CSV")
-    bounds.add_argument("--sigma", default="0.5,1,2,3.5", help="comma-separated values")
-    bounds.add_argument("--n", default="0,1,2,3", help="comma-separated values")
-    bounds.add_argument("--beta", default="0,0.25,0.5,0.9", help="comma-separated values")
-    bounds.add_argument("--radii", default="0.5,0.9,0.99", help="comma-separated values")
+    bounds.add_argument("--sigma", default=_joined(DEFAULT_SIGMAS), help="comma-separated values")
+    bounds.add_argument("--n", default=_joined(DEFAULT_NS), help="comma-separated values")
+    bounds.add_argument("--beta", default=_joined(DEFAULT_BETAS), help="comma-separated values")
+    bounds.add_argument("--radii", default=_joined(CircleGrid().radii), help="comma-separated values")
     bounds.add_argument("--order", type=int, default=None)
     bounds.add_argument("--covering-tol", type=float, default=1e-7, dest="covering_tol")
     bounds.add_argument("--out", default=None)
@@ -156,13 +170,7 @@ def _cmd_bounds(args) -> int:
     radii = _parse_floats(args.radii, "--radii")
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError("--radii values must lie strictly between 0 and 1")
-    specs = []
-    for sigma in sigmas:
-        for n in ns:
-            if sigma - (n - 1) <= 0.0:
-                continue  # invalid pair for this lattice point, not a usage error
-            for beta in betas:
-                specs.append(ClassSpec(OperatorParams(sigma, n), beta))
+    specs = default_lattice(sigmas, ns, betas)
     if not specs:
         raise ValueError("no valid (sigma, n) pairs in the requested lattice")
     rows = bounds_rows(specs, radii, order=args.order, covering_tol=args.covering_tol)

@@ -27,6 +27,8 @@ class OperatorParams:
             raise ValueError("n must be a nonnegative integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sigma", float(self.sigma))
+        if not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma - (self.n - 1) <= 0.0:
             raise ValueError(
                 f"require sigma - (n - 1) > 0, got sigma={self.sigma}, n={self.n}"
@@ -43,9 +45,22 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def _check_multiplier_args(sigma: float, n: int, k: int) -> None:
-    if k < 1:
-        raise ValueError("multiplier index k must be >= 1")
+def multiplier(sigma: float, n: int, k: int) -> float:
+    """Damping factor applied to coefficient k by n nested radial integrations.
+
+    The last entry of multiplier_row(sigma, n, k), so scalar and row agree bit
+    for bit: the finite product prod_{m=1..n} (sigma - m + 1) / (sigma + k - m + 1),
+    which lies in (0, 1] and decreases in k for n >= 1.  The n = -1 value
+    (sigma + k + 1) / (sigma + 1) is the single-step inverse that shows up in
+    the derivative-combination bounds; anything below n = -1 is undefined here.
+    """
+    return float(multiplier_row(sigma, n, k)[-1])
+
+
+def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
+    """multiplier(sigma, n, k) for k = 1..kmax as one float vector."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     if n < -1:
         raise ValueError("multiplier is undefined for n < -1")
     if n == -1:
@@ -53,30 +68,6 @@ def _check_multiplier_args(sigma: float, n: int, k: int) -> None:
             raise ValueError("the n = -1 extension needs sigma > -1")
     elif sigma - (n - 1) <= 0.0:
         raise ValueError("require sigma - (n - 1) > 0")
-
-
-def multiplier(sigma: float, n: int, k: int) -> float:
-    """Damping factor applied to coefficient k by n nested radial integrations.
-
-    Computed as the finite product prod_{m=1..n} (sigma - m + 1) / (sigma + k - m + 1),
-    which lies in (0, 1] and decreases in k for n >= 1.  The n = -1 value
-    (sigma + k + 1) / (sigma + 1) is the single-step inverse that shows up in
-    the derivative-combination bounds; anything below n = -1 is undefined here.
-    """
-    _check_multiplier_args(sigma, n, k)
-    if n == -1:
-        return (sigma + k + 1.0) / (sigma + 1.0)
-    out = 1.0
-    for m in range(1, n + 1):
-        out *= (sigma - m + 1.0) / (sigma + k - m + 1.0)
-    return out
-
-
-def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
-    """multiplier(sigma, n, k) for k = 1..kmax as one float vector."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    _check_multiplier_args(sigma, n, 1)
     k = np.arange(1, kmax + 1, dtype=np.float64)
     if n == -1:
         return (sigma + k + 1.0) / (sigma + 1.0)
@@ -89,6 +80,8 @@ def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
 def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
     """Kernel z / (1 - z)**lam with lam = sigma - (n - 1); coefficient k + 1 is (lam)_k / k!."""
     n = default_order() if order is None else int(order)
+    if n < 1:
+        raise ValueError(f"kernel order must be >= 1, got {n}")
     lam = params.sigma - (params.n - 1)
     c = np.zeros(n + 1, dtype=np.complex128)
     c[1] = 1.0

@@ -1,9 +1,11 @@
 """Convolution operators and the radial integral iteration on series coefficients.
 
-Raising and lowering act diagonally: coefficient a_k picks up a factor
-1 / multiplier(sigma, n, k - 1) or multiplier(sigma, n, k - 1).  The
-iteration of unit-constant series is the same diagonal action one index
-over, plus an independent quadrature route used to cross-check it.
+Every operator here but the two kernel convolutions is one diagonal action,
+series._scaled: coefficients from a fixed index on are multiplied (or, for
+deiterate, divided) by a row that depends only on the index.  Raising and
+lowering use 1 / multiplier(sigma, n, k - 1) and multiplier(sigma, n, k - 1)
+from index 2; the iteration of unit-constant series is the same action one
+index over.  An independent quadrature route cross-checks the iteration.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .kernels import OperatorParams, multiplier_row, tau_coeffs, tau_inv_coeffs
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
+    _scaled,
     convolve,
     evaluate_grid,
     require_unit_constant,
@@ -46,12 +49,6 @@ class QuadratureConfig:
         return int(tail)
 
 
-def _scaled_schlicht(f: SchlichtSeries, factors: np.ndarray) -> SchlichtSeries:
-    c = f.coeffs.copy()
-    c[2:] *= factors
-    return SchlichtSeries(TruncatedSeries(c))
-
-
 def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
     """Raising operator: a_k -> a_k / multiplier(sigma, n, k - 1) for k >= 2.
 
@@ -60,16 +57,14 @@ def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
     """
     if f.order < 2:
         return f
-    row = multiplier_row(params.sigma, params.n, f.order - 1)
-    return _scaled_schlicht(f, 1.0 / row)
+    return _scaled(f, 2, 1.0 / multiplier_row(params.sigma, params.n, f.order - 1))
 
 
 def apply_l(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
     """Lowering operator: a_k -> a_k * multiplier(sigma, n, k - 1) for k >= 2."""
     if f.order < 2:
         return f
-    row = multiplier_row(params.sigma, params.n, f.order - 1)
-    return _scaled_schlicht(f, row)
+    return _scaled(f, 2, multiplier_row(params.sigma, params.n, f.order - 1))
 
 
 def ruscheweyh(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
@@ -93,9 +88,7 @@ def iterate_step_closed(sigma: float, m: int, p: TruncatedSeries) -> TruncatedSe
     if m < 1 or sigma - (m - 1) <= 0.0:
         raise ValueError("step m needs m >= 1 and sigma - (m - 1) > 0")
     k = np.arange(1, p.order + 1)
-    c = p.coeffs.copy()
-    c[1:] *= (sigma - m + 1.0) / (sigma - m + 1.0 + k)
-    return TruncatedSeries(c)
+    return _scaled(p, 1, (sigma - m + 1.0) / (sigma - m + 1.0 + k))
 
 
 def iterate_closed(params: OperatorParams, p: TruncatedSeries) -> TruncatedSeries:
@@ -103,20 +96,14 @@ def iterate_closed(params: OperatorParams, p: TruncatedSeries) -> TruncatedSerie
     require_unit_constant(p)
     if params.n == 0:
         return p
-    row = multiplier_row(params.sigma, params.n, p.order)
-    c = p.coeffs.copy()
-    c[1:] *= row
-    return TruncatedSeries(c)
+    return _scaled(p, 1, multiplier_row(params.sigma, params.n, p.order))
 
 
 def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
     """Inverse of iterate_closed: divide coefficient k by multiplier(sigma, n, k)."""
     if params.n == 0:
         return q
-    row = multiplier_row(params.sigma, params.n, q.order)
-    c = q.coeffs.copy()
-    c[1:] /= row
-    return TruncatedSeries(c)
+    return _scaled(q, 1, multiplier_row(params.sigma, params.n, q.order), np.divide)
 
 
 def iterate_quadrature_step(
@@ -164,9 +151,7 @@ def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSerie
         raise ValueError("iteration count n must be a nonnegative integer")
     require_unit_constant(p)
     k = np.arange(1, p.order + 1)
-    c = p.coeffs.copy()
-    c[1:] *= (alpha / (alpha + k)) ** int(n)
-    return TruncatedSeries(c)
+    return _scaled(p, 1, (alpha / (alpha + k)) ** int(n))
 
 
 def bernardi(c: float, f: SchlichtSeries) -> SchlichtSeries:
@@ -174,7 +159,7 @@ def bernardi(c: float, f: SchlichtSeries) -> SchlichtSeries:
     if c + 1.0 <= 0.0:
         raise ValueError("require c > -1")
     k = np.arange(2, f.order + 1)
-    return _scaled_schlicht(f, (c + 1.0) / (c + k))
+    return _scaled(f, 2, (c + 1.0) / (c + k))
 
 
 def recurrence_residual(params: OperatorParams, p_n: TruncatedSeries, p_prev: TruncatedSeries) -> float:

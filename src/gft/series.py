@@ -21,8 +21,9 @@ ENV_DEFAULT_ORDER = "GFT_DEFAULT_ORDER"
 def default_order() -> int:
     """Truncation order used when a caller does not pass one explicitly."""
     order = int(os.environ.get(ENV_DEFAULT_ORDER, "64"))
-    if order < 1:
-        raise ValueError(f"{ENV_DEFAULT_ORDER} must be >= 1, got {order}")
+    if order < 2:
+        # member and extremal builders take multiplier rows of length order - 1
+        raise ValueError(f"{ENV_DEFAULT_ORDER} must be >= 2, got {order}")
     return order
 
 
@@ -106,6 +107,18 @@ class HerglotzMixture:
         object.__setattr__(self, "atoms", atoms)
 
 
+def _scaled(s, start: int, factors, op=np.multiply):
+    """The diagonal action under every operator: c[start:] -> op(c[start:], factors).
+
+    Returns a new series of the same type as s (TruncatedSeries or
+    SchlichtSeries), so a normalized input comes back normalized.
+    """
+    c = s.coeffs.copy()
+    c[start:] = op(c[start:], factors)
+    out = TruncatedSeries(c)
+    return SchlichtSeries(out) if isinstance(s, SchlichtSeries) else out
+
+
 def convolve(f, g) -> TruncatedSeries:
     """Hadamard product: coefficientwise multiply, truncated to the smaller order."""
     n = min(f.order, g.order)
@@ -113,7 +126,11 @@ def convolve(f, g) -> TruncatedSeries:
 
 
 def evaluate(s, z: complex) -> complex:
-    """Horner evaluation of the truncated polynomial at a point with |z| < 1."""
+    """Horner evaluation of the truncated polynomial at a point with |z| < 1.
+
+    The scalar loop is the reference evaluate_grid is tested against; numpy's
+    vector complex arithmetic can differ from it in the last bit.
+    """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("evaluation point must satisfy |z| < 1")
@@ -123,15 +140,20 @@ def evaluate(s, z: complex) -> complex:
     return complex(acc)
 
 
+def _horner(coeffs, pts: np.ndarray) -> np.ndarray:
+    """Unchecked vectorized Horner loop over complex points of any modulus."""
+    acc = np.zeros_like(pts)
+    for c in coeffs[::-1]:
+        acc = acc * pts + c
+    return acc
+
+
 def evaluate_grid(s, points) -> np.ndarray:
     """Vectorized Horner evaluation at an array of points inside the disk."""
     pts = np.asarray(points, dtype=np.complex128)
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("evaluation points must satisfy |z| < 1")
-    acc = np.zeros_like(pts)
-    for c in s.coeffs[::-1]:
-        acc = acc * pts + c
-    return acc
+    return _horner(s.coeffs, pts)
 
 
 def differentiate(s: TruncatedSeries) -> TruncatedSeries:
@@ -172,9 +194,7 @@ def shift_to_beta(p: TruncatedSeries, beta: float) -> TruncatedSeries:
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     require_unit_constant(p)
-    c = p.coeffs.copy()
-    c[1:] *= 1.0 - beta
-    return TruncatedSeries(c)
+    return _scaled(p, 1, 1.0 - beta)
 
 
 def combine_convex(mu1: float, f, mu2: float, g) -> TruncatedSeries:
@@ -201,7 +221,7 @@ def from_json(text: str) -> TruncatedSeries:
         raise ValueError("series JSON needs 'order' and 'coeffs' keys")
     order = data["order"]
     pairs = data["coeffs"]
-    if not isinstance(order, int) or not isinstance(pairs, list):
+    if isinstance(order, bool) or not isinstance(order, int) or not isinstance(pairs, list):
         raise ValueError("'order' must be an integer and 'coeffs' a list of pairs")
     if len(pairs) != order + 1:
         raise ValueError(f"expected {order + 1} coefficient pairs, got {len(pairs)}")

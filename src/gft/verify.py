@@ -26,7 +26,7 @@ from .classes import (
     member_from_p,
     membership_in_B,
     membership_in_iterated_P,
-    multiplier_tail,
+    multiplier_sums,
     p_series_of,
     random_member_B,
     random_mixture,
@@ -42,6 +42,8 @@ from .operators import (
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
+    _horner,
+    _scaled,
     combine_convex,
     default_order,
     evaluate,
@@ -60,14 +62,14 @@ COLLISION_TOL = 1e-10
 SEPARATION_TOL = 1e-6
 
 
-def default_lattice() -> tuple:
-    """Every valid (sigma, n, beta) from the default parameter sets."""
+def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
+    """Every valid (sigma, n, beta) from the given sets; invalid (sigma, n) pairs are skipped."""
     out = []
-    for sigma in DEFAULT_SIGMAS:
-        for n in DEFAULT_NS:
+    for sigma in sigmas:
+        for n in ns:
             if sigma - (n - 1) <= 0.0:
                 continue
-            for beta in DEFAULT_BETAS:
+            for beta in betas:
                 out.append(ClassSpec(OperatorParams(sigma, n), beta))
     return tuple(out)
 
@@ -133,21 +135,16 @@ def _collision_search(coeffs, pairs: int, seed, rmax: float = 0.9, iters: int = 
     d = np.arange(1, c.size) * c[1:]
     rng = np.random.default_rng(seed)
 
-    def poly(vals, pts):
-        acc = np.zeros_like(pts)
-        for ck in vals[::-1]:
-            acc = acc * pts + ck
-        return acc
-
     def draw(count):
         return rmax * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
 
     z1, z2 = draw(pairs), draw(pairs)
     alive = np.abs(z1 - z2) >= SEPARATION_TOL
     for _ in range(iters):
-        g = poly(c, z1) - poly(c, z2)
-        j1 = poly(d, z1)
-        j2 = -poly(d, z2)
+        # unchecked kernel: frozen runs may already sit outside the disk
+        g = _horner(c, z1) - _horner(c, z2)
+        j1 = _horner(d, z1)
+        j2 = -_horner(d, z2)
         nrm = np.abs(j1) ** 2 + np.abs(j2) ** 2
         ok = alive & (nrm > 1e-30)
         scale = np.where(ok, g / np.where(nrm == 0.0, 1.0, nrm), 0.0)
@@ -156,7 +153,7 @@ def _collision_search(coeffs, pairs: int, seed, rmax: float = 0.9, iters: int = 
         alive &= (np.abs(z1 - z2) >= SEPARATION_TOL) & (np.abs(z1) <= rmax) & (np.abs(z2) <= rmax)
     if not np.any(alive):
         return None
-    return float(np.min(np.abs(poly(c, z1) - poly(c, z2))[alive]))
+    return float(np.min(np.abs(_horner(c, z1) - _horner(c, z2))[alive]))
 
 
 def check_injectivity_sampled(f: SchlichtSeries, grid: CircleGrid | None = None, pairs: int = 60, seed=0) -> bool:
@@ -189,9 +186,7 @@ def _suite_1(lattice, trials, seed, grid, out):
         rng = np.random.default_rng((seed, 1, t))
         h = herglotz_expand(random_mixture(rng), order)
         scale = rng.uniform(0.05, 1.0)
-        c = h.coeffs.copy()
-        c[1:] *= (1.0 - gamma) * scale
-        q = iterate_step_closed(sigma, n, TruncatedSeries(c))
+        q = iterate_step_closed(sigma, n, _scaled(h, 1, (1.0 - gamma) * scale))
         bound = 2.0 * abs(1.0 - gamma) * scale
         for r in grid.radii:
             vals = evaluate_grid(q, circle_points(r, grid.angular_samples)).real
@@ -214,36 +209,29 @@ def _suite_2(lattice, trials, seed, grid, out):
         rng = np.random.default_rng((seed, 2, t))
         p0 = herglotz_expand(random_mixture(rng), order)
         deep = iterate_closed(OperatorParams(sigma, n + 1), p0)
-        result = membership_in_iterated_P(deep, OperatorParams(sigma, n), grid)
-        for margin in result.padded:
-            out.add(margin)
+        out.add(membership_in_iterated_P(deep, OperatorParams(sigma, n), grid).margin)
 
 
 def _suite_3(lattice, trials, seed, grid, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
     pairs = _pairs(lattice, lambda s: True)
     order = default_order()
-    k = np.arange(1, order + 1)
+    envelopes = {}
     for sigma, n in pairs:
-        params = OperatorParams(sigma, n)
-        row = multiplier_row(sigma, n, order)
-        ext = extremal_iterate(params, order, 1)
+        ext = extremal_iterate(OperatorParams(sigma, n), order, 1)
         for r in grid.radii:
-            upper = 1.0 + 2.0 * float(np.sum(row * r**k))
-            lower = 1.0 + 2.0 * float(np.sum(row * (-r) ** k))
+            s_minus, s_plus, tail = multiplier_sums(sigma, n, order, r)
+            lower, upper = 1.0 + 2.0 * s_minus, 1.0 + 2.0 * s_plus
+            envelopes[sigma, n, r] = lower, upper, 2.0 * tail
             out.add(SHARPNESS_TOL - abs(abs(evaluate(ext, r)) - upper))
             out.add(SHARPNESS_TOL - abs(evaluate(ext, -r).real - lower))
     for t in range(trials):
         sigma, n = pairs[t % len(pairs)]
-        params = OperatorParams(sigma, n)
         rng = np.random.default_rng((seed, 3, t))
-        p = iterate_closed(params, herglotz_expand(random_mixture(rng), order))
-        row = multiplier_row(sigma, n, order)
+        p = iterate_closed(OperatorParams(sigma, n), herglotz_expand(random_mixture(rng), order))
         for r in grid.radii:
             vals = evaluate_grid(p, circle_points(r, grid.angular_samples))
-            upper = 1.0 + 2.0 * float(np.sum(row * r**k))
-            lower = 1.0 + 2.0 * float(np.sum(row * (-r) ** k))
-            tail = 2.0 * multiplier_tail(sigma, n, order, r)
+            lower, upper, tail = envelopes[sigma, n, r]
             out.add(upper + tail + grid.tolerance - float(np.max(np.abs(vals))))
             out.add(float(np.min(vals.real)) - lower + 2.0 * tail + grid.tolerance)
 
@@ -263,9 +251,7 @@ def _suite_4(lattice, trials, seed, grid, out):
         q = iterate_closed(params, herglotz_expand(random_mixture(rng), order))
         mu = float(rng.uniform(0.0, 1.0))
         combo = combine_convex(mu, p, 1.0 - mu, q)
-        result = membership_in_iterated_P(combo, params, grid)
-        for margin in result.padded:
-            out.add(margin)
+        out.add(membership_in_iterated_P(combo, params, grid).margin)
 
 
 def _suite_5(lattice, trials, seed, grid, out):
@@ -278,9 +264,7 @@ def _suite_5(lattice, trials, seed, grid, out):
         spec = entries[t % len(entries)]
         deeper = ClassSpec(OperatorParams(spec.sigma, spec.n + 1), spec.beta)
         f = random_member_B(deeper, (seed, 5, t))
-        result = membership_in_B(f, spec, grid)
-        for margin in result.padded:
-            out.add(margin)
+        out.add(membership_in_B(f, spec, grid).margin)
 
 
 def _suite_6(lattice, trials, seed, grid, out):
@@ -334,9 +318,7 @@ def _suite_8(lattice, trials, seed, grid, out):
         spec = entries[t % len(entries)]
         f = random_member_B(spec, (seed, 8, t))
         transformed = bernardi(spec.sigma - spec.n - 1.0, f)
-        result = membership_in_B(transformed, spec, grid)
-        for margin in result.padded:
-            out.add(margin)
+        out.add(membership_in_B(transformed, spec, grid).margin)
 
 
 def _suite_9(lattice, trials, seed, grid, out):
@@ -383,14 +365,10 @@ def _derivative_combo(spec: ClassSpec, f: SchlichtSeries) -> TruncatedSeries:
 
 def _distortion_partials(spec: ClassSpec, r: float, order: int) -> tuple:
     """Partial (m, M) sums at radius r plus the dropped-term bound for the combo series."""
-    row = multiplier_row(spec.sigma, spec.n - 1, order)
-    k = np.arange(1, order + 1)
+    s_minus, s_plus, tail = multiplier_sums(spec.sigma, spec.n - 1, order, r)
     lam = spec.sigma - (spec.n - 1)
     scale = 2.0 * (1.0 - spec.beta)
-    m_part = lam * (1.0 + scale * float(np.sum(row * (-r) ** k)))
-    u_part = lam * (1.0 + scale * float(np.sum(row * r**k)))
-    tail = lam * scale * multiplier_tail(spec.sigma, spec.n - 1, order, r)
-    return m_part, u_part, tail
+    return lam * (1.0 + scale * s_minus), lam * (1.0 + scale * s_plus), lam * scale * tail
 
 
 def _suite_11(lattice, trials, seed, grid, out):
@@ -445,9 +423,7 @@ def _suite_12(lattice, trials, seed, grid, out):
         rng = np.random.default_rng((seed, 121, t))
         mu = float(rng.uniform(0.0, 1.0))
         combo = combine_convex(mu, p_series_of(f, spec.beta), 1.0 - mu, p_series_of(h, spec.beta))
-        result = membership_in_iterated_P(combo, spec.params, grid)
-        for margin in result.padded:
-            out.add(margin)
+        out.add(membership_in_iterated_P(combo, spec.params, grid).margin)
 
 
 def _suite_remark22(lattice, trials, seed, grid, out):

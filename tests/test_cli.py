@@ -1,12 +1,16 @@
 """Command-line surface: JSON in/out, exit codes, determinism."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from gft import classes
+from gft.classes import CircleGrid, bounds_rows, write_bounds_csv
 from gft.cli import main
 from gft.series import SchlichtSeries, from_json, to_json
+from gft.verify import default_lattice
 
 
 def run_cli(capsys, *argv):
@@ -37,10 +41,12 @@ def test_kernel_counting_and_inverse(capsys):
 
 
 def test_kernel_rejects_invalid_parameters(capsys):
-    code, out, err = run_cli(capsys, "kernel", "--sigma", "0.5", "--n", "2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("gft: error:")
+    for argv in (("--sigma", "0.5", "--n", "2"), ("--sigma", "1", "--n", "1", "--order", "0"),
+                 ("--sigma", "1", "--n", "1", "--order", "-3")):
+        code, out, err = run_cli(capsys, "kernel", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gft: error:") and "Traceback" not in err
 
 
 def test_default_order_env_is_honored(capsys, monkeypatch):
@@ -151,6 +157,21 @@ def test_bounds_skips_invalid_pairs_but_rejects_empty(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "bounds", "--sigma", "1;2")
     assert code == 2 and "comma-separated" in err
+    for sigma in ("inf", "nan"):  # used to loop forever in covering_constant
+        code, _, err = run_cli(capsys, "bounds", "--sigma", sigma, "--n", "1", "--beta", "0",
+                               "--radii", "0.5")
+        assert code == 2 and "finite" in err
+
+
+def test_bounds_defaults_are_the_verification_lattice(capsys, monkeypatch):
+    # The flag defaults are under test, not the covering series: a stub that
+    # echoes its inputs keeps this fast and still pins --covering-tol.
+    monkeypatch.setattr(classes, "covering_constant", lambda spec, tol: spec.sigma + spec.n + tol)
+    code, out, _ = run_cli(capsys, "bounds")
+    expected = io.StringIO()
+    write_bounds_csv(bounds_rows(default_lattice(), CircleGrid().radii), expected)
+    assert code == 0
+    assert out == expected.getvalue()
 
 
 def test_verify_single_suite(capsys):

@@ -37,6 +37,9 @@ def test_params_validation():
         OperatorParams(0.5, 2)  # sigma - (n - 1) = -0.5
     with pytest.raises(ValueError):
         OperatorParams(1.0, 2)  # boundary sigma - (n - 1) = 0 excluded
+    for sigma in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            OperatorParams(sigma, 1)
 
 
 def test_multiplier_known_values():

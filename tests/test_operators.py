@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gft.kernels import OperatorParams, multiplier
+from gft.kernels import OperatorParams, multiplier, multiplier_row
 from gft.operators import (
     QuadratureConfig,
     apply_L,
@@ -20,7 +20,14 @@ from gft.operators import (
     ruscheweyh,
     salagean_iterate,
 )
-from gft.series import SchlichtSeries, TruncatedSeries, differentiate, evaluate, herglotz_expand
+from gft.series import (
+    SchlichtSeries,
+    TruncatedSeries,
+    differentiate,
+    evaluate,
+    herglotz_expand,
+    shift_to_beta,
+)
 from gft.classes import random_mixture
 
 LATTICE = [
@@ -36,6 +43,43 @@ def random_schlicht(seed, order=24):
     c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
     c[0], c[1] = 0.0, 1.0
     return SchlichtSeries(TruncatedSeries(c))
+
+
+DEPTH = OperatorParams(3.5, 2)
+K1 = np.arange(1, 65)  # scaled indices of an order-64 unit-constant series
+K2 = np.arange(2, 65)  # scaled indices of an order-64 normalized series
+
+# operator, first scaled index, factor row, numpy op: the exact arithmetic
+# each operator applies to an order-64 input
+DIAGONAL_ACTIONS = {
+    "apply_L": (lambda f: apply_L(DEPTH, f), 2, 1.0 / multiplier_row(3.5, 2, 63), np.multiply),
+    "apply_l": (lambda f: apply_l(DEPTH, f), 2, multiplier_row(3.5, 2, 63), np.multiply),
+    "bernardi": (lambda f: bernardi(0.5, f), 2, (0.5 + 1.0) / (0.5 + K2), np.multiply),
+    "iterate_closed": (lambda p: iterate_closed(DEPTH, p), 1, multiplier_row(3.5, 2, 64), np.multiply),
+    "deiterate": (lambda p: deiterate(DEPTH, p), 1, multiplier_row(3.5, 2, 64), np.divide),
+    "iterate_step_closed": (lambda p: iterate_step_closed(3.5, 2, p), 1, 2.5 / (2.5 + K1), np.multiply),
+    "salagean_iterate": (lambda p: salagean_iterate(1.5, 3, p), 1, (1.5 / (1.5 + K1)) ** 3, np.multiply),
+    "shift_to_beta": (lambda p: shift_to_beta(p, 0.25), 1, 1.0 - 0.25, np.multiply),
+}
+
+
+@pytest.mark.parametrize("name", DIAGONAL_ACTIONS)
+def test_diagonal_action_is_bit_exact(name):
+    """Each operator's output equals its row formula bit for bit, type preserved.
+
+    Reports are byte-stable only while this arithmetic is unchanged, so the
+    comparison is np.array_equal, not a tolerance.
+    """
+    operator, start, factors, op = DIAGONAL_ACTIONS[name]
+    rng = np.random.default_rng(64)
+    c = rng.normal(size=65) + 1j * rng.normal(size=65)
+    c[:start] = (0.0, 1.0) if start == 2 else (1.0,)
+    s = SchlichtSeries.from_coeffs(c) if start == 2 else TruncatedSeries(c)
+    expected = c.copy()
+    expected[start:] = op(c[start:], factors)
+    out = operator(s)
+    assert type(out) is type(s)
+    assert np.array_equal(out.coeffs, expected)
 
 
 def test_apply_L_divides_by_the_multiplier():

@@ -27,6 +27,9 @@ from gft.series import (
 def test_default_order_env_override(monkeypatch):
     monkeypatch.setenv("GFT_DEFAULT_ORDER", "32")
     assert default_order() == 32
+    monkeypatch.setenv("GFT_DEFAULT_ORDER", "1")
+    with pytest.raises(ValueError, match=">= 2"):
+        default_order()
     monkeypatch.delenv("GFT_DEFAULT_ORDER")
     assert default_order() == 64
 
@@ -239,6 +242,8 @@ def test_from_json_rejects_malformed_input():
         from_json('{"order": 2, "coeffs": [[0, 0], [1, 0]]}')  # length mismatch
     with pytest.raises(ValueError):
         from_json('{"order": 1.0, "coeffs": [[0, 0], [1, 0]]}')
+    with pytest.raises(ValueError):
+        from_json('{"order": true, "coeffs": [[0, 0], [1, 0]]}')  # bool is not an order
     with pytest.raises(ValueError):
         from_json('{"order": 1, "coeffs": [[0, 0], [1, 0, 0]]}')
     with pytest.raises(ValueError):
