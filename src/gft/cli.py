@@ -84,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--n", default=_joined(DEFAULT_NS), help="comma-separated values")
     bounds.add_argument("--beta", default=_joined(DEFAULT_BETAS), help="comma-separated values")
     bounds.add_argument("--radii", default=_joined(CircleGrid().radii), help="comma-separated values")
-    bounds.add_argument("--order", type=int, default=None)
-    bounds.add_argument("--covering-tol", type=float, default=1e-7, dest="covering_tol")
     bounds.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -165,15 +163,17 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_bounds(args) -> int:
     sigmas = _parse_floats(args.sigma, "--sigma")
-    ns = [int(v) for v in _parse_floats(args.n, "--n")]
+    ns = _parse_floats(args.n, "--n")
+    if not all(v.is_integer() for v in ns):
+        raise ValueError(f"--n expects comma-separated integers, got {args.n!r}")
     betas = _parse_floats(args.beta, "--beta")
     radii = _parse_floats(args.radii, "--radii")
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError("--radii values must lie strictly between 0 and 1")
-    specs = default_lattice(sigmas, ns, betas)
+    specs = default_lattice(sigmas, [int(v) for v in ns], betas)
     if not specs:
         raise ValueError("no valid (sigma, n) pairs in the requested lattice")
-    rows = bounds_rows(specs, radii, order=args.order, covering_tol=args.covering_tol)
+    rows = bounds_rows(specs, radii)
     buffer = io.StringIO()
     write_bounds_csv(rows, buffer)
     _emit(buffer.getvalue(), args.out)

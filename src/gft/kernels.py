@@ -23,16 +23,11 @@ class OperatorParams:
     n: int
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 0:
+        if not float(self.n).is_integer() or self.n < 0:
             raise ValueError("n must be a nonnegative integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if not np.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
-        if self.sigma - (self.n - 1) <= 0.0:
-            raise ValueError(
-                f"require sigma - (n - 1) > 0, got sigma={self.sigma}, n={self.n}"
-            )
+        _check_multiplier_params(self.sigma, self.n)
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -61,13 +56,7 @@ def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
     """multiplier(sigma, n, k) for k = 1..kmax as one float vector."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if n < -1:
-        raise ValueError("multiplier is undefined for n < -1")
-    if n == -1:
-        if sigma + 1.0 <= 0.0:
-            raise ValueError("the n = -1 extension needs sigma > -1")
-    elif sigma - (n - 1) <= 0.0:
-        raise ValueError("require sigma - (n - 1) > 0")
+    _check_multiplier_params(sigma, n)
     k = np.arange(1, kmax + 1, dtype=np.float64)
     if n == -1:
         return (sigma + k + 1.0) / (sigma + 1.0)
@@ -75,6 +64,19 @@ def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
     for m in range(1, n + 1):
         out *= (sigma - m + 1.0) / (sigma + k - m + 1.0)
     return out
+
+
+def _check_multiplier_params(sigma: float, n: int) -> None:
+    """Reject (sigma, n) outside the multiplier's domain: finite sigma, n >= -1, a positive shift."""
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    if n < -1:
+        raise ValueError("multiplier is undefined for n < -1")
+    if n == -1:
+        if sigma + 1.0 <= 0.0:
+            raise ValueError("the n = -1 extension needs sigma > -1")
+    elif sigma - (n - 1) <= 0.0:
+        raise ValueError(f"require sigma - (n - 1) > 0, got sigma={sigma}, n={n}")
 
 
 def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:

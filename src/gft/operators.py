@@ -48,6 +48,14 @@ class QuadratureConfig:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         return int(tail)
 
+    def nodes_and_weights(self) -> tuple:
+        """Flattened nodes and weights of the panels [2**-(j + 1), 2**-j] on [0, 1]; the last reaches 0."""
+        x, w = np.polynomial.legendre.leggauss(self.points())
+        hi = 0.5 ** np.arange(self.panels)
+        lo = np.append(hi[1:], 0.0)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
 
 def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
     """Raising operator: a_k -> a_k / multiplier(sigma, n, k - 1) for k >= 2.
@@ -130,17 +138,8 @@ def iterate_quadrature_step(
     if abs(z) >= 1.0:
         raise ValueError("quadrature point must satisfy 0 < |z| < 1")
     cfg = QuadratureConfig() if cfg is None else cfg
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.points())
-    alpha = sigma - m
-    total = 0.0 + 0.0j
-    hi = 1.0
-    for j in range(cfg.panels):
-        lo = 0.0 if j == cfg.panels - 1 else hi / 2.0
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * nodes
-        total += half * np.sum(weights * u**alpha * evaluate_grid(p_prev, u * z))
-        hi = lo
-    return complex((sigma - m + 1.0) * total)
+    u, w = cfg.nodes_and_weights()
+    return complex((sigma - m + 1.0) * np.sum(w * u ** (sigma - m) * evaluate_grid(p_prev, u * z)))
 
 
 def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSeries:

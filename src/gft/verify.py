@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,17 +89,7 @@ class VerificationReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "title": self.title,
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "trials": self.trials,
-            "seed": self.seed,
-            "lattice": self.lattice,
-            "grid": self.grid,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -351,7 +341,7 @@ def _suite_10(lattice, trials, seed, grid, out):
     out.note("deterministic per lattice entry; trials parameter not used")
     r, order = 0.999, 8192
     for spec in entries:
-        constant = covering_constant(spec, tol=1e-7)
+        constant = covering_constant(spec)
         f = extremal_B_lower(spec, order)
         vals = np.abs(evaluate_grid(f, circle_points(r, grid.angular_samples)))
         out.add(5e-3 - abs(float(vals.min()) - constant))
@@ -387,11 +377,12 @@ def _suite_11(lattice, trials, seed, grid, out):
             "to supply the real-part floor; members can undershoot the formula)"
         )
     order = default_order()
+    envelopes = {(spec, r): _distortion_partials(spec, r, order - 1) for spec in lattice for r in grid.radii}
     for spec in lattice:
         up = _derivative_combo(spec, extremal_B_upper(spec, order))
         low = _derivative_combo(spec, extremal_B_lower(spec, order))
         for r in grid.radii:
-            m_part, u_part, _ = _distortion_partials(spec, r, order - 1)
+            m_part, u_part, _ = envelopes[spec, r]
             out.add(SHARPNESS_TOL - abs(evaluate(up, r).real - u_part))
             out.add(SHARPNESS_TOL - abs(evaluate(low, r).real - m_part))
     for t in range(trials):
@@ -407,7 +398,7 @@ def _suite_11(lattice, trials, seed, grid, out):
         f = member_from_p(spec, iterate_closed(spec.params, p0))
         combo = _derivative_combo(spec, f)
         for r in grid.radii:
-            m_part, u_part, tail = _distortion_partials(spec, r, order - 1)
+            m_part, u_part, tail = envelopes[spec, r]
             vals = np.abs(evaluate_grid(combo, circle_points(r, grid.angular_samples)))
             out.add(u_part + tail + grid.tolerance - float(vals.max()))
             if spec.n >= 1:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gft.classes import (
     BOUNDS_COLUMNS,
@@ -29,6 +31,7 @@ from gft.classes import (
     membership_in_B_direct,
     membership_in_P,
     min_re_on_circle,
+    multiplier_series,
     multiplier_tail,
     p_series_of,
     random_member_B,
@@ -36,7 +39,7 @@ from gft.classes import (
     real_part_test,
     write_bounds_csv,
 )
-from gft.kernels import OperatorParams, multiplier
+from gft.kernels import OperatorParams, multiplier, multiplier_row
 from gft.operators import iterate_closed
 from gft.series import TruncatedSeries, evaluate, herglotz_expand
 
@@ -194,16 +197,16 @@ def test_growth_is_attained_by_the_extremals():
 
 def test_covering_constant_closed_forms():
     assert covering_constant(ClassSpec(OperatorParams(1.0, 1))) == pytest.approx(
-        2.0 * math.log(2.0) - 1.0, abs=1e-6
+        2.0 * math.log(2.0) - 1.0, abs=1e-12
     )
     assert covering_constant(ClassSpec(OperatorParams(0.5, 1))) == pytest.approx(
-        math.pi / 2.0 - 1.0, abs=1e-6
+        math.pi / 2.0 - 1.0, abs=1e-12
     )
     assert covering_constant(ClassSpec(OperatorParams(2.0, 1))) == pytest.approx(
-        3.0 - 4.0 * math.log(2.0), abs=1e-6
+        3.0 - 4.0 * math.log(2.0), abs=1e-12
     )
     assert covering_constant(ClassSpec(OperatorParams(2.0, 2))) == pytest.approx(
-        8.0 * math.log(2.0) - 5.0, abs=1e-6
+        8.0 * math.log(2.0) - 5.0, abs=1e-12
     )
 
 
@@ -214,8 +217,6 @@ def test_covering_constant_depth_and_validation():
     assert deep > shallow
     with pytest.raises(ValueError):
         covering_constant(ClassSpec(OperatorParams(2.0, 0)))
-    with pytest.raises(ValueError):
-        covering_constant(ClassSpec(OperatorParams(2.0, 1)), tol=0.0)
 
 
 def test_distortion_oracle_values():
@@ -227,6 +228,72 @@ def test_distortion_oracle_values():
     # n = 0 goes through the single-step inverse extension and stays ordered
     low0, up0 = distortion_bounds(ClassSpec(OperatorParams(1.0, 0), 0.5), 0.5)
     assert low0 < up0
+
+
+def _atanh_sqrt(x):
+    """atanh(sqrt(x)) / sqrt(x) for 0 < x < 1, with 1 - sqrt(x) formed as (1 - x) / (1 + sqrt(x))."""
+    q = math.sqrt(x)
+    return 0.5 * math.log1p(2.0 * q * (1.0 + q) / (1.0 - x)) / q
+
+
+@pytest.mark.parametrize("r", (0.5, 0.99, 0.999999))
+def test_bounds_match_elementary_closed_forms(r):
+    """Growth, distortion and covering at radii where a padded partial sum goes vacuous.
+
+    rel 1e-14 is 20 times the measured error; forming 1 - x t by subtraction instead
+    of (1 - x) + x (1 - t) already misses it by 6e-14 at r = 0.999999.
+    """
+    exact = pytest.approx
+    # (1, 1): multiplier 1 / (k + 1), S(x) = -ln(1 - x) / x - 1
+    spec = ClassSpec(OperatorParams(1.0, 1))
+    assert growth_bounds(spec, r) == exact((2.0 * math.log1p(r) - r, -2.0 * math.log1p(-r) - r), rel=1e-14)
+    assert distortion_bounds(spec, r) == exact(((1.0 - r) / (1.0 + r), (1.0 + r) / (1.0 - r)), rel=1e-14)
+    assert covering_constant(spec) == exact(2.0 * math.log(2.0) - 1.0, abs=1e-15)
+    # (0.5, 1): multiplier 1 / (2 k + 1), S(x) = atanh(sqrt x) / sqrt x - 1, arctan form for x < 0
+    spec = ClassSpec(OperatorParams(0.5, 1), 0.25)
+    q = math.sqrt(r)
+    upper = r * (1.0 + 1.5 * (_atanh_sqrt(r) - 1.0))
+    lower = r * (1.0 + 1.5 * (math.atan(q) / q - 1.0))
+    assert growth_bounds(spec, r) == exact((lower, upper), rel=1e-14)
+    assert covering_constant(spec) == exact(1.0 + 1.5 * (math.pi / 4.0 - 1.0), abs=1e-15)
+    # (1, 0): S_0(x) = x / (1 - x); distortion through S_{-1}(x) = S_0(x) + x / (2 (1 - x)**2)
+    spec = ClassSpec(OperatorParams(1.0, 0), 0.5)
+    assert growth_bounds(spec, r) == exact((r / (1.0 + r), r / (1.0 - r)), rel=1e-14)
+    s_minus = -r / (1.0 + r) - r / (2.0 * (1.0 + r) ** 2)
+    s_plus = r / (1.0 - r) + r / (2.0 * (1.0 - r) ** 2)
+    assert distortion_bounds(spec, r) == exact((2.0 * (1.0 + s_minus), 2.0 * (1.0 + s_plus)), rel=1e-14)
+
+
+@given(
+    n=st.integers(-1, 4),
+    shift=st.one_of(st.floats(1e-9, 20.0), st.sampled_from((1e-12, 1e-6, 1e-3))),
+    x=st.floats(-0.95, 0.95),
+)
+@settings(max_examples=200, deadline=None)
+def test_multiplier_series_matches_long_partial_sums(n, shift, x):
+    """S(x) against order-5000 partial sums, down to sigma just above its lower limit.
+
+    The absolute floor of 1e-300 covers subnormal x, where no relative accuracy exists.
+    """
+    sigma = max(n, 0) - 1.0 + shift
+    terms = multiplier_row(sigma, n, 5000) * x ** np.arange(1, 5001)
+    assert float(multiplier_series(sigma, n, x)) == pytest.approx(
+        float(np.sum(terms)), rel=1e-12, abs=1e-13 * float(np.sum(np.abs(terms))) + 1e-300
+    )
+
+
+def test_multiplier_series_shape_and_validation():
+    x = np.array([[-1.0, -0.5], [0.0, 0.999]])
+    s = multiplier_series(2.0, 2, x)
+    assert s.shape == (2, 2) and s[1, 0] == 0.0
+    assert s[0, 0] == pytest.approx(4.0 * math.log(2.0) - 3.0, abs=1e-15)  # covering (2, 2) is 1 + 2 S(-1)
+    for bad in (1.0, -1.5, math.nan):
+        with pytest.raises(ValueError):
+            multiplier_series(2.0, 2, bad)
+    with pytest.raises(ValueError):
+        multiplier_series(0.5, 2, 0.5)  # sigma - (n - 1) <= 0
+    with pytest.raises(ValueError):
+        multiplier_series(1.0, -2, 0.5)
 
 
 def test_multiplier_tail_bounds():
@@ -246,7 +313,7 @@ def test_bounds_table_and_csv():
     rows = bounds_rows(specs, (0.5, 0.9))
     assert len(rows) == 4
     assert set(rows[0]) == set(BOUNDS_COLUMNS)
-    assert rows[0]["covering_constant"] == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-6)
+    assert rows[0]["covering_constant"] == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-12)
     assert rows[2]["covering_constant"] is None  # blank for n = 0
     buffer = io.StringIO()
     write_bounds_csv(rows, buffer)

@@ -1,12 +1,16 @@
 """Command-line surface: JSON in/out, exit codes, determinism."""
 
+import contextlib
+import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gft import classes
 from gft.classes import CircleGrid, bounds_rows, write_bounds_csv
 from gft.cli import main
 from gft.series import SchlichtSeries, from_json, to_json
@@ -161,17 +165,55 @@ def test_bounds_skips_invalid_pairs_but_rejects_empty(capsys):
         code, _, err = run_cli(capsys, "bounds", "--sigma", sigma, "--n", "1", "--beta", "0",
                                "--radii", "0.5")
         assert code == 2 and "finite" in err
+    for n in ("inf", "1.5"):  # inf used to raise OverflowError; 1.5 was tabulated as n = 1
+        code, out, err = run_cli(capsys, "bounds", "--sigma", "1", "--n", n, "--beta", "0",
+                                 "--radii", "0.5")
+        assert code == 2 and out == "" and "integers" in err and len(err.strip().split("\n")) == 1
 
 
-def test_bounds_defaults_are_the_verification_lattice(capsys, monkeypatch):
-    # The flag defaults are under test, not the covering series: a stub that
-    # echoes its inputs keeps this fast and still pins --covering-tol.
-    monkeypatch.setattr(classes, "covering_constant", lambda spec, tol: spec.sigma + spec.n + tol)
+def test_bounds_defaults_are_the_verification_lattice(capsys):
     code, out, _ = run_cli(capsys, "bounds")
     expected = io.StringIO()
     write_bounds_csv(bounds_rows(default_lattice(), CircleGrid().radii), expected)
     assert code == 0
     assert out == expected.getvalue()
+
+
+_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(("inf", "-inf", "nan", "1e308", "-1", "1.5", "junk", "", " ", "0x10")),
+)
+
+
+def _flag_values(valid):
+    """Comma-joined lists of mostly plausible values, with about one junk item in ten."""
+    item = st.integers(0, 9).flatmap(lambda i: _JUNK if i == 0 else valid)
+    return st.lists(item, min_size=1, max_size=3).map(",".join)
+
+
+@given(
+    sigma=_flag_values(st.one_of(st.floats(-1.0, 12.0).map(repr), st.sampled_from(("1e300", "1.7e308")))),
+    n=_flag_values(st.one_of(st.integers(0, 5).map(str), st.sampled_from(("1e300", "3.0")))),
+    beta=_flag_values(st.floats(0.0, 0.999).map(repr)),
+    radii=_flag_values(st.one_of(st.floats(1e-6, 0.999999).map(repr), st.just("0.9999999999999999"))),
+)
+@settings(max_examples=60, deadline=2000)
+def test_bounds_fuzzed_flags_finish_cleanly(sigma, n, beta, radii):
+    """Any flag text exits 0 with finite values or 2 with a message, never a traceback or a hang."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["bounds", "--sigma", sigma, "--n", n, "--beta", beta, "--radii", radii]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects values such as "-inf" that look like flags
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for row in csv.DictReader(io.StringIO(out.getvalue())):
+            assert all(v == "" or math.isfinite(float(v)) for v in row.values())
+    else:
+        assert err.getvalue().strip() != ""
 
 
 def test_verify_single_suite(capsys):
