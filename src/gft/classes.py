@@ -6,7 +6,7 @@ because of the dropped tail, so the boolean tests fail only when the margin
 is negative by more than tail + tolerance.  The growth, distortion and
 covering bounds are affine images of one untruncated series,
 multiplier_series, so they carry no truncation order and no tail pad; the
-truncated partial sums stay available for the sharpness checks.
+verification suites check members and extremals against these same bounds.
 """
 
 from __future__ import annotations
@@ -240,50 +240,6 @@ def extremal_B_upper(spec: ClassSpec, order: int | None = None) -> SchlichtSerie
 def extremal_B_lower(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
     """Alternating-sign extremal; its modulus on the positive axis attains the lower growth bound."""
     return _extremal_B(spec, order, -1.0)
-
-
-def _row_tail(sigma: float, n: int, row: np.ndarray, r: float) -> float:
-    """multiplier_tail past the last entry of row = multiplier_row(sigma, n, order)."""
-    order = row.size
-    if n >= 0:
-        return tail_bound(float(row[-1]), order, r)
-    g = r ** (order + 1) / (1.0 - r)
-    kg = r ** (order + 1) * ((order + 1) - order * r) / (1.0 - r) ** 2
-    return ((sigma + 1.0) * g + kg) / (sigma + 1.0)
-
-
-def multiplier_tail(sigma: float, n: int, order: int, r: float) -> float:
-    """Upper bound on sum_{k > order} multiplier(sigma, n, k) r**k.
-
-    For n >= 0 the multipliers do not increase in k, so the geometric bound
-    with the last computed value dominates.  For n = -1 the sum is evaluated
-    exactly from the two classical geometric identities.
-    """
-    return _row_tail(sigma, n, multiplier_row(sigma, n, order), r)
-
-
-def multiplier_sums(sigma: float, n: int, order: int, r: float) -> tuple:
-    """(s_minus, s_plus, tail) at radius r.
-
-    s_minus and s_plus are sum_{k=1..order} multiplier(sigma, n, k) x**k at
-    x = -r and x = +r; tail is multiplier_tail(sigma, n, order, r).
-    """
-    row = multiplier_row(sigma, n, order)
-    k = np.arange(1, order + 1)
-    s_minus = float(np.sum(row * (-r) ** k))
-    s_plus = float(np.sum(row * r**k))
-    return s_minus, s_plus, _row_tail(sigma, n, row, r)
-
-
-def growth_partials(spec: ClassSpec, r: float, order: int) -> tuple:
-    """Lower/upper partial growth sums at radius r, plus the shared tail bound."""
-    row = multiplier_row(spec.sigma, spec.n, order - 1)
-    k = np.arange(2, order + 1)
-    scale = 2.0 * (1.0 - spec.beta)
-    upper = r + scale * float(np.sum(row * r**k))
-    lower = r + scale * float(np.sum(row * (-1.0) ** (k - 1) * r**k))
-    tail = scale * _row_tail(spec.sigma, spec.n, row, r) * r
-    return lower, upper, tail
 
 
 def multiplier_series(sigma: float, n: int, x) -> np.ndarray:

@@ -41,8 +41,15 @@ def _joined(values) -> str:
     return ",".join(map(str, values))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `prog: error: message` line and exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gft",
         description="Truncated-series operator calculus and sharp-bound verification.",
     )

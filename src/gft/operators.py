@@ -10,6 +10,7 @@ index over.  An independent quadrature route cross-checks the iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,20 @@ class QuadratureConfig:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         return int(tail)
 
+    @functools.cache
     def nodes_and_weights(self) -> tuple:
-        """Flattened nodes and weights of the panels [2**-(j + 1), 2**-j] on [0, 1]; the last reaches 0."""
+        """Flattened nodes and weights of the panels [2**-(j + 1), 2**-j] on [0, 1]; the last reaches 0.
+
+        Built once per config and shared, so both arrays are read-only.
+        """
         x, w = np.polynomial.legendre.leggauss(self.points())
         hi = 0.5 ** np.arange(self.panels)
         lo = np.append(hi[1:], 0.0)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+        nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return nodes, weights
 
 
 def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:

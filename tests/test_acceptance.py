@@ -21,7 +21,6 @@ from gft.classes import (
     extremal_B_lower,
     extremal_B_upper,
     growth_bounds,
-    growth_partials,
     membership_in_B,
     random_member_B,
     random_mixture,
@@ -43,6 +42,7 @@ from gft.series import (
     evaluate,
     evaluate_grid,
     herglotz_expand,
+    tail_bound,
 )
 from gft.verify import run_suite
 
@@ -180,14 +180,15 @@ def test_criterion_07_growth_bounds():
     worst = math.inf
     for t in range(200):
         f = random_member_B(spec, (7, t))
-        l_part, u_part, tail = growth_partials(spec, 0.5, f.order)
+        # f = z (1 + p): each dropped a_k = p_{k-1} is at most 2 multiplier(1, 1, order - 1)
+        tail = 0.5 * tail_bound(2.0 * multiplier(1.0, 1, f.order - 1), f.order - 1, 0.5)
         vals = np.abs(evaluate_grid(f, circle_points(0.5, 720)))
-        worst = min(worst, u_part + tail + 1e-9 - float(vals.max()))
-        worst = min(worst, float(vals.min()) - l_part + 2.0 * tail + 1e-9)
+        worst = min(worst, upper + 1e-9 - float(vals.max()))
+        worst = min(worst, float(vals.min()) - lower + tail + 1e-9)
     ok = u_err <= 1e-6 and l_err <= 1e-6 and worst >= 0.0
     report(7, ok,
            f"upper/lower errs {u_err:.2e}/{l_err:.2e} (tol 1e-6); "
-           f"200 members inside padded interval, worst margin {worst:.2e}")
+           f"200 members inside the exact envelope less one member tail, worst margin {worst:.2e}")
 
 
 def test_criterion_08_integral_mean_closure():

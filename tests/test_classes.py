@@ -21,7 +21,6 @@ from gft.classes import (
     extremal_B_lower,
     extremal_B_upper,
     growth_bounds,
-    growth_partials,
     inflate_to_non_member,
     is_in_B,
     is_in_P_beta,
@@ -32,7 +31,6 @@ from gft.classes import (
     membership_in_P,
     min_re_on_circle,
     multiplier_series,
-    multiplier_tail,
     p_series_of,
     random_member_B,
     random_mixture,
@@ -188,11 +186,11 @@ def test_growth_oracle_logarithmic_values():
 
 def test_growth_is_attained_by_the_extremals():
     spec = ClassSpec(OperatorParams(3.5, 2), 0.25)
-    order = 64
     for r in (0.3, 0.7):
-        l_part, u_part, _ = growth_partials(spec, r, order)
-        assert evaluate(extremal_B_upper(spec, order), r).real == pytest.approx(u_part, rel=1e-13)
-        assert evaluate(extremal_B_lower(spec, order), r).real == pytest.approx(l_part, rel=1e-13)
+        order = math.ceil(math.log(1e-14) / math.log(r))  # dropped terms below 1e-14
+        lower, upper = growth_bounds(spec, r)
+        assert evaluate(extremal_B_upper(spec, order), r).real == pytest.approx(upper, rel=1e-13)
+        assert evaluate(extremal_B_lower(spec, order), r).real == pytest.approx(lower, rel=1e-13)
 
 
 def test_covering_constant_closed_forms():
@@ -294,18 +292,6 @@ def test_multiplier_series_shape_and_validation():
         multiplier_series(0.5, 2, 0.5)  # sigma - (n - 1) <= 0
     with pytest.raises(ValueError):
         multiplier_series(1.0, -2, 0.5)
-
-
-def test_multiplier_tail_bounds():
-    # n >= 0: geometric bound from the last computed multiplier
-    assert multiplier_tail(1.0, 1, 10, 0.5) == pytest.approx(
-        multiplier(1.0, 1, 10) * 0.5**11 / 0.5, rel=1e-15
-    )
-    # n = -1: exact closed form; compare against the series summed far out
-    sigma, order, r = 2.0, 10, 0.5
-    k = np.arange(order + 1, 400)
-    direct = float(np.sum((sigma + k + 1.0) / (sigma + 1.0) * r**k))
-    assert multiplier_tail(sigma, -1, order, r) == pytest.approx(direct, rel=1e-12)
 
 
 def test_bounds_table_and_csv():

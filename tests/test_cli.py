@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gft.classes import CircleGrid, bounds_rows, write_bounds_csv
@@ -198,8 +198,9 @@ def _flag_values(valid):
     radii=_flag_values(st.one_of(st.floats(1e-6, 0.999999).map(repr), st.just("0.9999999999999999"))),
 )
 @settings(max_examples=60, deadline=2000)
+@example(sigma="-inf", n="1", beta="0.0", radii="0.5")
 def test_bounds_fuzzed_flags_finish_cleanly(sigma, n, beta, radii):
-    """Any flag text exits 0 with finite values or 2 with a message, never a traceback or a hang."""
+    """Any flag text exits 0 with finite values or 2 with a one-line message, never a traceback or a hang."""
     out, err = io.StringIO(), io.StringIO()
     argv = ["bounds", "--sigma", sigma, "--n", n, "--beta", beta, "--radii", radii]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -214,6 +215,24 @@ def test_bounds_fuzzed_flags_finish_cleanly(sigma, n, beta, radii):
             assert all(v == "" or math.isfinite(float(v)) for v in row.values())
     else:
         assert err.getvalue().strip() != ""
+        assert len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--sigma", "-inf"], "gft bounds: error: argument --sigma: expected one argument"),
+        (["verify"], "gft verify: error: the following arguments are required: --theorem"),
+        (["bogus"], "gft: error: argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith(message)
 
 
 def test_verify_single_suite(capsys):

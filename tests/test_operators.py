@@ -198,6 +198,17 @@ def test_quadrature_config_validation():
         QuadratureConfig(rule="gauss-legendre-x")
 
 
+def test_quadrature_nodes_are_shared_and_read_only():
+    nodes, weights = QuadratureConfig().nodes_and_weights()
+    assert QuadratureConfig().nodes_and_weights()[0] is nodes  # equal configs share one build
+    assert nodes.shape == weights.shape == (64 * 12,)
+    assert QuadratureConfig(panels=16).nodes_and_weights()[0].shape == (16 * 12,)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        weights[0] = 0.5
+
+
 def test_quadrature_matches_closed_step():
     """Independent integral route agrees with the coefficient action to 1e-9.
 

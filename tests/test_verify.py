@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gft.classes import ClassSpec, is_in_B, random_member_B
+from gft import classes, verify
+from gft.classes import CircleGrid, ClassSpec, is_in_B, random_member_B, real_part_test
 from gft.kernels import OperatorParams
-from gft.series import SchlichtSeries
+from gft.series import SchlichtSeries, differentiate
 from gft.verify import (
     SUITE_ORDER,
     check_injectivity_sampled,
@@ -95,13 +96,29 @@ def test_member_with_dominant_depth_parameter_can_lose_injectivity():
 
     For sigma > n the class contains members whose derivative vanishes inside
     the disk; this seed reproduces one with an exact two-point collision
-    found by the sampled search.  It is why the injectivity suite only runs
-    entries with sigma <= n.
+    found by the sampled search, and Re f' < 0 somewhere on |z| = 0.9.  It is
+    why the bounded-turning suite only runs entries with sigma <= n.
     """
     spec = ClassSpec(OperatorParams(2.0, 1))
     f = random_member_B(spec, (0, 6, 8))
     assert is_in_B(f, spec)
     assert not check_injectivity_sampled(f, pairs=24, seed=(0, 66, 8))
+    turning = real_part_test(differentiate(f), 0.0, CircleGrid(), coeff_bound=2.0)
+    assert turning.verdict == "fail" and turning.padded[1] < -0.2
+
+
+def test_envelope_suites_check_the_printed_bounds(monkeypatch):
+    """Suites 9 and 11 check members against growth_bounds and distortion_bounds themselves."""
+    for name in ("growth_bounds", "distortion_bounds"):
+        def shrunk(spec, r, exact=getattr(classes, name)):
+            lower, upper = exact(spec, r)
+            return lower + 1e-6, upper - 1e-6
+
+        monkeypatch.setattr(classes, name, shrunk)
+        monkeypatch.setattr(verify, name, shrunk, raising=False)
+    for theorem in ("9", "11"):
+        report = run_suite(theorem, trials=200, seed=0)
+        assert report.verdict == "fail" and report.worst_margin < -5e-7
 
 
 def test_custom_lattice_restricts_the_report():
