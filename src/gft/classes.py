@@ -23,7 +23,7 @@ from .series import (
     SchlichtSeries,
     TruncatedSeries,
     default_order,
-    evaluate_grid,
+    evaluate_circle,
     herglotz_expand,
     require_unit_constant,
     tail_bound,
@@ -101,6 +101,11 @@ class MembershipResult:
     def margin(self) -> float:
         return min(self.padded)
 
+    @property
+    def allowance(self) -> tuple:
+        """Per-radius slack the padded margins add: truncation-tail allowance plus grid tolerance."""
+        return tuple(p - o for p, o in zip(self.padded, self.observed))
+
 
 def circle_points(r: float, samples: int) -> np.ndarray:
     """Equally spaced points on |z| = r, starting at the positive real axis."""
@@ -110,19 +115,15 @@ def circle_points(r: float, samples: int) -> np.ndarray:
 
 def min_re_on_circle(s, r: float, samples: int) -> float:
     """Minimum sampled real part of the series on the circle |z| = r."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie strictly between 0 and 1")
-    return float(np.min(evaluate_grid(s, circle_points(r, samples)).real))
+    return float(np.min(evaluate_circle(s, r, samples).real))
 
 
 def real_part_test(s, threshold: float, grid: CircleGrid | None = None, coeff_bound: float = 2.0) -> MembershipResult:
     """Threshold test Re s > threshold on every grid circle, tail-aware."""
     grid = CircleGrid() if grid is None else grid
-    observed, padded = [], []
-    for r in grid.radii:
-        low = min_re_on_circle(s, r, grid.angular_samples)
-        observed.append(low - threshold)
-        padded.append(low - threshold + tail_bound(coeff_bound, s.order, r) + grid.tolerance)
+    lows = np.min(evaluate_circle(s, grid.radii, grid.angular_samples).real, axis=-1)
+    observed = [float(low) - threshold for low in lows]
+    padded = [o + tail_bound(coeff_bound, s.order, r) + grid.tolerance for o, r in zip(observed, grid.radii)]
     verdict = "fail" if any(p < 0.0 for p in padded) else (
         "pass" if all(o > 0.0 for o in observed) else "inconclusive"
     )

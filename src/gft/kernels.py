@@ -43,23 +43,32 @@ def pochhammer(x: float, n: int) -> float:
 def multiplier(sigma: float, n: int, k: int) -> float:
     """Damping factor applied to coefficient k by n nested radial integrations.
 
-    The last entry of multiplier_row(sigma, n, k), so scalar and row agree bit
-    for bit: the finite product prod_{m=1..n} (sigma - m + 1) / (sigma + k - m + 1),
-    which lies in (0, 1] and decreases in k for n >= 1.  The n = -1 value
-    (sigma + k + 1) / (sigma + 1) is the single-step inverse that shows up in
-    the derivative-combination bounds; anything below n = -1 is undefined here.
+    The last entry of multiplier_row(sigma, n, k): the finite product
+    prod_{m=1..n} (sigma - m + 1) / (sigma + k - m + 1), which lies in (0, 1]
+    and decreases in k for n >= 1.  Scalar and row agree bit for bit when
+    n <= k; for k < n the scalar takes the shorter product over k instead,
+    which agrees to rounding.  The n = -1 value (sigma + k + 1) / (sigma + 1)
+    is the single-step inverse that shows up in the derivative-combination
+    bounds; anything below n = -1 is undefined here.
     """
     return float(multiplier_row(sigma, n, k)[-1])
 
 
 def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
-    """multiplier(sigma, n, k) for k = 1..kmax as one float vector."""
+    """multiplier(sigma, n, k) for k = 1..kmax as one float vector.
+
+    The work grows with min(n, kmax), so a huge n costs no more than a long row.
+    """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     _check_multiplier_params(sigma, n)
     k = np.arange(1, kmax + 1, dtype=np.float64)
     if n == -1:
         return (sigma + k + 1.0) / (sigma + 1.0)
+    if n > kmax:
+        # (a)_n / (a + k)_n = prod_{j < k} (a + j) / (a + n + j) with a = sigma - n + 1: kmax factors, not n
+        a = sigma - n + 1.0
+        return np.cumprod((a + k - 1.0) / (a + n + k - 1.0))
     out = np.ones_like(k)
     for m in range(1, n + 1):
         out *= (sigma - m + 1.0) / (sigma + k - m + 1.0)

@@ -4,7 +4,10 @@ Every operator in this package acts diagonally on coefficients, so a series
 cut at order N loses nothing under the operators themselves; only point
 evaluation has a tail.  The tail convention used by all circle checks is
 B * r**(N+1) / (1 - r) for a series whose dropped coefficients are bounded
-by B.
+by B.  Every circle check evaluates through one kernel, evaluate_circle,
+which gets the values at equally spaced points on any number of circles
+from one batched FFT; evaluate_grid's Horner loop serves points off those
+grids.
 """
 
 from __future__ import annotations
@@ -154,6 +157,26 @@ def evaluate_grid(s, points) -> np.ndarray:
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("evaluation points must satisfy |z| < 1")
     return _horner(s.coeffs, pts)
+
+
+def evaluate_circle(s, radii, samples: int) -> np.ndarray:
+    """Values at r exp(2 pi i j / samples), j = 0..samples - 1, on every circle |z| = r at once.
+
+    Henrici's circle kernel: scale c_k by r**k, fold the scaled coefficients
+    mod samples (c_k and c_{k + samples} agree at every sample point), and
+    take samples * ifft along the last axis.  The shape is (len(radii),
+    samples), or (samples,) for a scalar radius.
+    """
+    r = np.asarray(radii, dtype=np.float64)
+    if not np.all((r > 0.0) & (r < 1.0)):
+        raise ValueError("radius must lie strictly between 0 and 1")
+    if samples < 1:
+        raise ValueError("need at least one sample per circle")
+    c = s.coeffs
+    folded = np.zeros((*r.shape, -(-c.size // samples) * samples), dtype=np.complex128)
+    folded[..., : c.size] = c * r[..., None] ** np.arange(c.size)
+    folded = folded.reshape(*r.shape, -1, samples).sum(axis=-2)
+    return samples * np.fft.ifft(folded, axis=-1)
 
 
 def differentiate(s: TruncatedSeries) -> TruncatedSeries:

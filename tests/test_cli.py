@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +137,17 @@ def test_extremal_families(capsys):
                            "--order", "4", "--beta", "0.5")
     assert code == 0
     assert np.allclose(from_json(out).coeffs, [0, 1, -0.5, 1 / 3, -0.25])
+
+
+def test_extremal_with_huge_depth_finishes():
+    """A depth far past the order costs no more than the order: the row is a product over k."""
+    argv = ["extremal", "--family", "iterate", "--sigma", "1e9", "--n", "100000000", "--order", "8"]
+    done = subprocess.run([sys.executable, "-m", "gft.cli", *argv], capture_output=True, timeout=2.0)
+    assert done.returncode == 0
+    coeffs = from_json(done.stdout.decode()).coeffs
+    assert np.all(np.isfinite(coeffs))
+    a = 1e9 - 1e8 + 1.0  # multiplier(sigma, n, 1) = a / (a + n)
+    assert coeffs[1].real == pytest.approx(2.0 * a / (a + 1e8), rel=1e-15)
 
 
 def test_bounds_csv(capsys):

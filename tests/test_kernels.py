@@ -75,6 +75,17 @@ def test_multiplier_dual_formula():
                 assert abs(direct - ratio) <= 1e-12 * abs(ratio)
 
 
+def test_short_rows_take_the_product_over_k():
+    """Rows shorter than n are (a)_k / (a + n)_k and agree with the long rows to rounding."""
+    for sigma, n in ((3.5, 3), (9.0, 9), (2.0, 2)):
+        long_row = multiplier_row(sigma, n, 40)
+        for kmax in range(1, n):
+            assert np.allclose(multiplier_row(sigma, n, kmax), long_row[:kmax], rtol=1e-15, atol=0.0)
+    a = 50.5 - 40 + 1.0
+    expect = [pochhammer(a, k) / pochhammer(a + 40, k) for k in range(1, 9)]
+    assert np.allclose(multiplier_row(50.5, 40, 8), expect, rtol=1e-14, atol=0.0)
+
+
 def test_multiplier_row_matches_scalar_and_monotone():
     for sigma, n in ((0.5, 1), (2.0, 2), (3.5, 3), (1.0, 0), (4.0, -1)):
         row = multiplier_row(sigma, n, 40)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gft.classes import ClassSpec, circle_points, extremal_B_lower
+from gft.kernels import OperatorParams
 from gft.series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -14,6 +16,7 @@ from gft.series import (
     default_order,
     differentiate,
     evaluate,
+    evaluate_circle,
     evaluate_grid,
     from_json,
     herglotz_expand,
@@ -145,6 +148,37 @@ def test_evaluate_grid_matches_scalar():
     grid = evaluate_grid(s, pts)
     for z, got in zip(pts, grid):
         assert got == pytest.approx(evaluate(s, z), rel=1e-14)
+
+
+def _circle_gap(s, r, samples):
+    """Largest |evaluate_circle - Horner on circle_points| over the scale sum_k |c_k| r**k."""
+    gap = np.max(np.abs(evaluate_circle(s, r, samples) - evaluate_grid(s, circle_points(r, samples))))
+    return gap / np.sum(np.abs(s.coeffs) * r ** np.arange(s.coeffs.size))
+
+
+def test_evaluate_circle_matches_horner():
+    rng = np.random.default_rng(11)
+    s = TruncatedSeries(rng.normal(size=65) + 1j * rng.normal(size=65))
+    for r in (0.5, 0.9, 0.99):
+        assert _circle_gap(s, r, 720) <= 1e-12
+    # order 8192 on 720 points folds twelve blocks of coefficients onto each sample
+    lower = extremal_B_lower(ClassSpec(OperatorParams(1.0, 1)), 8192)
+    assert _circle_gap(lower, 0.999, 720) <= 1e-12
+    # fewer samples than coefficients, with a partial last block
+    assert _circle_gap(s, 0.9, 24) <= 1e-12
+
+
+def test_evaluate_circle_shapes_and_radii():
+    s = TruncatedSeries(np.array([1.0, 2.0, 2.0]))
+    assert evaluate_circle(s, 0.5, 16).shape == (16,)
+    both = evaluate_circle(s, (0.5, 0.9), 32)
+    assert both.shape == (2, 32)
+    assert np.array_equal(both[1], evaluate_circle(s, 0.9, 32))
+    for r in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            evaluate_circle(s, r, 16)
+    with pytest.raises(ValueError):
+        evaluate_circle(s, (0.5, 1.0), 16)
 
 
 def test_differentiate_values_and_order():

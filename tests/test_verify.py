@@ -107,18 +107,42 @@ def test_member_with_dominant_depth_parameter_can_lose_injectivity():
     assert turning.verdict == "fail" and turning.padded[1] < -0.2
 
 
+def _move_bounds(monkeypatch, lower_by, upper_by):
+    """Replace growth_bounds and distortion_bounds, wherever they are bound, by moved copies."""
+    for name in ("growth_bounds", "distortion_bounds"):
+        def moved(spec, r, exact=getattr(classes, name)):
+            lower, upper = exact(spec, r)
+            return lower + lower_by, upper + upper_by
+
+        monkeypatch.setattr(classes, name, moved)
+        monkeypatch.setattr(verify, name, moved, raising=False)
+
+
 def test_envelope_suites_check_the_printed_bounds(monkeypatch):
     """Suites 9 and 11 check members against growth_bounds and distortion_bounds themselves."""
-    for name in ("growth_bounds", "distortion_bounds"):
-        def shrunk(spec, r, exact=getattr(classes, name)):
-            lower, upper = exact(spec, r)
-            return lower + 1e-6, upper - 1e-6
-
-        monkeypatch.setattr(classes, name, shrunk)
-        monkeypatch.setattr(verify, name, shrunk, raising=False)
+    _move_bounds(monkeypatch, 1e-6, -1e-6)
     for theorem in ("9", "11"):
         report = run_suite(theorem, trials=200, seed=0)
         assert report.verdict == "fail" and report.worst_margin < -5e-7
+
+
+def test_sharpness_checks_catch_a_shifted_bound(monkeypatch):
+    """A bound moved by 1e-6 fails suites 9 and 11 at their sharpness checks alone, with one trial."""
+    _move_bounds(monkeypatch, 1e-6, 1e-6)
+    for theorem in ("9", "11"):
+        report = run_suite(theorem, trials=1, seed=0)
+        assert report.verdict == "fail" and report.worst_margin < -5e-7
+
+
+def test_membership_suites_name_the_radii_they_cannot_fail_at():
+    report = run_suite("2")
+    loose = [note for note in report.notes if note.startswith("truncation allowance of 1 or more")]
+    assert len(loose) == 1
+    # 2 * 0.99**65 / 0.01 for the order-64 series, plus the grid tolerance
+    assert "r = 0.99 (at least 104.1)" in loose[0]
+    assert "r = 0.9 " not in loose[0] and "r = 0.5 " not in loose[0]
+    tight = run_suite("2", trials=8, grid=CircleGrid(radii=(0.5, 0.9)))
+    assert not any(note.startswith("truncation allowance") for note in tight.notes)
 
 
 def test_custom_lattice_restricts_the_report():
