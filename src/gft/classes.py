@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import OperatorParams, _check_multiplier_params, multiplier_row
-from .operators import QuadratureConfig, apply_L, deiterate, iterate_closed
+from .operators import _quadrature_nodes, apply_L, deiterate, iterate_closed
 from .series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -138,18 +138,10 @@ def membership_in_P(p: TruncatedSeries, beta: float = 0.0, grid: CircleGrid | No
     return real_part_test(p, beta, grid)
 
 
-def is_in_P_beta(p: TruncatedSeries, beta: float = 0.0, grid: CircleGrid | None = None) -> bool:
-    return bool(membership_in_P(p, beta, grid))
-
-
 def membership_in_iterated_P(q: TruncatedSeries, params: OperatorParams, grid: CircleGrid | None = None) -> MembershipResult:
     """Test for the iterated family: undo the iteration, then test real part > 0."""
     require_unit_constant(q)
     return real_part_test(deiterate(params, q), 0.0, grid)
-
-
-def is_in_Pn_sigma(q: TruncatedSeries, params: OperatorParams, grid: CircleGrid | None = None) -> bool:
-    return bool(membership_in_iterated_P(q, params, grid))
 
 
 def p_series_of(f: SchlichtSeries, beta: float) -> TruncatedSeries:
@@ -249,7 +241,7 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
     Geometric for n = 0 and n = -1.  For n >= 1, Euler's integral (DLMF 15.6.1)
     gives S(x) = x a / (a + n) E[1 / (1 - x T)] with a = sigma - n + 1 and
     T ~ Beta(a + 1, n): a ratio of two integrals of t**a (1 - t)**(n - 1) on
-    QuadratureConfig's panels mirrored so they halve toward t = 0 and t = 1,
+    the panels of _quadrature_nodes mirrored so they halve toward t = 0 and t = 1,
     where 1 / (1 - x t) nears its pole as x -> 1.  1 - t is the mirrored node
     and 1 - x t is (1 - x) + x (1 - t), so nothing cancels.  The ratio needs no
     (a)_n / (n - 1)!, so it stays finite; it is exact to rounding while
@@ -263,8 +255,8 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
     if n <= 0:
         geometric = x / (1.0 - x)
         return geometric if n == 0 else geometric + x / (1.0 - x) ** 2 / (sigma + 1.0)
-    a = sigma - n + 1.0
-    u, w = QuadratureConfig().nodes_and_weights()
+    a = sigma - (n - 1.0)
+    u, w = _quadrature_nodes()
     t, s = np.concatenate([u / 2.0, 1.0 - u / 2.0]), np.concatenate([1.0 - u / 2.0, u / 2.0])
     with np.errstate(over="ignore"):  # a weight below exp(-1e308) is exactly 0
         log_weight = a * np.log(t) + (n - 1.0) * np.log(s)

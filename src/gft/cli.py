@@ -14,6 +14,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from .classes import (
     CircleGrid,
     ClassSpec,
@@ -158,6 +160,9 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    minimum = 1 if args.family == "iterate" else 2
+    if args.order is not None and args.order < minimum:
+        raise ValueError(f"--order must be >= {minimum} for --family {args.family}, got {args.order}")
     if args.family == "iterate":
         series = extremal_iterate(OperatorParams(args.sigma, args.n), args.order, args.sign)
     else:
@@ -188,6 +193,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.theorem == "all":
         reports = run_all(trials=args.trials, seed=args.seed)
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
@@ -218,7 +225,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # an overflowing result is rejected as non-finite in one line; numpy's warning would add two more
+        with np.errstate(over="ignore"):
+            return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"gft: error: {exc}", file=sys.stderr)
         return 2

@@ -67,11 +67,12 @@ def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
         return (sigma + k + 1.0) / (sigma + 1.0)
     if n > kmax:
         # (a)_n / (a + k)_n = prod_{j < k} (a + j) / (a + n + j) with a = sigma - n + 1: kmax factors, not n
-        a = sigma - n + 1.0
+        a = sigma - (n - 1.0)
         return np.cumprod((a + k - 1.0) / (a + n + k - 1.0))
     out = np.ones_like(k)
     for m in range(1, n + 1):
-        out *= (sigma - m + 1.0) / (sigma + k - m + 1.0)
+        # sigma - (m - 1) keeps a tiny sigma at m = 1, where sigma - m + 1 rounds it to 0
+        out *= (sigma - (m - 1.0)) / (sigma + k - m + 1.0)
     return out
 
 
@@ -98,7 +99,7 @@ def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSer
     c[1] = 1.0
     if n >= 2:
         k = np.arange(1, n)
-        c[2:] = np.cumprod((lam + k - 1.0) / k)
+        c[2:] = np.cumprod((lam + (k - 1.0)) / k)  # lam + k - 1 would round a tiny lam to 0 at k = 1
     return TruncatedSeries(c)
 
 

@@ -11,7 +11,6 @@ index over.  An independent quadrature route cross-checks the iteration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,43 +25,24 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite Gauss-Legendre settings for the radial integral oracle.
+@functools.cache
+def _quadrature_nodes() -> tuple:
+    """Composite Gauss-Legendre-12 nodes and weights on [0, 1], flattened over 64 panels.
 
-    Panels shrink geometrically (ratio 1/2) toward the inner endpoint so
-    that endpoint factors u**a with a > -1 are resolved to near machine
-    accuracy; a uniform split cannot reach 1e-8 once a < 0.
+    The panels are [2**-(j + 1), 2**-j], the last reaching 0: they shrink
+    geometrically (ratio 1/2) toward the inner endpoint so that endpoint
+    factors u**a with a > -1 are resolved to near machine accuracy; a
+    uniform split cannot reach 1e-8 once a < 0.  Built once and shared, so
+    both arrays are read-only.
     """
-
-    panels: int = 64
-    rule: str = "gauss-legendre-12"
-
-    def __post_init__(self) -> None:
-        if self.panels < 16:
-            raise ValueError("need at least 16 panels")
-        self.points()
-
-    def points(self) -> int:
-        head, _, tail = self.rule.rpartition("-")
-        if head != "gauss-legendre" or not tail.isdigit() or int(tail) < 2:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        return int(tail)
-
-    @functools.cache
-    def nodes_and_weights(self) -> tuple:
-        """Flattened nodes and weights of the panels [2**-(j + 1), 2**-j] on [0, 1]; the last reaches 0.
-
-        Built once per config and shared, so both arrays are read-only.
-        """
-        x, w = np.polynomial.legendre.leggauss(self.points())
-        hi = 0.5 ** np.arange(self.panels)
-        lo = np.append(hi[1:], 0.0)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return nodes, weights
+    x, w = np.polynomial.legendre.leggauss(12)
+    hi = 0.5 ** np.arange(64)
+    lo = np.append(hi[1:], 0.0)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
@@ -104,7 +84,8 @@ def iterate_step_closed(sigma: float, m: int, p: TruncatedSeries) -> TruncatedSe
     if m < 1 or sigma - (m - 1) <= 0.0:
         raise ValueError("step m needs m >= 1 and sigma - (m - 1) > 0")
     k = np.arange(1, p.order + 1)
-    return _scaled(p, 1, (sigma - m + 1.0) / (sigma - m + 1.0 + k))
+    lam = sigma - (m - 1.0)
+    return _scaled(p, 1, lam / (lam + k))
 
 
 def iterate_closed(params: OperatorParams, p: TruncatedSeries) -> TruncatedSeries:
@@ -122,13 +103,7 @@ def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
     return _scaled(q, 1, multiplier_row(params.sigma, params.n, q.order), np.divide)
 
 
-def iterate_quadrature_step(
-    sigma: float,
-    m: int,
-    p_prev: TruncatedSeries,
-    z: complex,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
+def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: complex) -> complex:
     """One radial integration step evaluated by quadrature at a single point.
 
     The step sends p to (sigma - m + 1) z**-(sigma - m + 1) int_0^z t**(sigma - m) p(t) dt
@@ -145,8 +120,7 @@ def iterate_quadrature_step(
         raise ValueError("z = 0 is excluded; the limiting value is p(0)")
     if abs(z) >= 1.0:
         raise ValueError("quadrature point must satisfy 0 < |z| < 1")
-    cfg = QuadratureConfig() if cfg is None else cfg
-    u, w = cfg.nodes_and_weights()
+    u, w = _quadrature_nodes()
     return complex((sigma - m + 1.0) * np.sum(w * u ** (sigma - m) * evaluate_grid(p_prev, u * z)))
 
 
@@ -163,8 +137,8 @@ def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSerie
 
 def bernardi(c: float, f: SchlichtSeries) -> SchlichtSeries:
     """Weighted integral mean of a normalized series: a_k -> (c + 1) / (c + k) a_k."""
-    if c + 1.0 <= 0.0:
-        raise ValueError("require c > -1")
+    if not np.isfinite(c) or c + 1.0 <= 0.0:
+        raise ValueError(f"require a finite c > -1, got {c}")
     k = np.arange(2, f.order + 1)
     return _scaled(f, 2, (c + 1.0) / (c + k))
 

@@ -143,20 +143,15 @@ def evaluate(s, z: complex) -> complex:
     return complex(acc)
 
 
-def _horner(coeffs, pts: np.ndarray) -> np.ndarray:
-    """Unchecked vectorized Horner loop over complex points of any modulus."""
-    acc = np.zeros_like(pts)
-    for c in coeffs[::-1]:
-        acc = acc * pts + c
-    return acc
-
-
 def evaluate_grid(s, points) -> np.ndarray:
     """Vectorized Horner evaluation at an array of points inside the disk."""
     pts = np.asarray(points, dtype=np.complex128)
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("evaluation points must satisfy |z| < 1")
-    return _horner(s.coeffs, pts)
+    acc = np.zeros_like(pts)
+    for c in s.coeffs[::-1]:
+        acc = acc * pts + c
+    return acc
 
 
 def evaluate_circle(s, radii, samples: int) -> np.ndarray:

@@ -47,7 +47,6 @@ from .operators import (
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
-    _horner,
     _scaled,
     combine_convex,
     default_order,
@@ -63,8 +62,6 @@ DEFAULT_BETAS = (0.0, 0.25, 0.5, 0.9)
 
 COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
-COLLISION_TOL = 1e-10
-SEPARATION_TOL = 1e-6
 
 
 def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
@@ -122,48 +119,6 @@ class _Margins:
     def note(self, text: str) -> None:
         if text not in self.notes:
             self.notes.append(text)
-
-
-def _collision_search(coeffs, pairs: int, seed, rmax: float = 0.9, iters: int = 80):
-    """Gauss-Newton hunt for two separated points with (nearly) equal values.
-
-    Runs `pairs` random two-point starts in |z| <= rmax simultaneously and
-    drives f(z1) - f(z2) toward zero with minimal-norm updates.  Runs that
-    collapse onto the diagonal or leave the disk are frozen and discarded.
-    Returns the smallest final |f(z1) - f(z2)| among surviving runs, or None
-    when every run collapsed; a small survivor is a genuine near-collision.
-    """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    d = np.arange(1, c.size) * c[1:]
-    rng = np.random.default_rng(seed)
-
-    def draw(count):
-        return rmax * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
-
-    z1, z2 = draw(pairs), draw(pairs)
-    alive = np.abs(z1 - z2) >= SEPARATION_TOL
-    for _ in range(iters):
-        # unchecked kernel: frozen runs may already sit outside the disk
-        g = _horner(c, z1) - _horner(c, z2)
-        j1 = _horner(d, z1)
-        j2 = -_horner(d, z2)
-        nrm = np.abs(j1) ** 2 + np.abs(j2) ** 2
-        ok = alive & (nrm > 1e-30)
-        scale = np.where(ok, g / np.where(nrm == 0.0, 1.0, nrm), 0.0)
-        z1 = z1 - np.conj(j1) * scale
-        z2 = z2 - np.conj(j2) * scale
-        alive &= (np.abs(z1 - z2) >= SEPARATION_TOL) & (np.abs(z1) <= rmax) & (np.abs(z2) <= rmax)
-    if not np.any(alive):
-        return None
-    return float(np.min(np.abs(_horner(c, z1) - _horner(c, z2))[alive]))
-
-
-def check_injectivity_sampled(f: SchlichtSeries, grid: CircleGrid | None = None, pairs: int = 60, seed=0) -> bool:
-    """True iff no refined random pair in the sampling disk maps to equal values."""
-    grid = CircleGrid() if grid is None else grid
-    rmax = min(0.9, max(grid.radii))
-    best = _collision_search(f.coeffs, pairs, seed, rmax=rmax)
-    return best is None or best >= COLLISION_TOL
 
 
 def _entries(lattice, pred):
@@ -302,9 +257,9 @@ def _suite_6(lattice, trials, seed, grid, out):
     so Re f' > beta and the coefficients of f' are at most 2 (1 - beta).  For
     sigma > n that argument breaks down and members genuinely lose
     injectivity (e.g. at (sigma, n, beta) = (2, 1, 0) a member exists with
-    f'(z) = 0 at |z| = 0.85 and an exact two-point collision inside
-    |z| < 0.8), so those entries are excluded with a note rather than
-    reported as failures.
+    f'(z) = 0 at |z| = 0.756, and a zero of f' inside the disk certifies
+    that f is not univalent there), so those entries are excluded with a
+    note rather than reported as failures.
     """
     if any(spec.n >= 1 and spec.sigma > spec.n for spec in lattice):
         out.note(

@@ -23,12 +23,11 @@ from gft.classes import (
     growth_bounds,
     inflate_to_non_member,
     is_in_B,
-    is_in_P_beta,
-    is_in_Pn_sigma,
     member_from_p,
     membership_in_B,
     membership_in_B_direct,
     membership_in_P,
+    membership_in_iterated_P,
     min_re_on_circle,
     multiplier_series,
     p_series_of,
@@ -112,10 +111,10 @@ def test_membership_requires_unit_constant_and_valid_beta():
 def test_iterated_family_membership():
     params = OperatorParams(2.0, 2)
     p = herglotz_expand(random_mixture(np.random.default_rng(3)), 64)
-    assert is_in_Pn_sigma(iterate_closed(params, p), params)
+    assert membership_in_iterated_P(iterate_closed(params, p), params)
     bad = np.zeros(65)
     bad[0], bad[1] = 1.0, 3.0
-    assert not is_in_Pn_sigma(iterate_closed(params, TruncatedSeries(bad)), params)
+    assert not membership_in_iterated_P(iterate_closed(params, TruncatedSeries(bad)), params)
 
 
 def test_member_p_series_round_trip():

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from gft.classes import CircleGrid, bounds_rows, write_bounds_csv
 from gft.cli import main
 from gft.series import SchlichtSeries, from_json, to_json
-from gft.verify import default_lattice
+from gft.verify import SUITE_ORDER, default_lattice
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +205,28 @@ def _flag_values(valid):
     return st.lists(item, min_size=1, max_size=3).map(",".join)
 
 
+def _run_fuzzed(argv) -> tuple:
+    """Run the CLI in-process and return (exit code, stdout), checking what every exit shares.
+
+    No traceback, and exactly one stderr line on exit 2.  A numpy warning
+    would print further stderr lines in a real run, so none may be raised.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects values such as "-inf" that look like flags
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        assert err.getvalue().strip() != ""
+        assert len(err.getvalue().splitlines()) == 1
+    return code, out.getvalue()
+
+
 @given(
     sigma=_flag_values(st.one_of(st.floats(-1.0, 12.0).map(repr), st.sampled_from(("1e300", "1.7e308")))),
     n=_flag_values(st.one_of(st.integers(0, 5).map(str), st.sampled_from(("1e300", "3.0")))),
@@ -214,21 +237,122 @@ def _flag_values(valid):
 @example(sigma="-inf", n="1", beta="0.0", radii="0.5")
 def test_bounds_fuzzed_flags_finish_cleanly(sigma, n, beta, radii):
     """Any flag text exits 0 with finite values or 2 with a one-line message, never a traceback or a hang."""
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["bounds", "--sigma", sigma, "--n", n, "--beta", beta, "--radii", radii]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects values such as "-inf" that look like flags
-            code = exc.code
+    code, out = _run_fuzzed(["bounds", "--sigma", sigma, "--n", n, "--beta", beta, "--radii", radii])
     assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
     if code == 0:
-        for row in csv.DictReader(io.StringIO(out.getvalue())):
+        for row in csv.DictReader(io.StringIO(out)):
             assert all(v == "" or math.isfinite(float(v)) for v in row.values())
-    else:
-        assert err.getvalue().strip() != ""
-        assert len(err.getvalue().splitlines()) == 1
+
+
+_NUMBER = st.one_of(
+    st.floats(-2.0, 12.0).map(repr),
+    st.sampled_from(("nan", "inf", "-inf", "1e308", "-1e308", "0", "-1", "junk")),
+)
+_DEPTH = st.one_of(st.integers(-3, 6), st.just(100_000_000)).map(str)
+_ORDER = st.integers(-3, 40).map(str)  # kept small: a fuzzed order never allocates much
+
+# --in files for apply and iterate, by name; "directory" and "missing" are added by the fixture
+_INPUT_TEXTS = {
+    "member": to_json(SchlichtSeries.from_coeffs([0.0, 1.0, 0.5, -0.25, 1e-3])),
+    "unit": json.dumps({"order": 3, "coeffs": [[1.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]]}),
+    "huge member": json.dumps({"order": 3, "coeffs": [[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]}),
+    "huge unit": json.dumps({"order": 2, "coeffs": [[1.0, 0.0], [1e308, 0.0], [1e308, 0.0]]}),
+    "array": "[1, 2]",
+    "number": "3",
+    "null": "null",
+    "nan": '{"order": 1, "coeffs": [[NaN, 0.0], [1.0, 0.0]]}',
+    "short": '{"order": 3, "coeffs": [[0.0, 0.0], [1.0, 0.0]]}',
+    "broken": "{",
+}
+_SOURCES = st.sampled_from((*_INPUT_TEXTS, "directory", "missing"))
+
+
+def _optional(flag, values):
+    """Either no flag at all or the flag with one generated value."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"directory": str(root), "missing": str(root / "absent.json")}
+    for name, text in _INPUT_TEXTS.items():
+        path = root / f"{name.replace(' ', '_')}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@given(sigma=_NUMBER, n=_DEPTH, order=_optional("--order", _ORDER), inverse=st.sampled_from(([], ["--inverse"])))
+@settings(max_examples=60, deadline=2000)
+@example(sigma="1e308", n="1", order=["--order", "4"], inverse=[])
+@example(sigma="1e-212", n="1", order=[], inverse=["--inverse"])
+def test_kernel_fuzzed_flags_finish_cleanly(sigma, n, order, inverse):
+    code, out = _run_fuzzed(["kernel", "--sigma", sigma, "--n", n, *order, *inverse])
+    assert code in (0, 2)
+    if code == 0:
+        from_json(out)  # rejects non-finite coefficients
+
+
+@given(
+    op=st.sampled_from(("L", "l", "ruscheweyh", "noor", "bernardi", "bogus")),
+    sigma=_optional("--sigma", _NUMBER),
+    n=_optional("--n", _DEPTH),
+    c=_optional("--c", _NUMBER),
+    source=_SOURCES,
+)
+@settings(max_examples=80, deadline=2000)
+@example(op="L", sigma=["--sigma", "1"], n=["--n", "1"], c=[], source="huge member")
+@example(op="ruscheweyh", sigma=["--sigma", "5"], n=[], c=[], source="huge member")
+@example(op="bernardi", sigma=[], n=[], c=["--c", "inf"], source="member")
+def test_apply_fuzzed_flags_finish_cleanly(fuzz_inputs, op, sigma, n, c, source):
+    code, out = _run_fuzzed(["apply", "--op", op, *sigma, *n, *c, "--in", fuzz_inputs[source]])
+    assert code in (0, 2)
+    if code == 0:
+        from_json(out)  # rejects non-finite coefficients
+
+
+@given(sigma=_NUMBER, n=_DEPTH, inverse=st.sampled_from(([], ["--inverse"])), source=_SOURCES)
+@settings(max_examples=60, deadline=2000)
+@example(sigma="0.5", n="1", inverse=["--inverse"], source="huge unit")
+@example(sigma="1e-80", n="1", inverse=["--inverse"], source="member")
+def test_iterate_fuzzed_flags_finish_cleanly(fuzz_inputs, sigma, n, inverse, source):
+    code, out = _run_fuzzed(["iterate", "--sigma", sigma, "--n", n, *inverse, "--in", fuzz_inputs[source]])
+    assert code in (0, 2)
+    if code == 0:
+        from_json(out)  # rejects non-finite coefficients
+
+
+@given(
+    family=st.sampled_from(("iterate", "upper", "lower", "bogus")),
+    sigma=_NUMBER,
+    n=_DEPTH,
+    beta=_optional("--beta", st.one_of(st.floats(0.0, 0.999).map(repr), _NUMBER)),
+    sign=_optional("--sign", st.sampled_from(("1", "-1", "0", "x"))),
+    order=_optional("--order", _ORDER),
+)
+@settings(max_examples=60, deadline=2000)
+def test_extremal_fuzzed_flags_finish_cleanly(family, sigma, n, beta, sign, order):
+    code, out = _run_fuzzed(["extremal", "--family", family, "--sigma", sigma, "--n", n, *beta, *sign, *order])
+    assert code in (0, 2)
+    if code == 0:
+        from_json(out)  # rejects non-finite coefficients
+
+
+@given(
+    theorem=st.sampled_from((*SUITE_ORDER, "all", "0", "bogus")),
+    trials=st.integers(-3, 2).map(str),
+    seed=st.one_of(st.integers(-3, 3).map(str), st.sampled_from(("1e3", "", "18446744073709551616"))),
+)
+@settings(max_examples=30, deadline=2000)
+def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
+    code, out = _run_fuzzed(["verify", "--theorem", theorem, "--trials", trials, "--seed", seed])
+    assert code in (0, 1, 2)
+    if code != 2:
+        reports = json.loads(out)
+        reports = reports if isinstance(reports, list) else [reports]
+        assert all(math.isfinite(r["worst_margin"]) for r in reports)
+        assert code == int(any(r["verdict"] != "pass" for r in reports))
 
 
 @pytest.mark.parametrize(
@@ -237,13 +361,18 @@ def test_bounds_fuzzed_flags_finish_cleanly(sigma, n, beta, radii):
         (["bounds", "--sigma", "-inf"], "gft bounds: error: argument --sigma: expected one argument"),
         (["verify"], "gft verify: error: the following arguments are required: --theorem"),
         (["bogus"], "gft: error: argument command: invalid choice: 'bogus'"),
+        (["extremal", "--sigma", "1", "--n", "1", "--order", "0"],
+         "gft: error: --order must be >= 1 for --family iterate"),
+        (["verify", "--theorem", "7", "--seed", "-1"], "gft: error: --seed must be >= 0"),
     ],
 )
 def test_usage_errors_are_one_line(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own errors exit from inside main; validation errors return
+        code = exc.code
     captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
+    assert code == 2 and captured.out == ""
     assert captured.err.splitlines() == [captured.err.rstrip("\n")]
     assert captured.err.startswith(message)
 

@@ -50,6 +50,10 @@ def test_multiplier_known_values():
     # single-step inverse extension
     assert multiplier(1.0, -1, 2) == 2.0
     assert multiplier(0.5, -1, 1) == pytest.approx(2.5 / 1.5, rel=1e-15)
+    # a sigma far below rounding of 1 keeps its relative accuracy: the shift sigma - (m - 1) is exact at m = 1
+    for sigma in (1e-10, 1e-80):
+        k = np.arange(1.0, 6.0)
+        assert np.allclose(multiplier_row(sigma, 1, 5), sigma / (sigma + k), rtol=1e-15, atol=0.0)
 
 
 def test_multiplier_rejections():
@@ -106,6 +110,10 @@ def test_tau_known_expansions():
     assert np.allclose(tau_coeffs(OperatorParams(1.0, 0), 5).coeffs, [0, 1, 2, 3, 4, 5])
     # lam = 3: triangular numbers
     assert np.allclose(tau_coeffs(OperatorParams(2.0, 0), 6).coeffs, [0, 1, 3, 6, 10, 15, 21])
+    # tiny lam: coefficient k + 1 is lam (lam + 1) ... (lam + k - 1) / k!, about lam / k
+    lam = 1e-80
+    expected = [0, 1, *(lam / k for k in range(1, 5))]
+    assert np.allclose(tau_coeffs(OperatorParams(lam, 1), 5).coeffs, expected, rtol=1e-15, atol=0.0)
 
 
 def test_tau_inverse_is_hadamard_inverse():

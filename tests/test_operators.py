@@ -7,7 +7,7 @@ import pytest
 
 from gft.kernels import OperatorParams, multiplier, multiplier_row
 from gft.operators import (
-    QuadratureConfig,
+    _quadrature_nodes,
     apply_L,
     apply_l,
     bernardi,
@@ -187,22 +187,10 @@ def test_recurrence_ties_adjacent_depths():
         recurrence_residual(OperatorParams(1.0, 0), p_n, p_prev)
 
 
-def test_quadrature_config_validation():
-    assert QuadratureConfig().points() == 12
-    assert QuadratureConfig(rule="gauss-legendre-8").points() == 8
-    with pytest.raises(ValueError):
-        QuadratureConfig(panels=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rule="simpson")
-    with pytest.raises(ValueError):
-        QuadratureConfig(rule="gauss-legendre-x")
-
-
 def test_quadrature_nodes_are_shared_and_read_only():
-    nodes, weights = QuadratureConfig().nodes_and_weights()
-    assert QuadratureConfig().nodes_and_weights()[0] is nodes  # equal configs share one build
+    nodes, weights = _quadrature_nodes()
+    assert _quadrature_nodes()[0] is nodes  # built once and shared
     assert nodes.shape == weights.shape == (64 * 12,)
-    assert QuadratureConfig(panels=16).nodes_and_weights()[0].shape == (16 * 12,)
     with pytest.raises(ValueError):
         nodes[0] = 0.5
     with pytest.raises(ValueError):
@@ -257,8 +245,9 @@ def test_bernardi_values_and_validation():
     f = SchlichtSeries.from_coeffs([0.0, 1.0, 1.0])
     out = bernardi(1.0, f)
     assert np.allclose(out.coeffs, [0.0, 1.0, 2.0 / 3.0], rtol=1e-15)
-    with pytest.raises(ValueError):
-        bernardi(-1.0, f)
+    for c in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bernardi(c, f)
 
 
 def test_multiplier_shift_identity():

@@ -1,4 +1,8 @@
-"""Verification harness: suite plumbing, determinism, and the injectivity probe."""
+"""Verification harness: suite plumbing, determinism, and critical-point certificates of non-univalence.
+
+A zero of f' inside the disk proves f is not univalent there; the pinned
+sigma > n member below has one at |z| = 0.756.
+"""
 
 import json
 
@@ -8,10 +12,9 @@ import pytest
 from gft import classes, verify
 from gft.classes import CircleGrid, ClassSpec, is_in_B, random_member_B, real_part_test
 from gft.kernels import OperatorParams
-from gft.series import SchlichtSeries, differentiate
+from gft.series import differentiate, evaluate
 from gft.verify import (
     SUITE_ORDER,
-    check_injectivity_sampled,
     default_lattice,
     run_all,
     run_suite,
@@ -85,24 +88,38 @@ def test_derivative_envelope_suite_documents_the_shallow_case():
     assert any("lower envelope not enforced" in note for note in report.notes)
 
 
+def _critical_points(coeffs) -> np.ndarray:
+    """Zeros of f' for the polynomial f with the given coefficients, by modulus."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    roots = np.roots((np.arange(1, c.size) * c[1:])[::-1])
+    return roots[np.argsort(np.abs(roots))]
+
+
 def test_injectivity_probe_on_known_functions():
-    assert check_injectivity_sampled(SchlichtSeries.from_coeffs([0.0, 1.0]))
-    # derivative vanishes at |z| < 0.26, so two-point collisions exist nearby
-    assert not check_injectivity_sampled(SchlichtSeries.from_coeffs([0.0, 1.0, 1.0, 5.0]))
+    """A zero of f' inside the disk certifies that f is not univalent there."""
+    assert _critical_points([0.0, 1.0]).size == 0
+    # z + z**2 / 4 is univalent on the disk: its only critical point is z = -2
+    assert np.allclose(_critical_points([0.0, 1.0, 0.25]), [-2.0])
+    # f' = 1 + 2 z + 15 z**2 vanishes at |z| = 1 / sqrt(15) = 0.258
+    assert np.allclose(np.abs(_critical_points([0.0, 1.0, 1.0, 5.0])), 1.0 / np.sqrt(15.0))
 
 
 def test_member_with_dominant_depth_parameter_can_lose_injectivity():
     """Pinned example: a genuine class member whose restriction fails.
 
     For sigma > n the class contains members whose derivative vanishes inside
-    the disk; this seed reproduces one with an exact two-point collision
-    found by the sampled search, and Re f' < 0 somewhere on |z| = 0.9.  It is
-    why the bounded-turning suite only runs entries with sigma <= n.
+    the disk; this seed reproduces one with f' = 0 at |z| = 0.756, 0.821 and
+    0.850, so f is not univalent on |z| < 0.9, and Re f' < 0 somewhere on
+    |z| = 0.9.  It is why the bounded-turning suite only runs entries with
+    sigma <= n.
     """
     spec = ClassSpec(OperatorParams(2.0, 1))
     f = random_member_B(spec, (0, 6, 8))
     assert is_in_B(f, spec)
-    assert not check_injectivity_sampled(f, pairs=24, seed=(0, 66, 8))
+    inside = [z for z in _critical_points(f.coeffs) if abs(z) < 0.9]
+    assert np.allclose(np.abs(inside), [0.7556, 0.8213, 0.8501], atol=1e-4)
+    derivative = differentiate(f)
+    assert all(abs(evaluate(derivative, z)) < 1e-12 for z in inside)
     turning = real_part_test(differentiate(f), 0.0, CircleGrid(), coeff_bound=2.0)
     assert turning.verdict == "fail" and turning.padded[1] < -0.2
 
