@@ -1,9 +1,10 @@
 """Positive-real-part classes, their members, extremals, and sharp bounds.
 
-Membership is decided on circle grids with an explicit truncation allowance:
+Membership is decided on one fixed circle grid, ANGULAR_SAMPLES points on
+each circle |z| = r for r in RADII, with an explicit truncation allowance:
 a truncated member can dip below the threshold near the boundary purely
 because of the dropped tail, so the boolean tests fail only when the margin
-is negative by more than tail + tolerance.  The growth, distortion and
+is negative by more than tail + GRID_TOLERANCE.  The growth, distortion and
 covering bounds are affine images of one untruncated series,
 multiplier_series, so they carry no truncation order and no tail pad; the
 verification suites check members and extremals against these same bounds.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import OperatorParams, _check_multiplier_params, multiplier_row
+from .kernels import OperatorParams, _check_multiplier_params, extremal_iterate
 from .operators import _quadrature_nodes, apply_L, deiterate, iterate_closed
 from .series import (
     HerglotzMixture,
@@ -28,6 +29,11 @@ from .series import (
     require_unit_constant,
     tail_bound,
 )
+
+# The fixed circle grid every membership test samples: radii, points per circle, slack.
+RADII = (0.5, 0.9, 0.99)
+ANGULAR_SAMPLES = 720
+GRID_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,36 +57,10 @@ class ClassSpec:
 
 
 @dataclass(frozen=True)
-class CircleGrid:
-    """Sampling grid for circle checks: radii, angular resolution, slack."""
-
-    radii: tuple = (0.5, 0.9, 0.99)
-    angular_samples: int = 720
-    tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(not 0.0 < r < 1.0 for r in radii):
-            raise ValueError("radii must lie strictly between 0 and 1")
-        if self.angular_samples < 16:
-            raise ValueError("need at least 16 angular samples")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        object.__setattr__(self, "radii", radii)
-
-    def describe(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "angular_samples": self.angular_samples,
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass(frozen=True)
 class MembershipResult:
     """Per-radius margins of a sampled real-part threshold test.
 
-    observed[i] is (min sampled real part on circle i) - threshold; padded[i]
+    observed[i] is (min sampled real part on circle RADII[i]) - threshold; padded[i]
     adds the truncation-tail allowance for that radius plus the grid
     tolerance.  verdict is "fail" when some padded margin is negative,
     "pass" when every observed margin is already positive, and
@@ -89,7 +69,6 @@ class MembershipResult:
     members are never rejected for tail reasons.
     """
 
-    radii: tuple
     observed: tuple
     padded: tuple
     verdict: str
@@ -118,30 +97,29 @@ def min_re_on_circle(s, r: float, samples: int) -> float:
     return float(np.min(evaluate_circle(s, r, samples).real))
 
 
-def real_part_test(s, threshold: float, grid: CircleGrid | None = None, coeff_bound: float = 2.0) -> MembershipResult:
+def real_part_test(s, threshold: float, coeff_bound: float = 2.0) -> MembershipResult:
     """Threshold test Re s > threshold on every grid circle, tail-aware."""
-    grid = CircleGrid() if grid is None else grid
-    lows = np.min(evaluate_circle(s, grid.radii, grid.angular_samples).real, axis=-1)
+    lows = np.min(evaluate_circle(s, RADII, ANGULAR_SAMPLES).real, axis=-1)
     observed = [float(low) - threshold for low in lows]
-    padded = [o + tail_bound(coeff_bound, s.order, r) + grid.tolerance for o, r in zip(observed, grid.radii)]
+    padded = [o + tail_bound(coeff_bound, s.order, r) + GRID_TOLERANCE for o, r in zip(observed, RADII)]
     verdict = "fail" if any(p < 0.0 for p in padded) else (
         "pass" if all(o > 0.0 for o in observed) else "inconclusive"
     )
-    return MembershipResult(tuple(grid.radii), tuple(observed), tuple(padded), verdict)
+    return MembershipResult(tuple(observed), tuple(padded), verdict)
 
 
-def membership_in_P(p: TruncatedSeries, beta: float = 0.0, grid: CircleGrid | None = None) -> MembershipResult:
+def membership_in_P(p: TruncatedSeries, beta: float = 0.0) -> MembershipResult:
     """Sampled test for real part above beta; coefficient bound 2 fixes the tail."""
     require_unit_constant(p)
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    return real_part_test(p, beta, grid)
+    return real_part_test(p, beta)
 
 
-def membership_in_iterated_P(q: TruncatedSeries, params: OperatorParams, grid: CircleGrid | None = None) -> MembershipResult:
+def membership_in_iterated_P(q: TruncatedSeries, params: OperatorParams) -> MembershipResult:
     """Test for the iterated family: undo the iteration, then test real part > 0."""
     require_unit_constant(q)
-    return real_part_test(deiterate(params, q), 0.0, grid)
+    return real_part_test(deiterate(params, q), 0.0)
 
 
 def p_series_of(f: SchlichtSeries, beta: float) -> TruncatedSeries:
@@ -162,16 +140,16 @@ def member_from_p(spec: ClassSpec, p_iter: TruncatedSeries) -> SchlichtSeries:
     return SchlichtSeries(TruncatedSeries(c))
 
 
-def membership_in_B(f: SchlichtSeries, spec: ClassSpec, grid: CircleGrid | None = None) -> MembershipResult:
+def membership_in_B(f: SchlichtSeries, spec: ClassSpec) -> MembershipResult:
     """Class test through the iterated family: (f / z - beta) / (1 - beta) must pass it."""
-    return membership_in_iterated_P(p_series_of(f, spec.beta), spec.params, grid)
+    return membership_in_iterated_P(p_series_of(f, spec.beta), spec.params)
 
 
-def is_in_B(f: SchlichtSeries, spec: ClassSpec, grid: CircleGrid | None = None) -> bool:
-    return bool(membership_in_B(f, spec, grid))
+def is_in_B(f: SchlichtSeries, spec: ClassSpec) -> bool:
+    return bool(membership_in_B(f, spec))
 
 
-def membership_in_B_direct(f: SchlichtSeries, spec: ClassSpec, grid: CircleGrid | None = None) -> MembershipResult:
+def membership_in_B_direct(f: SchlichtSeries, spec: ClassSpec) -> MembershipResult:
     """Route through the raising operator: Re((L f) / z) > beta on the grid.
 
     Must agree with membership_in_B: the two observed margins differ by the
@@ -179,12 +157,12 @@ def membership_in_B_direct(f: SchlichtSeries, spec: ClassSpec, grid: CircleGrid 
     """
     g = apply_L(spec.params, f)
     ratio = TruncatedSeries(g.coeffs[1:])
-    return real_part_test(ratio, spec.beta, grid, coeff_bound=2.0 * (1.0 - spec.beta))
+    return real_part_test(ratio, spec.beta, coeff_bound=2.0 * (1.0 - spec.beta))
 
 
-def random_mixture(rng: np.random.Generator, max_atoms: int = 8) -> HerglotzMixture:
-    """Random finite mixture of circle point masses with convex weights."""
-    count = int(rng.integers(1, max_atoms + 1))
+def random_mixture(rng: np.random.Generator) -> HerglotzMixture:
+    """Random finite mixture of one to eight circle point masses with convex weights."""
+    count = int(rng.integers(1, 9))
     angles = rng.uniform(0.0, 2.0 * np.pi, count)
     raw = rng.random(count) + 1e-9
     w = raw / raw.sum()
@@ -200,7 +178,7 @@ def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> Schlicht
     return member_from_p(spec, iterate_closed(spec.params, p0))
 
 
-def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None, grid: CircleGrid | None = None) -> SchlichtSeries:
+def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
     """Doubles one early coefficient of a random member until membership decisively fails."""
     f = random_member_B(spec, seed, order)
     rng = np.random.default_rng((0xBAD, seed) if np.isscalar(seed) else (0xBAD, *seed))
@@ -209,30 +187,25 @@ def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None, grid:
     for _ in range(64):
         c[idx] = 2.0 * c[idx] if c[idx] != 0 else 1.0
         candidate = SchlichtSeries(TruncatedSeries(c))
-        if not membership_in_B(candidate, spec, grid):
+        if not membership_in_B(candidate, spec):
             return candidate
     raise RuntimeError("coefficient inflation failed to leave the class")
 
 
-def _extremal_B(spec: ClassSpec, order: int | None, sign: float) -> SchlichtSeries:
+def _extremal_B(spec: ClassSpec, order: int | None, sign: int) -> SchlichtSeries:
     """Class member with a_k = 2 (1 - beta) multiplier(sigma, n, k - 1) sign**(k - 1)."""
     n = default_order() if order is None else int(order)
-    row = multiplier_row(spec.sigma, spec.n, n - 1)
-    k = np.arange(2, n + 1)
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[1] = 1.0
-    c[2:] = 2.0 * (1.0 - spec.beta) * row * sign ** (k - 1)
-    return SchlichtSeries(TruncatedSeries(c))
+    return member_from_p(spec, extremal_iterate(spec.params, n - 1, sign))
 
 
 def extremal_B_upper(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
     """Member with every coefficient on its sharp bound: a_k = 2 (1 - beta) multiplier(sigma, n, k - 1)."""
-    return _extremal_B(spec, order, 1.0)
+    return _extremal_B(spec, order, 1)
 
 
 def extremal_B_lower(spec: ClassSpec, order: int | None = None) -> SchlichtSeries:
     """Alternating-sign extremal; its modulus on the positive axis attains the lower growth bound."""
-    return _extremal_B(spec, order, -1.0)
+    return _extremal_B(spec, order, -1)
 
 
 def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
@@ -241,9 +214,9 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
     Geometric for n = 0 and n = -1.  For n >= 1, Euler's integral (DLMF 15.6.1)
     gives S(x) = x a / (a + n) E[1 / (1 - x T)] with a = sigma - n + 1 and
     T ~ Beta(a + 1, n): a ratio of two integrals of t**a (1 - t)**(n - 1) on
-    the panels of _quadrature_nodes mirrored so they halve toward t = 0 and t = 1,
-    where 1 / (1 - x t) nears its pole as x -> 1.  1 - t is the mirrored node
-    and 1 - x t is (1 - x) + x (1 - t), so nothing cancels.  The ratio needs no
+    the panels of _quadrature_nodes, which halve toward t = 0 and toward
+    t = 1, where 1 / (1 - x t) nears its pole as x -> 1.  1 - t is the
+    mirrored node and 1 - x t is (1 - x) + x (1 - t), so nothing cancels.  The ratio needs no
     (a)_n / (n - 1)!, so it stays finite; it is exact to rounding while
     min(a, n) <= 30 (2e-5 relative at a = n = 1000).  At x = -1 it is the Abel
     limit, the sum of the alternating series.
@@ -256,11 +229,10 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
         geometric = x / (1.0 - x)
         return geometric if n == 0 else geometric + x / (1.0 - x) ** 2 / (sigma + 1.0)
     a = sigma - (n - 1.0)
-    u, w = _quadrature_nodes()
-    t, s = np.concatenate([u / 2.0, 1.0 - u / 2.0]), np.concatenate([1.0 - u / 2.0, u / 2.0])
+    t, s, w = _quadrature_nodes()
     with np.errstate(over="ignore"):  # a weight below exp(-1e308) is exactly 0
         log_weight = a * np.log(t) + (n - 1.0) * np.log(s)
-    weight = np.concatenate([w, w]) * np.exp(log_weight - log_weight.max())
+    weight = w * np.exp(log_weight - log_weight.max())
     xs = x[..., None]
     mean = np.sum(weight / ((1.0 - xs) + xs * s), axis=-1) / np.sum(weight)
     return x * a / (sigma + 1.0) * mean

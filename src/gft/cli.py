@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .classes import (
-    CircleGrid,
+    RADII,
     ClassSpec,
     bounds_rows,
     extremal_B_lower,
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--sigma", default=_joined(DEFAULT_SIGMAS), help="comma-separated values")
     bounds.add_argument("--n", default=_joined(DEFAULT_NS), help="comma-separated values")
     bounds.add_argument("--beta", default=_joined(DEFAULT_BETAS), help="comma-separated values")
-    bounds.add_argument("--radii", default=_joined(CircleGrid().radii), help="comma-separated values")
+    bounds.add_argument("--radii", default=_joined(RADII), help="comma-separated values")
     bounds.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run a verification suite")

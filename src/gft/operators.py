@@ -27,22 +27,27 @@ from .series import (
 
 @functools.cache
 def _quadrature_nodes() -> tuple:
-    """Composite Gauss-Legendre-12 nodes and weights on [0, 1], flattened over 64 panels.
+    """Composite Gauss-Legendre-12 nodes t, their complements 1 - t, and weights on [0, 1].
 
-    The panels are [2**-(j + 1), 2**-j], the last reaching 0: they shrink
-    geometrically (ratio 1/2) toward the inner endpoint so that endpoint
-    factors u**a with a > -1 are resolved to near machine accuracy; a
-    uniform split cannot reach 1e-8 once a < 0.  Built once and shared, so
-    both arrays are read-only.
+    The panels on [0, 1/2] are [2**-(j + 2), 2**-(j + 1)] for j < 64, the
+    last reaching 0, and those on [1/2, 1] are their mirror images: they
+    shrink geometrically (ratio 1/2) toward both endpoints so that endpoint
+    factors t**a and (1 - t)**a with a > -1 are resolved to near machine
+    accuracy; a uniform split cannot reach 1e-8 once a < 0.  t on the left
+    half and 1 - t on the right half are halved Gauss nodes, so the distance
+    to the nearer endpoint is exact.  2 x 64 x 12 nodes, built once and
+    shared, so all three arrays are read-only.
     """
     x, w = np.polynomial.legendre.leggauss(12)
     hi = 0.5 ** np.arange(64)
     lo = np.append(hi[1:], 0.0)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    u = (mid[:, None] + half[:, None] * x).ravel() / 2.0
+    wu = (half[:, None] * w).ravel() / 2.0
+    out = np.concatenate([u, 1.0 - u]), np.concatenate([1.0 - u, u]), np.concatenate([wu, wu])
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
@@ -106,12 +111,15 @@ def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
 def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: complex) -> complex:
     """One radial integration step evaluated by quadrature at a single point.
 
-    The step sends p to (sigma - m + 1) z**-(sigma - m + 1) int_0^z t**(sigma - m) p(t) dt
+    The step sends p to lam z**-lam int_0^z t**(lam - 1) p(t) dt, lam = sigma - m + 1,
     along the straight segment from 0.  Substituting t = u z cancels the
-    principal-branch powers of z exactly and leaves the real-parameter
-    integral (sigma - m + 1) int_0^1 u**(sigma - m) p(u z) du, which is what
-    gets integrated here.  No coefficient multiplier enters, so the result
-    is an independent check on the closed form.
+    principal-branch powers of z exactly and leaves lam int_0^1 u**(lam - 1) p(u z) du;
+    substituting v = u**lam then absorbs the weight and leaves int_0^1 p(v**(1 / lam) z) dv,
+    which is what gets integrated here.  For small lam the integrand moves
+    only in a layer of width about lam below v = 1, and for large lam only
+    near v = 0, which the panels graded toward both ends resolve.  No
+    coefficient multiplier enters, so the result is an independent check on
+    the closed form.
     """
     if m < 1 or sigma - (m - 1) <= 0.0:
         raise ValueError("step m needs m >= 1 and sigma - (m - 1) > 0")
@@ -120,8 +128,13 @@ def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: co
         raise ValueError("z = 0 is excluded; the limiting value is p(0)")
     if abs(z) >= 1.0:
         raise ValueError("quadrature point must satisfy 0 < |z| < 1")
-    u, w = _quadrature_nodes()
-    return complex((sigma - m + 1.0) * np.sum(w * u ** (sigma - m) * evaluate_grid(p_prev, u * z)))
+    v, one_minus_v, w = _quadrature_nodes()
+    lam = sigma - (m - 1.0)
+    # log v from whichever of v and 1 - v is exact; np.where discards the log of 0 it also forms
+    with np.errstate(divide="ignore", over="ignore"):
+        log_v = np.where(v < one_minus_v, np.log(v), np.log1p(-one_minus_v))
+        u = np.exp(log_v / lam)
+    return complex(np.sum(w * evaluate_grid(p_prev, u * z)))
 
 
 def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSeries:

@@ -2,9 +2,11 @@
 
 Each suite re-derives one sharp bound or inclusion numerically over a
 lattice of (sigma, n, beta) triples and reports the worst tolerance-adjusted
-margin; a suite passes iff that margin is nonnegative.  Margins already
-include the truncation-tail allowance and grid tolerance, so a negative
-value is a genuine violation, not a sampling artifact.  The envelope suites
+margin; a suite passes iff that margin is nonnegative, and a NaN margin
+fails it.  Every circle check samples the fixed grid of classes (RADII,
+ANGULAR_SAMPLES), and margins already include the truncation-tail
+allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
+not a sampling artifact.  The envelope suites
 compare against the untruncated bounds that `gft bounds` prints: a truncated
 member stays below the exact upper bound with no allowance, and may undershoot
 the exact lower bound by at most its own dropped tail.
@@ -20,7 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classes import (
-    CircleGrid,
+    ANGULAR_SAMPLES,
+    GRID_TOLERANCE,
+    RADII,
     ClassSpec,
     _envelope,
     covering_constant,
@@ -62,6 +66,8 @@ DEFAULT_BETAS = (0.0, 0.25, 0.5, 0.9)
 
 COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
+# Order past which r**k < 1e-14 at every grid radius, so extremals cut there are exact on the axis.
+SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 
 
 def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
@@ -106,14 +112,15 @@ class _Margins:
         self.allowance: dict = {}  # radius -> smallest slack any real-part test added there
 
     def add(self, value: float) -> None:
+        """Keep the smallest margin; a NaN margin sticks, so the suite fails."""
         v = float(value)
-        if v < self.worst:
+        if v < self.worst or math.isnan(v):
             self.worst = v
 
     def add_test(self, result) -> None:
         """Add a real-part test's margin and keep, per radius, the smallest slack it was given."""
         self.add(result.margin)
-        for r, slack in zip(result.radii, result.allowance):
+        for r, slack in zip(RADII, result.allowance):
             self.allowance[r] = min(slack, self.allowance.get(r, math.inf))
 
     def note(self, text: str) -> None:
@@ -127,11 +134,6 @@ def _entries(lattice, pred):
 
 def _pairs(lattice, pred):
     return sorted({(spec.sigma, spec.n) for spec in lattice if pred(spec)})
-
-
-def _sharp_order(grid: CircleGrid) -> int:
-    """Order past which r**k < 1e-14 at every grid radius, so extremals cut there are exact on the axis."""
-    return max(2, math.ceil(math.log(1e-14) / math.log(max(grid.radii))))
 
 
 @functools.lru_cache(maxsize=32)
@@ -155,7 +157,7 @@ def _member_tail(spec: ClassSpec, n: int, order: int, r: float, factor: float) -
     return factor * tail_bound(2.0 * (1.0 - spec.beta) * multiplier(spec.sigma, n, order), order, r)
 
 
-def _suite_1(lattice, trials, seed, grid, out):
+def _suite_1(lattice, trials, seed, out):
     """One integration step keeps a test function on its side of Re = gamma."""
     pairs = _pairs(lattice, lambda s: s.n >= 1)
     if not pairs:
@@ -171,15 +173,14 @@ def _suite_1(lattice, trials, seed, grid, out):
         scale = rng.uniform(0.05, 1.0)
         q = iterate_step_closed(sigma, n, _scaled(h, 1, (1.0 - gamma) * scale))
         bound = 2.0 * abs(1.0 - gamma) * scale
-        for r, vals in zip(grid.radii, evaluate_circle(q, grid.radii, grid.angular_samples).real):
-            pad = tail_bound(bound, q.order, r) + grid.tolerance
-            if gamma < 1.0:
-                out.add(vals.min() - gamma + pad)
-            else:
-                out.add(gamma - vals.max() + pad)
+        if gamma < 1.0:
+            out.add_test(real_part_test(q, gamma, coeff_bound=bound))
+        else:
+            # Re q < gamma is Re(-q) > -gamma
+            out.add_test(real_part_test(_scaled(q, 0, -1.0), -gamma, coeff_bound=bound))
 
 
-def _suite_2(lattice, trials, seed, grid, out):
+def _suite_2(lattice, trials, seed, out):
     """An (n+1)-fold iterate passes the n-level family test."""
     pairs = _pairs(lattice, lambda s: s.n >= 1 and s.sigma - s.n > 0)
     if not pairs:
@@ -191,18 +192,18 @@ def _suite_2(lattice, trials, seed, grid, out):
         rng = np.random.default_rng((seed, 2, t))
         p0 = herglotz_expand(random_mixture(rng), order)
         deep = iterate_closed(OperatorParams(sigma, n + 1), p0)
-        out.add_test(membership_in_iterated_P(deep, OperatorParams(sigma, n), grid))
+        out.add_test(membership_in_iterated_P(deep, OperatorParams(sigma, n)))
 
 
-def _suite_3(lattice, trials, seed, grid, out):
+def _suite_3(lattice, trials, seed, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
     pairs = _pairs(lattice, lambda s: True)
     order = default_order()
     envelopes = {}
     for sigma, n in pairs:
         spec = ClassSpec(OperatorParams(sigma, n))
-        ext = extremal_iterate(spec.params, _sharp_order(grid), 1)
-        for r in grid.radii:
+        ext = extremal_iterate(spec.params, SHARP_ORDER, 1)
+        for r in RADII:
             lower, upper = _envelope(spec, n, r, 1.0)
             envelopes[sigma, n, r] = lower, upper, _member_tail(spec, n, order, r, 1.0)
             out.add(SHARPNESS_TOL - abs(abs(_on_axis(ext, r)) - upper))
@@ -211,13 +212,13 @@ def _suite_3(lattice, trials, seed, grid, out):
         sigma, n = pairs[t % len(pairs)]
         rng = np.random.default_rng((seed, 3, t))
         p = iterate_closed(OperatorParams(sigma, n), herglotz_expand(random_mixture(rng), order))
-        for r, vals in zip(grid.radii, evaluate_circle(p, grid.radii, grid.angular_samples)):
+        for r, vals in zip(RADII, evaluate_circle(p, RADII, ANGULAR_SAMPLES)):
             lower, upper, tail = envelopes[sigma, n, r]
-            out.add(upper + grid.tolerance - float(np.max(np.abs(vals))))
-            out.add(float(np.min(vals.real)) - lower + tail + grid.tolerance)
+            out.add(upper + GRID_TOLERANCE - float(np.max(np.abs(vals))))
+            out.add(float(np.min(vals.real)) - lower + tail + GRID_TOLERANCE)
 
 
-def _suite_4(lattice, trials, seed, grid, out):
+def _suite_4(lattice, trials, seed, out):
     """Convex combinations of iterates stay in the iterated family."""
     pairs = _pairs(lattice, lambda s: s.n >= 1)
     if not pairs:
@@ -232,10 +233,10 @@ def _suite_4(lattice, trials, seed, grid, out):
         q = iterate_closed(params, herglotz_expand(random_mixture(rng), order))
         mu = float(rng.uniform(0.0, 1.0))
         combo = combine_convex(mu, p, 1.0 - mu, q)
-        out.add_test(membership_in_iterated_P(combo, params, grid))
+        out.add_test(membership_in_iterated_P(combo, params))
 
 
-def _suite_5(lattice, trials, seed, grid, out):
+def _suite_5(lattice, trials, seed, out):
     """Members of the deeper class pass the shallower class test."""
     entries = _entries(lattice, lambda s: s.sigma - s.n > 0)
     if not entries:
@@ -245,10 +246,10 @@ def _suite_5(lattice, trials, seed, grid, out):
         spec = entries[t % len(entries)]
         deeper = ClassSpec(OperatorParams(spec.sigma, spec.n + 1), spec.beta)
         f = random_member_B(deeper, (seed, 5, t))
-        out.add_test(membership_in_B(f, spec, grid))
+        out.add_test(membership_in_B(f, spec))
 
 
-def _suite_6(lattice, trials, seed, grid, out):
+def _suite_6(lattice, trials, seed, out):
     """Random members have bounded turning, Re f' > beta, hence are univalent.
 
     Only entries with n - 1 < sigma <= n are tested: there lam = sigma - n + 1
@@ -273,13 +274,13 @@ def _suite_6(lattice, trials, seed, grid, out):
     for t in range(trials):
         spec = entries[t % len(entries)]
         f = random_member_B(spec, (seed, 6, t))
-        result = real_part_test(differentiate(f), spec.beta, grid, coeff_bound=2.0 * (1.0 - spec.beta))
+        result = real_part_test(differentiate(f), spec.beta, coeff_bound=2.0 * (1.0 - spec.beta))
         out.add_test(result)
         if result.verdict == "inconclusive":
             out.note("inconclusive for some members: Re f' dips below beta by less than the truncation allowance")
 
 
-def _suite_7(lattice, trials, seed, grid, out):
+def _suite_7(lattice, trials, seed, out):
     """Coefficient size bound, attained exactly by the upper extremal."""
     for spec in lattice:
         ext = extremal_B_upper(spec)
@@ -292,7 +293,7 @@ def _suite_7(lattice, trials, seed, grid, out):
         out.add(float(np.min(bound + COEFF_TOL - np.abs(f.coeffs[2:]))))
 
 
-def _suite_8(lattice, trials, seed, grid, out):
+def _suite_8(lattice, trials, seed, out):
     """The weighted integral mean with c + 1 = sigma - n maps the class into itself."""
     entries = _entries(lattice, lambda s: s.sigma - s.n > 0)
     if not entries:
@@ -302,17 +303,17 @@ def _suite_8(lattice, trials, seed, grid, out):
         spec = entries[t % len(entries)]
         f = random_member_B(spec, (seed, 8, t))
         transformed = bernardi(spec.sigma - spec.n - 1.0, f)
-        out.add_test(membership_in_B(transformed, spec, grid))
+        out.add_test(membership_in_B(transformed, spec))
 
 
-def _suite_9(lattice, trials, seed, grid, out):
+def _suite_9(lattice, trials, seed, out):
     """Growth envelope for members, attained on the axis by the two extremals."""
     order = default_order()
     envelopes = {}
     for spec in lattice:
-        up = extremal_B_upper(spec, _sharp_order(grid))
-        low = extremal_B_lower(spec, _sharp_order(grid))
-        for r in grid.radii:
+        up = extremal_B_upper(spec, SHARP_ORDER)
+        low = extremal_B_lower(spec, SHARP_ORDER)
+        for r in RADII:
             lower, upper = growth_bounds(spec, r)
             envelopes[spec, r] = lower, upper, _member_tail(spec, spec.n, order - 1, r, r)
             out.add(SHARPNESS_TOL - abs(_on_axis(up, r).real - upper))
@@ -320,13 +321,13 @@ def _suite_9(lattice, trials, seed, grid, out):
     for t in range(trials):
         spec = lattice[t % len(lattice)]
         f = random_member_B(spec, (seed, 9, t), order)
-        for r, vals in zip(grid.radii, np.abs(evaluate_circle(f, grid.radii, grid.angular_samples))):
+        for r, vals in zip(RADII, np.abs(evaluate_circle(f, RADII, ANGULAR_SAMPLES))):
             lower, upper, tail = envelopes[spec, r]
-            out.add(upper + grid.tolerance - float(vals.max()))
-            out.add(float(vals.min()) - lower + tail + grid.tolerance)
+            out.add(upper + GRID_TOLERANCE - float(vals.max()))
+            out.add(float(vals.min()) - lower + tail + GRID_TOLERANCE)
 
 
-def _suite_10(lattice, trials, seed, grid, out):
+def _suite_10(lattice, trials, seed, out):
     """The lower extremal's minimum modulus near the boundary matches the covered-disk radius.
 
     It is attained on the axis, so it equals the exact lower growth bound up to the dropped tail.
@@ -341,7 +342,7 @@ def _suite_10(lattice, trials, seed, grid, out):
     for spec in entries:
         constant = covering_constant(spec)
         f = extremal_B_lower(spec, order)
-        low = float(np.min(np.abs(evaluate_circle(f, r, grid.angular_samples))))
+        low = float(np.min(np.abs(evaluate_circle(f, r, ANGULAR_SAMPLES))))
         out.add(5e-3 - abs(low - constant))
         tail = _member_tail(spec, spec.n, order - 1, r, r)
         out.add(SHARPNESS_TOL + tail - abs(low - growth_bounds(spec, r)[0]))
@@ -353,7 +354,7 @@ def _derivative_combo(spec: ClassSpec, f: SchlichtSeries) -> TruncatedSeries:
     return TruncatedSeries((spec.sigma - spec.n + 1.0 + j) * f.coeffs[1:])
 
 
-def _suite_11(lattice, trials, seed, grid, out):
+def _suite_11(lattice, trials, seed, out):
     """Step recurrence residual plus the envelope for (sigma - n) f / z + f'.
 
     The lower envelope is enforced only for n >= 1: it comes from the
@@ -371,9 +372,9 @@ def _suite_11(lattice, trials, seed, grid, out):
     order = default_order()
     envelopes = {}
     for spec in lattice:
-        up = _derivative_combo(spec, extremal_B_upper(spec, _sharp_order(grid)))
-        low = _derivative_combo(spec, extremal_B_lower(spec, _sharp_order(grid)))
-        for r in grid.radii:
+        up = _derivative_combo(spec, extremal_B_upper(spec, SHARP_ORDER))
+        low = _derivative_combo(spec, extremal_B_lower(spec, SHARP_ORDER))
+        for r in RADII:
             lower, upper = distortion_bounds(spec, r)
             # the member tail is needed only where the lower envelope is enforced
             tail = _member_tail(spec, spec.n - 1, order - 1, r, spec.sigma - spec.n + 1) if spec.n >= 1 else None
@@ -392,14 +393,14 @@ def _suite_11(lattice, trials, seed, grid, out):
                 prev = cur
         f = member_from_p(spec, iterate_closed(spec.params, p0))
         combo = _derivative_combo(spec, f)
-        for r, vals in zip(grid.radii, np.abs(evaluate_circle(combo, grid.radii, grid.angular_samples))):
+        for r, vals in zip(RADII, np.abs(evaluate_circle(combo, RADII, ANGULAR_SAMPLES))):
             lower, upper, tail = envelopes[spec, r]
-            out.add(upper + grid.tolerance - float(vals.max()))
+            out.add(upper + GRID_TOLERANCE - float(vals.max()))
             if spec.n >= 1:
-                out.add(float(vals.min()) - lower + tail + grid.tolerance)
+                out.add(float(vals.min()) - lower + tail + GRID_TOLERANCE)
 
 
-def _suite_12(lattice, trials, seed, grid, out):
+def _suite_12(lattice, trials, seed, out):
     """Convex combinations of members stay in the class."""
     for t in range(trials):
         spec = lattice[t % len(lattice)]
@@ -408,10 +409,10 @@ def _suite_12(lattice, trials, seed, grid, out):
         rng = np.random.default_rng((seed, 121, t))
         mu = float(rng.uniform(0.0, 1.0))
         combo = combine_convex(mu, p_series_of(f, spec.beta), 1.0 - mu, p_series_of(h, spec.beta))
-        out.add_test(membership_in_iterated_P(combo, spec.params, grid))
+        out.add_test(membership_in_iterated_P(combo, spec.params))
 
 
-def _suite_remark22(lattice, trials, seed, grid, out):
+def _suite_remark22(lattice, trials, seed, out):
     """One closed iteration step equals the single-parameter transform with alpha = sigma."""
     sigmas = sorted({spec.sigma for spec in lattice})
     order = default_order()
@@ -443,7 +444,7 @@ SUITES = {
 SUITE_ORDER = tuple(SUITES)
 
 
-def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0, grid: CircleGrid | None = None) -> VerificationReport:
+def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> VerificationReport:
     """Run one suite and report the worst tolerance-adjusted margin."""
     key = str(theorem)
     if key not in SUITES:
@@ -454,10 +455,9 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0, grid: Cir
     lattice = default_lattice() if lattice is None else tuple(lattice)
     if not lattice:
         raise ValueError("lattice must contain at least one entry")
-    grid = CircleGrid() if grid is None else grid
     title, suite = SUITES[key]
     margins = _Margins()
-    suite(lattice, int(trials), seed, grid, margins)
+    suite(lattice, int(trials), seed, margins)
     if math.isinf(margins.worst):
         margins.worst = 0.0
         margins.note("no checks ran for this lattice")
@@ -476,11 +476,11 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0, grid: Cir
         trials=int(trials),
         seed=int(seed) if np.isscalar(seed) else seed,
         lattice=[{"sigma": s.sigma, "n": s.n, "beta": s.beta} for s in lattice],
-        grid=grid.describe(),
+        grid={"radii": list(RADII), "angular_samples": ANGULAR_SAMPLES, "tolerance": GRID_TOLERANCE},
         notes=margins.notes,
     )
 
 
-def run_all(lattice=None, trials: int = 200, seed: int = 0, grid: CircleGrid | None = None) -> list:
+def run_all(lattice=None, trials: int = 200, seed: int = 0) -> list:
     """Run every suite in id order."""
-    return [run_suite(key, lattice, trials, seed, grid) for key in SUITE_ORDER]
+    return [run_suite(key, lattice, trials, seed) for key in SUITE_ORDER]

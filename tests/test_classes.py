@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gft.classes import (
     BOUNDS_COLUMNS,
-    CircleGrid,
     ClassSpec,
     MembershipResult,
     bounds_rows,
@@ -39,6 +38,7 @@ from gft.classes import (
 from gft.kernels import OperatorParams, multiplier, multiplier_row
 from gft.operators import iterate_closed
 from gft.series import TruncatedSeries, evaluate, herglotz_expand
+from gft.verify import run_suite
 
 HALFPLANE_EXTREMAL = TruncatedSeries(np.concatenate([[1.0], np.full(64, 2.0)]))
 
@@ -58,14 +58,8 @@ def test_spec_and_grid_validation():
     assert (spec.sigma, spec.n, spec.beta) == (2.0, 1, 0.25)
     with pytest.raises(ValueError):
         ClassSpec(OperatorParams(2.0, 1), 1.0)
-    with pytest.raises(ValueError):
-        CircleGrid(radii=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        CircleGrid(angular_samples=8)
-    with pytest.raises(ValueError):
-        CircleGrid(tolerance=0.0)
-    desc = CircleGrid().describe()
-    assert desc["radii"] == [0.5, 0.9, 0.99] and desc["angular_samples"] == 720
+    grid = run_suite("remark22", trials=1).grid
+    assert grid == {"radii": [0.5, 0.9, 0.99], "angular_samples": 720, "tolerance": 1e-9}
 
 
 def test_circle_points_layout():
@@ -86,9 +80,13 @@ def test_min_re_matches_halfplane_extremal():
 
 
 def test_membership_verdicts():
-    # decisive pass away from the boundary
-    ok = membership_in_P(HALFPLANE_EXTREMAL, 0.0, CircleGrid(radii=(0.5, 0.9)))
+    # pass at every radius: at order 1024 the sampled real part stays positive even at r = 0.99
+    long_extremal = TruncatedSeries(np.concatenate([[1.0], np.full(1024, 2.0)]))
+    ok = membership_in_P(long_extremal, 0.0)
     assert ok.verdict == "pass" and bool(ok)
+    # min Re (1 + z)/(1 - z) on |z| = r is (1 - r)/(1 + r); at r = 0.99 the dropped tail still shows
+    assert ok.observed[:2] == pytest.approx((1.0 / 3.0, 1.0 / 19.0), abs=1e-12)
+    assert 0.0049 < ok.observed[2] < 0.01 / 1.99
     # coefficient 3 breaks the bound; the dip at r = 0.9 is decisive
     bad = np.zeros(65)
     bad[0], bad[1] = 1.0, 3.0
@@ -96,9 +94,9 @@ def test_membership_verdicts():
     assert res.verdict == "fail" and not bool(res)
     assert res.margin < 0.0
     # short truncation: observed dips below zero but the tail allowance covers it
-    shallow = real_part_test(TruncatedSeries(np.array([1.0, -1.2])), 0.0, CircleGrid(radii=(0.9,)))
+    shallow = real_part_test(TruncatedSeries(np.array([1.0, -1.2])), 0.0)
     assert shallow.verdict == "inconclusive" and bool(shallow)
-    assert shallow.observed[0] < 0.0 < shallow.padded[0]
+    assert shallow.observed[1] < 0.0 < shallow.padded[1]  # r = 0.9
 
 
 def test_membership_requires_unit_constant_and_valid_beta():
@@ -310,5 +308,5 @@ def test_bounds_table_and_csv():
 
 
 def test_membership_result_margin():
-    res = MembershipResult((0.5,), (0.2,), (0.3,), "pass")
+    res = MembershipResult((0.2,), (0.3,), "pass")
     assert res.margin == 0.3 and bool(res)

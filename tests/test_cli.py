@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gft.classes import CircleGrid, bounds_rows, write_bounds_csv
+from gft.classes import RADII, bounds_rows, write_bounds_csv
 from gft.cli import main
 from gft.series import SchlichtSeries, from_json, to_json
 from gft.verify import SUITE_ORDER, default_lattice
@@ -188,7 +188,7 @@ def test_bounds_skips_invalid_pairs_but_rejects_empty(capsys):
 def test_bounds_defaults_are_the_verification_lattice(capsys):
     code, out, _ = run_cli(capsys, "bounds")
     expected = io.StringIO()
-    write_bounds_csv(bounds_rows(default_lattice(), CircleGrid().radii), expected)
+    write_bounds_csv(bounds_rows(default_lattice(), RADII), expected)
     assert code == 0
     assert out == expected.getvalue()
 

@@ -5,12 +5,13 @@ sigma > n member below has one at |z| = 0.756.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gft import classes, verify
-from gft.classes import CircleGrid, ClassSpec, is_in_B, random_member_B, real_part_test
+from gft.classes import ClassSpec, is_in_B, random_member_B, real_part_test
 from gft.kernels import OperatorParams
 from gft.series import differentiate, evaluate
 from gft.verify import (
@@ -120,7 +121,7 @@ def test_member_with_dominant_depth_parameter_can_lose_injectivity():
     assert np.allclose(np.abs(inside), [0.7556, 0.8213, 0.8501], atol=1e-4)
     derivative = differentiate(f)
     assert all(abs(evaluate(derivative, z)) < 1e-12 for z in inside)
-    turning = real_part_test(differentiate(f), 0.0, CircleGrid(), coeff_bound=2.0)
+    turning = real_part_test(differentiate(f), 0.0, coeff_bound=2.0)
     assert turning.verdict == "fail" and turning.padded[1] < -0.2
 
 
@@ -151,15 +152,31 @@ def test_sharpness_checks_catch_a_shifted_bound(monkeypatch):
         assert report.verdict == "fail" and report.worst_margin < -5e-7
 
 
-def test_membership_suites_name_the_radii_they_cannot_fail_at():
+def test_membership_suites_name_the_radii_they_cannot_fail_at(monkeypatch):
     report = run_suite("2")
     loose = [note for note in report.notes if note.startswith("truncation allowance of 1 or more")]
     assert len(loose) == 1
     # 2 * 0.99**65 / 0.01 for the order-64 series, plus the grid tolerance
     assert "r = 0.99 (at least 104.1)" in loose[0]
     assert "r = 0.9 " not in loose[0] and "r = 0.5 " not in loose[0]
-    tight = run_suite("2", trials=8, grid=CircleGrid(radii=(0.5, 0.9)))
+    # suite 1's step images have coefficients up to 2 |1 - gamma| scale, so r = 0.99 is loose there too
+    step = [note for note in run_suite("1").notes if note.startswith("truncation allowance of 1 or more")]
+    assert len(step) == 1 and "r = 0.99 (at least 1.164)" in step[0]
+    for module in (classes, verify):
+        monkeypatch.setattr(module, "RADII", (0.5, 0.9))
+    tight = run_suite("2", trials=8)
+    assert tight.grid["radii"] == [0.5, 0.9]
     assert not any(note.startswith("truncation allowance") for note in tight.notes)
+
+
+def test_a_nan_margin_fails_the_suite(monkeypatch):
+    """A check that yields NaN counts as a failure, not as a check that never ran."""
+    nan_bounds = lambda spec, r: (math.nan, math.nan)  # noqa: E731
+    monkeypatch.setattr(classes, "growth_bounds", nan_bounds)
+    monkeypatch.setattr(verify, "growth_bounds", nan_bounds)
+    report = run_suite("9", trials=1)
+    assert report.verdict == "fail" and math.isnan(report.worst_margin)
+    assert "no checks ran for this lattice" not in report.notes
 
 
 def test_custom_lattice_restricts_the_report():
