@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import OperatorParams, _check_multiplier_params, extremal_iterate
-from .operators import _quadrature_nodes, apply_L, deiterate, iterate_closed
+from .operators import _quadrature_nodes, apply_L, deiterate, iterate_rows
 from .series import (
     HerglotzMixture,
     SchlichtSeries,
     TruncatedSeries,
     default_order,
     evaluate_circle,
-    herglotz_expand,
+    herglotz_rows,
     require_unit_constant,
     tail_bound,
 )
@@ -34,6 +34,11 @@ from .series import (
 RADII = (0.5, 0.9, 0.99)
 ANGULAR_SAMPLES = 720
 GRID_TOLERANCE = 1e-9
+
+_MAX_ATOMS = 8  # random mixtures have 1 to 8 atoms
+# Rows per FFT in circle_extrema; each chunk is reduced before the next is evaluated,
+# so no (rows, radii, samples) array outlives its chunk.
+_FFT_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,43 @@ def min_re_on_circle(s, r: float, samples: int) -> float:
     return float(np.min(evaluate_circle(s, r, samples).real))
 
 
+def circle_extrema(rows: np.ndarray, reduce) -> np.ndarray:
+    """reduce(values) for a stack of coefficient rows, stacked along the first axis.
+
+    values = evaluate_circle(chunk, RADII, ANGULAR_SAMPLES) has shape
+    (chunk, len(RADII), ANGULAR_SAMPLES) and comes in chunks of _FFT_CHUNK
+    rows, so memory does not grow with the number of rows.  Non-finite
+    coefficients are rejected, as TruncatedSeries rejects them.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("series coefficients must be finite")
+    chunks = range(0, rows.shape[0], _FFT_CHUNK)
+    return np.concatenate([reduce(evaluate_circle(rows[i : i + _FFT_CHUNK], RADII, ANGULAR_SAMPLES)) for i in chunks])
+
+
+def real_part_margins(rows: np.ndarray, threshold, coeff_bound=2.0) -> tuple:
+    """Stacked real_part_test: (observed, padded), each of shape (rows, len(RADII)).
+
+    threshold and coeff_bound are scalars or one value per row; row i's
+    margins are bit-identical to real_part_test on that row alone.
+    """
+    lows = circle_extrema(rows, lambda values: values.real.min(axis=-1))
+    observed = lows - np.asarray(threshold)[..., None]
+    tails = np.stack([tail_bound(np.asarray(coeff_bound), rows.shape[-1] - 1, r) for r in RADII], axis=-1)
+    return observed, observed + tails + GRID_TOLERANCE
+
+
+def verdicts(observed: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """Per-row MembershipResult verdicts of real_part_margins output."""
+    passed = np.where((observed > 0.0).all(axis=-1), "pass", "inconclusive")
+    return np.where((padded < 0.0).any(axis=-1), "fail", passed)
+
+
 def real_part_test(s, threshold: float, coeff_bound: float = 2.0) -> MembershipResult:
     """Threshold test Re s > threshold on every grid circle, tail-aware."""
-    lows = np.min(evaluate_circle(s, RADII, ANGULAR_SAMPLES).real, axis=-1)
-    observed = [float(low) - threshold for low in lows]
-    padded = [o + tail_bound(coeff_bound, s.order, r) + GRID_TOLERANCE for o, r in zip(observed, RADII)]
-    verdict = "fail" if any(p < 0.0 for p in padded) else (
-        "pass" if all(o > 0.0 for o in observed) else "inconclusive"
-    )
-    return MembershipResult(tuple(observed), tuple(padded), verdict)
+    observed, padded = real_part_margins(s.coeffs[None], threshold, coeff_bound)
+    verdict = str(verdicts(observed, padded)[0])
+    return MembershipResult(tuple(map(float, observed[0])), tuple(map(float, padded[0])), verdict)
 
 
 def membership_in_P(p: TruncatedSeries, beta: float = 0.0) -> MembershipResult:
@@ -122,22 +155,32 @@ def membership_in_iterated_P(q: TruncatedSeries, params: OperatorParams) -> Memb
     return real_part_test(deiterate(params, q), 0.0)
 
 
+def p_rows(members: np.ndarray, betas) -> np.ndarray:
+    """Stacked p_series_of: unit-constant rows (f / z - beta) / (1 - beta), one beta per row."""
+    c = members[:, 1:] / (1.0 - np.asarray(betas))[:, None]
+    c[:, 0] = 1.0
+    return c
+
+
 def p_series_of(f: SchlichtSeries, beta: float) -> TruncatedSeries:
     """Unit-constant series (f / z - beta) / (1 - beta) behind a class member."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    c = f.coeffs[1:] / (1.0 - beta)
-    c[0] = 1.0
-    return TruncatedSeries(c)
+    return TruncatedSeries(p_rows(f.coeffs[None], [beta])[0])
+
+
+def member_rows(p_iter: np.ndarray, betas) -> np.ndarray:
+    """Stacked member_from_p: rows z (beta + (1 - beta) p) from iterated unit-constant rows, one beta per row."""
+    c = np.zeros((p_iter.shape[0], p_iter.shape[1] + 1), dtype=np.complex128)
+    c[:, 1] = 1.0
+    c[:, 2:] = (1.0 - np.asarray(betas))[:, None] * p_iter[:, 1:]
+    return c
 
 
 def member_from_p(spec: ClassSpec, p_iter: TruncatedSeries) -> SchlichtSeries:
     """Normalized series z (beta + (1 - beta) p) from an already-iterated unit-constant series."""
     require_unit_constant(p_iter)
-    c = np.zeros(p_iter.order + 2, dtype=np.complex128)
-    c[1] = 1.0
-    c[2:] = (1.0 - spec.beta) * p_iter.coeffs[1:]
-    return SchlichtSeries(TruncatedSeries(c))
+    return SchlichtSeries(TruncatedSeries(member_rows(p_iter.coeffs[None], [spec.beta])[0]))
 
 
 def membership_in_B(f: SchlichtSeries, spec: ClassSpec) -> MembershipResult:
@@ -160,22 +203,47 @@ def membership_in_B_direct(f: SchlichtSeries, spec: ClassSpec) -> MembershipResu
     return real_part_test(ratio, spec.beta, coeff_bound=2.0 * (1.0 - spec.beta))
 
 
-def random_mixture(rng: np.random.Generator) -> HerglotzMixture:
-    """Random finite mixture of one to eight circle point masses with convex weights."""
-    count = int(rng.integers(1, 9))
+def _draw_atoms(rng: np.random.Generator) -> tuple:
+    """Points and convex weights of one to _MAX_ATOMS random circle point masses."""
+    count = int(rng.integers(1, _MAX_ATOMS + 1))
     angles = rng.uniform(0.0, 2.0 * np.pi, count)
     raw = rng.random(count) + 1e-9
     w = raw / raw.sum()
     w[-1] = 1.0 - float(w[:-1].sum())  # kill rounding drift before the convexity check
-    return HerglotzMixture(tuple((complex(np.exp(1j * a)), float(wi)) for a, wi in zip(angles, w)))
+    return np.exp(1j * angles), w
+
+
+def random_mixture(rng: np.random.Generator) -> HerglotzMixture:
+    """Random finite mixture of one to eight circle point masses with convex weights."""
+    return HerglotzMixture(tuple(zip(*_draw_atoms(rng))))
+
+
+def random_mixtures(rngs) -> tuple:
+    """Stacked random_mixture, one per generator: (points, weights), each (len(rngs), _MAX_ATOMS).
+
+    Rows with fewer atoms are padded with point 1 and weight 0, which add
+    nothing in herglotz_rows.  Each generator makes the same draws as random_mixture.
+    """
+    points = np.ones((len(rngs), _MAX_ATOMS), dtype=np.complex128)
+    weights = np.zeros((len(rngs), _MAX_ATOMS))
+    for i, rng in enumerate(rngs):
+        x, w = _draw_atoms(rng)
+        points[i, : x.size], weights[i, : w.size] = x, w
+    return points, weights
+
+
+def random_members(specs, seeds, order: int | None = None) -> np.ndarray:
+    """Stacked random_member_B: row i holds the coefficients of random_member_B(specs[i], seeds[i], order)."""
+    n = default_order() if order is None else int(order)
+    if n < 2:
+        raise ValueError(f"members need order >= 2, got {n}")
+    p0 = herglotz_rows(*random_mixtures([np.random.default_rng(seed) for seed in seeds]), n - 1)
+    return member_rows(iterate_rows(p0, [spec.params for spec in specs]), [spec.beta for spec in specs])
 
 
 def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
     """Seeded random class member built from a mixture pushed through the iteration."""
-    n = default_order() if order is None else int(order)
-    rng = np.random.default_rng(seed)
-    p0 = herglotz_expand(random_mixture(rng), n - 1)
-    return member_from_p(spec, iterate_closed(spec.params, p0))
+    return SchlichtSeries(TruncatedSeries(random_members([spec], [seed], order)[0]))
 
 
 def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:

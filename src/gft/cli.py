@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.theorem == "all":
         reports = run_all(trials=args.trials, seed=args.seed)
-        text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+        text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2, allow_nan=False)
         failed = any(r.verdict != "pass" for r in reports)
     else:
         if str(args.theorem) not in SUITE_ORDER:

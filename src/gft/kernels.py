@@ -107,7 +107,9 @@ def tau_inv_coeffs(params: OperatorParams, order: int | None = None) -> Truncate
     """Hadamard inverse of the kernel: reciprocal coefficients for k >= 1, zero constant."""
     t = tau_coeffs(params, order)
     c = np.zeros_like(t.coeffs)
-    c[1:] = 1.0 / t.coeffs[1:]
+    # a subnormal kernel coefficient has no finite reciprocal; TruncatedSeries rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        c[1:] = 1.0 / t.coeffs[1:]
     return TruncatedSeries(c)
 
 

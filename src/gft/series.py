@@ -159,18 +159,21 @@ def evaluate_circle(s, radii, samples: int) -> np.ndarray:
 
     Henrici's circle kernel: scale c_k by r**k, fold the scaled coefficients
     mod samples (c_k and c_{k + samples} agree at every sample point), and
-    take samples * ifft along the last axis.  The shape is (len(radii),
-    samples), or (samples,) for a scalar radius.
+    take samples * ifft along the last axis.  s is a series or an array of
+    coefficient rows (..., N + 1); the shape is (..., len(radii), samples),
+    without the radius axis for a scalar radius.  Each row's values are
+    bit-identical to evaluating that row alone.
     """
     r = np.asarray(radii, dtype=np.float64)
     if not np.all((r > 0.0) & (r < 1.0)):
         raise ValueError("radius must lie strictly between 0 and 1")
     if samples < 1:
         raise ValueError("need at least one sample per circle")
-    c = s.coeffs
-    folded = np.zeros((*r.shape, -(-c.size // samples) * samples), dtype=np.complex128)
-    folded[..., : c.size] = c * r[..., None] ** np.arange(c.size)
-    folded = folded.reshape(*r.shape, -1, samples).sum(axis=-2)
+    c = np.asarray(getattr(s, "coeffs", s))
+    rows, size = c.shape[:-1], c.shape[-1]
+    folded = np.zeros((*rows, *r.shape, -(-size // samples) * samples), dtype=np.complex128)
+    folded[..., :size] = c.reshape(*rows, *(1,) * r.ndim, size) * r[..., None] ** np.arange(size)
+    folded = folded.reshape(*rows, *r.shape, -1, samples).sum(axis=-2)
     return samples * np.fft.ifft(folded, axis=-1)
 
 
@@ -187,14 +190,25 @@ def differentiate(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(k * c[1:])
 
 
+def herglotz_rows(points: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+    """Stacked herglotz_expand: row i is c_0 = 1, c_k = 2 sum_j weights[i, j] points[i, j]**k for k <= order.
+
+    points and weights have shape (rows, atoms).  The sum runs over the atoms
+    in column order, so each row is bit-identical to expanding its own atoms
+    alone; atoms of weight 0, which pad rows with fewer atoms, add exact zeros.
+    """
+    out = np.empty((points.shape[0], order + 1), dtype=np.complex128)
+    out[:, 0] = 1.0
+    out[:, 1:] = 2.0 * (weights[..., None] * points[..., None] ** np.arange(1, order + 1)).sum(axis=1)
+    return out
+
+
 def herglotz_expand(m: HerglotzMixture, order: int | None = None) -> TruncatedSeries:
     """Expand a mixture to its truncated series: c_0 = 1, c_k = 2 sum_j w_j x_j^k."""
     n = default_order() if order is None else int(order)
-    pts = np.array([x for x, _ in m.atoms])
-    wts = np.array([w for _, w in m.atoms])
-    powers = pts[:, None] ** np.arange(1, n + 1)[None, :]
-    c = np.concatenate([[1.0 + 0.0j], 2.0 * (wts[:, None] * powers).sum(axis=0)])
-    return TruncatedSeries(c)
+    pts = np.array([[x for x, _ in m.atoms]])
+    wts = np.array([[w for _, w in m.atoms]])
+    return TruncatedSeries(herglotz_rows(pts, wts, n)[0])
 
 
 def require_unit_constant(p) -> None:

@@ -10,6 +10,13 @@ not a sampling artifact.  The envelope suites
 compare against the untruncated bounds that `gft bounds` prints: a truncated
 member stays below the exact upper bound with no allowance, and may undershoot
 the exact lower bound by at most its own dropped tail.
+
+Trial t of a suite draws its random members from the generator seeded
+(seed, suite, t).  Trials run in fixed blocks of _BLOCK: a block's members
+are drawn trial by trial, then expanded, iterated and tested as one stack of
+coefficient rows.  Memory therefore does not depend on the trial count, and
+since every row gets the same elementwise operations as a member built on
+its own, reports are byte-identical to evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -27,36 +34,34 @@ from .classes import (
     RADII,
     ClassSpec,
     _envelope,
+    circle_extrema,
     covering_constant,
     distortion_bounds,
     extremal_B_lower,
     extremal_B_upper,
     growth_bounds,
-    member_from_p,
-    membership_in_B,
-    membership_in_iterated_P,
-    p_series_of,
-    random_member_B,
-    random_mixture,
-    real_part_test,
+    member_rows,
+    p_rows,
+    random_members,
+    random_mixtures,
+    real_part_margins,
+    verdicts,
 )
-from .kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
+from .kernels import OperatorParams, extremal_iterate
 from .operators import (
+    _multipliers,
     bernardi,
-    iterate_closed,
+    iterate_rows,
     iterate_step_closed,
-    recurrence_residual,
+    recurrence_residuals,
     salagean_iterate,
 )
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
-    _scaled,
-    combine_convex,
     default_order,
-    differentiate,
     evaluate_circle,
-    herglotz_expand,
+    herglotz_rows,
     tail_bound,
 )
 
@@ -68,6 +73,8 @@ COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
 # Order past which r**k < 1e-14 at every grid radius, so extremals cut there are exact on the axis.
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
+# Trials drawn, built and tested together.  Memory grows with the block, not with the trial count.
+_BLOCK = 25
 
 
 def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
@@ -97,10 +104,15 @@ class VerificationReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as JSON-ready data: a non-finite worst_margin, such as a NaN check's, becomes None."""
+        data = asdict(self)
+        if not math.isfinite(data["worst_margin"]):
+            data["worst_margin"] = None
+        return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """Strict JSON (no NaN or Infinity tokens), keys sorted, indented by 2."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
 class _Margins:
@@ -117,11 +129,14 @@ class _Margins:
         if v < self.worst or math.isnan(v):
             self.worst = v
 
-    def add_test(self, result) -> None:
-        """Add a real-part test's margin and keep, per radius, the smallest slack it was given."""
-        self.add(result.margin)
-        for r, slack in zip(RADII, result.allowance):
-            self.allowance[r] = min(slack, self.allowance.get(r, math.inf))
+    def add_tests(self, observed: np.ndarray, padded: np.ndarray) -> None:
+        """Add real-part tests' margins, arrays (tests, len(RADII)) as real_part_margins gives them.
+
+        Keeps the smallest padded margin and, per radius, the smallest slack any test was given.
+        """
+        self.add(np.min(padded))
+        for r, slack in zip(RADII, np.min(padded - observed, axis=0)):
+            self.allowance[r] = min(float(slack), self.allowance.get(r, math.inf))
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -136,6 +151,45 @@ def _pairs(lattice, pred):
     return sorted({(spec.sigma, spec.n) for spec in lattice if pred(spec)})
 
 
+def _blocks(trials: int, size: int):
+    """(trial indices, entry index per trial) for each block of _BLOCK consecutive trials.
+
+    Trial t tests entry t % size, as every suite cycles through its entries.
+    """
+    for start in range(0, trials, _BLOCK):
+        ts = range(start, min(start + _BLOCK, trials))
+        yield ts, np.array([t % size for t in ts])
+
+
+def _rngs(seed, suite: int, ts) -> list:
+    """Trial t's generator, seeded (seed, suite, t)."""
+    return [np.random.default_rng((seed, suite, t)) for t in ts]
+
+
+def _factors(image, start: int) -> np.ndarray:
+    """The factors a diagonal operator multiplies coefficients start.. by, read off its image of all ones there.
+
+    (1 + 0i) x is x exactly, so these are the operator's own factors, bit for bit.
+    """
+    return image.coeffs[start:].real
+
+
+def _iterated_P_margins(rows: np.ndarray, params) -> tuple:
+    """Stacked membership_in_iterated_P: real-part margins of the rows undone by their iterations."""
+    return real_part_margins(iterate_rows(rows, params, np.divide), 0.0)
+
+
+def _class_margins(members: np.ndarray, specs) -> tuple:
+    """Stacked membership_in_B: members -> (f / z - beta) / (1 - beta), then the iterated-family test."""
+    return _iterated_P_margins(p_rows(members, [s.beta for s in specs]), [s.params for s in specs])
+
+
+def _modulus_extrema(values: np.ndarray) -> np.ndarray:
+    """(min, max) of |values| per circle, along a new last axis."""
+    modulus = np.abs(values)
+    return np.stack([modulus.min(axis=-1), modulus.max(axis=-1)], axis=-1)
+
+
 @functools.lru_cache(maxsize=32)
 def _axis_powers(x: float, size: int) -> np.ndarray:
     """x**k for k < size, built once per (x, size) and shared read-only."""
@@ -144,9 +198,9 @@ def _axis_powers(x: float, size: int) -> np.ndarray:
     return powers
 
 
-def _on_axis(s, x: float) -> complex:
-    """The truncated series at a real point, as one dot product."""
-    return complex(s.coeffs @ _axis_powers(x, s.coeffs.size))
+def _on_axis(c: np.ndarray, x: float) -> complex:
+    """The truncated series with coefficients c at a real point, as one dot product."""
+    return complex(c @ _axis_powers(x, c.size))
 
 
 def _member_tail(spec: ClassSpec, n: int, order: int, r: float, factor: float) -> float:
@@ -154,7 +208,7 @@ def _member_tail(spec: ClassSpec, n: int, order: int, r: float, factor: float) -
 
     Needs n >= 0, where the multipliers do not increase in k.
     """
-    return factor * tail_bound(2.0 * (1.0 - spec.beta) * multiplier(spec.sigma, n, order), order, r)
+    return factor * tail_bound(2.0 * (1.0 - spec.beta) * _multipliers(spec.sigma, n, order)[-1], order, r)
 
 
 def _suite_1(lattice, trials, seed, out):
@@ -165,19 +219,19 @@ def _suite_1(lattice, trials, seed, out):
         return
     gammas = (0.0, 0.3, 0.7, 1.2, 2.0)
     order = default_order()
-    for t in range(trials):
-        sigma, n = pairs[t % len(pairs)]
-        gamma = gammas[t % len(gammas)]
-        rng = np.random.default_rng((seed, 1, t))
-        h = herglotz_expand(random_mixture(rng), order)
-        scale = rng.uniform(0.05, 1.0)
-        q = iterate_step_closed(sigma, n, _scaled(h, 1, (1.0 - gamma) * scale))
-        bound = 2.0 * abs(1.0 - gamma) * scale
-        if gamma < 1.0:
-            out.add_test(real_part_test(q, gamma, coeff_bound=bound))
-        else:
-            # Re q < gamma is Re(-q) > -gamma
-            out.add_test(real_part_test(_scaled(q, 0, -1.0), -gamma, coeff_bound=bound))
+    ones = TruncatedSeries(np.ones(order + 1))
+    steps = np.array([_factors(iterate_step_closed(sigma, n, ones), 1) for sigma, n in pairs])
+    for ts, idx in _blocks(trials, len(pairs)):
+        rngs = _rngs(seed, 1, ts)
+        q = herglotz_rows(*random_mixtures(rngs), order)
+        scale = np.array([rng.uniform(0.05, 1.0) for rng in rngs])
+        gamma = np.array([gammas[t % len(gammas)] for t in ts])
+        q[:, 1:] *= ((1.0 - gamma) * scale)[:, None]
+        q[:, 1:] *= steps[idx]
+        # Re q < gamma is Re(-q) > -gamma
+        flip = gamma >= 1.0
+        q[flip] *= -1.0
+        out.add_tests(*real_part_margins(q, np.where(flip, -gamma, gamma), 2.0 * np.abs(1.0 - gamma) * scale))
 
 
 def _suite_2(lattice, trials, seed, out):
@@ -187,35 +241,34 @@ def _suite_2(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1 and sigma - n > 0")
         return
     order = default_order()
-    for t in range(trials):
-        sigma, n = pairs[t % len(pairs)]
-        rng = np.random.default_rng((seed, 2, t))
-        p0 = herglotz_expand(random_mixture(rng), order)
-        deep = iterate_closed(OperatorParams(sigma, n + 1), p0)
-        out.add_test(membership_in_iterated_P(deep, OperatorParams(sigma, n)))
+    deeper = [OperatorParams(sigma, n + 1) for sigma, n in pairs]
+    params = [OperatorParams(sigma, n) for sigma, n in pairs]
+    for ts, idx in _blocks(trials, len(pairs)):
+        p0 = herglotz_rows(*random_mixtures(_rngs(seed, 2, ts)), order)
+        deep = iterate_rows(p0, [deeper[i] for i in idx])
+        out.add_tests(*_iterated_P_margins(deep, [params[i] for i in idx]))
 
 
 def _suite_3(lattice, trials, seed, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
     pairs = _pairs(lattice, lambda s: True)
     order = default_order()
-    envelopes = {}
-    for sigma, n in pairs:
+    envelopes = np.empty((3, len(pairs), len(RADII)))  # lower, upper, member tail
+    for i, (sigma, n) in enumerate(pairs):
         spec = ClassSpec(OperatorParams(sigma, n))
-        ext = extremal_iterate(spec.params, SHARP_ORDER, 1)
-        for r in RADII:
+        ext = extremal_iterate(spec.params, SHARP_ORDER, 1).coeffs
+        for j, r in enumerate(RADII):
             lower, upper = _envelope(spec, n, r, 1.0)
-            envelopes[sigma, n, r] = lower, upper, _member_tail(spec, n, order, r, 1.0)
+            envelopes[:, i, j] = lower, upper, _member_tail(spec, n, order, r, 1.0)
             out.add(SHARPNESS_TOL - abs(abs(_on_axis(ext, r)) - upper))
             out.add(SHARPNESS_TOL - abs(_on_axis(ext, -r).real - lower))
-    for t in range(trials):
-        sigma, n = pairs[t % len(pairs)]
-        rng = np.random.default_rng((seed, 3, t))
-        p = iterate_closed(OperatorParams(sigma, n), herglotz_expand(random_mixture(rng), order))
-        for r, vals in zip(RADII, evaluate_circle(p, RADII, ANGULAR_SAMPLES)):
-            lower, upper, tail = envelopes[sigma, n, r]
-            out.add(upper + GRID_TOLERANCE - float(np.max(np.abs(vals))))
-            out.add(float(np.min(vals.real)) - lower + tail + GRID_TOLERANCE)
+    params = [OperatorParams(sigma, n) for sigma, n in pairs]
+    for ts, idx in _blocks(trials, len(pairs)):
+        p = iterate_rows(herglotz_rows(*random_mixtures(_rngs(seed, 3, ts)), order), [params[i] for i in idx])
+        extrema = circle_extrema(p, lambda v: np.stack([np.abs(v).max(axis=-1), v.real.min(axis=-1)], axis=-1))
+        lower, upper, tail = envelopes[:, idx]
+        out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 0]))
+        out.add(np.min(extrema[..., 1] - lower + tail + GRID_TOLERANCE))
 
 
 def _suite_4(lattice, trials, seed, out):
@@ -225,15 +278,14 @@ def _suite_4(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1")
         return
     order = default_order()
-    for t in range(trials):
-        sigma, n = pairs[t % len(pairs)]
-        params = OperatorParams(sigma, n)
-        rng = np.random.default_rng((seed, 4, t))
-        p = iterate_closed(params, herglotz_expand(random_mixture(rng), order))
-        q = iterate_closed(params, herglotz_expand(random_mixture(rng), order))
-        mu = float(rng.uniform(0.0, 1.0))
-        combo = combine_convex(mu, p, 1.0 - mu, q)
-        out.add_test(membership_in_iterated_P(combo, params))
+    params = [OperatorParams(sigma, n) for sigma, n in pairs]
+    for ts, idx in _blocks(trials, len(pairs)):
+        rngs = _rngs(seed, 4, ts)
+        chosen = [params[i] for i in idx]
+        p = iterate_rows(herglotz_rows(*random_mixtures(rngs), order), chosen)
+        q = iterate_rows(herglotz_rows(*random_mixtures(rngs), order), chosen)
+        mu = np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
+        out.add_tests(*_iterated_P_margins(mu * p + (1.0 - mu) * q, chosen))
 
 
 def _suite_5(lattice, trials, seed, out):
@@ -242,11 +294,10 @@ def _suite_5(lattice, trials, seed, out):
     if not entries:
         out.note("no lattice entries with sigma - n > 0")
         return
-    for t in range(trials):
-        spec = entries[t % len(entries)]
-        deeper = ClassSpec(OperatorParams(spec.sigma, spec.n + 1), spec.beta)
-        f = random_member_B(deeper, (seed, 5, t))
-        out.add_test(membership_in_B(f, spec))
+    deeper = [ClassSpec(OperatorParams(spec.sigma, spec.n + 1), spec.beta) for spec in entries]
+    for ts, idx in _blocks(trials, len(entries)):
+        f = random_members([deeper[i] for i in idx], [(seed, 5, t) for t in ts])
+        out.add_tests(*_class_margins(f, [entries[i] for i in idx]))
 
 
 def _suite_6(lattice, trials, seed, out):
@@ -271,26 +322,27 @@ def _suite_6(lattice, trials, seed, out):
     if not entries:
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
-    for t in range(trials):
-        spec = entries[t % len(entries)]
-        f = random_member_B(spec, (seed, 6, t))
-        result = real_part_test(differentiate(f), spec.beta, coeff_bound=2.0 * (1.0 - spec.beta))
-        out.add_test(result)
-        if result.verdict == "inconclusive":
+    for ts, idx in _blocks(trials, len(entries)):
+        specs = [entries[i] for i in idx]
+        f = random_members(specs, [(seed, 6, t) for t in ts])
+        beta = np.array([spec.beta for spec in specs])
+        derivative = np.arange(1, f.shape[-1]) * f[:, 1:]  # differentiate, row by row
+        observed, padded = real_part_margins(derivative, beta, 2.0 * (1.0 - beta))
+        out.add_tests(observed, padded)
+        if "inconclusive" in verdicts(observed, padded):
             out.note("inconclusive for some members: Re f' dips below beta by less than the truncation allowance")
 
 
 def _suite_7(lattice, trials, seed, out):
     """Coefficient size bound, attained exactly by the upper extremal."""
-    for spec in lattice:
-        ext = extremal_B_upper(spec)
-        bound = 2.0 * (1.0 - spec.beta) * multiplier_row(spec.sigma, spec.n, ext.order - 1)
+    order = default_order()
+    bounds = np.array([2.0 * (1.0 - spec.beta) * _multipliers(spec.sigma, spec.n, order - 1) for spec in lattice])
+    for spec, bound in zip(lattice, bounds):
+        ext = extremal_B_upper(spec, order)
         out.add(COEFF_TOL - float(np.max(np.abs(np.abs(ext.coeffs[2:]) - bound))))
-    for t in range(trials):
-        spec = lattice[t % len(lattice)]
-        f = random_member_B(spec, (seed, 7, t))
-        bound = 2.0 * (1.0 - spec.beta) * multiplier_row(spec.sigma, spec.n, f.order - 1)
-        out.add(float(np.min(bound + COEFF_TOL - np.abs(f.coeffs[2:]))))
+    for ts, idx in _blocks(trials, len(lattice)):
+        f = random_members([lattice[i] for i in idx], [(seed, 7, t) for t in ts], order)
+        out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
 
 
 def _suite_8(lattice, trials, seed, out):
@@ -299,32 +351,34 @@ def _suite_8(lattice, trials, seed, out):
     if not entries:
         out.note("no lattice entries with sigma - n > 0")
         return
-    for t in range(trials):
-        spec = entries[t % len(entries)]
-        f = random_member_B(spec, (seed, 8, t))
-        transformed = bernardi(spec.sigma - spec.n - 1.0, f)
-        out.add_test(membership_in_B(transformed, spec))
+    order = default_order()
+    ones = SchlichtSeries.from_coeffs(np.r_[0.0, np.ones(order)])
+    means = np.array([_factors(bernardi(spec.sigma - spec.n - 1.0, ones), 2) for spec in entries])
+    for ts, idx in _blocks(trials, len(entries)):
+        specs = [entries[i] for i in idx]
+        f = random_members(specs, [(seed, 8, t) for t in ts], order)
+        f[:, 2:] *= means[idx]
+        out.add_tests(*_class_margins(f, specs))
 
 
 def _suite_9(lattice, trials, seed, out):
     """Growth envelope for members, attained on the axis by the two extremals."""
     order = default_order()
-    envelopes = {}
-    for spec in lattice:
-        up = extremal_B_upper(spec, SHARP_ORDER)
-        low = extremal_B_lower(spec, SHARP_ORDER)
-        for r in RADII:
+    envelopes = np.empty((3, len(lattice), len(RADII)))  # lower, upper, member tail
+    for i, spec in enumerate(lattice):
+        up = extremal_B_upper(spec, SHARP_ORDER).coeffs
+        low = extremal_B_lower(spec, SHARP_ORDER).coeffs
+        for j, r in enumerate(RADII):
             lower, upper = growth_bounds(spec, r)
-            envelopes[spec, r] = lower, upper, _member_tail(spec, spec.n, order - 1, r, r)
+            envelopes[:, i, j] = lower, upper, _member_tail(spec, spec.n, order - 1, r, r)
             out.add(SHARPNESS_TOL - abs(_on_axis(up, r).real - upper))
             out.add(SHARPNESS_TOL - abs(_on_axis(low, r).real - lower))
-    for t in range(trials):
-        spec = lattice[t % len(lattice)]
-        f = random_member_B(spec, (seed, 9, t), order)
-        for r, vals in zip(RADII, np.abs(evaluate_circle(f, RADII, ANGULAR_SAMPLES))):
-            lower, upper, tail = envelopes[spec, r]
-            out.add(upper + GRID_TOLERANCE - float(vals.max()))
-            out.add(float(vals.min()) - lower + tail + GRID_TOLERANCE)
+    for ts, idx in _blocks(trials, len(lattice)):
+        f = random_members([lattice[i] for i in idx], [(seed, 9, t) for t in ts], order)
+        extrema = circle_extrema(f, _modulus_extrema)
+        lower, upper, tail = envelopes[:, idx]
+        out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 1]))
+        out.add(np.min(extrema[..., 0] - lower + tail + GRID_TOLERANCE))
 
 
 def _suite_10(lattice, trials, seed, out):
@@ -348,10 +402,13 @@ def _suite_10(lattice, trials, seed, out):
         out.add(SHARPNESS_TOL + tail - abs(low - growth_bounds(spec, r)[0]))
 
 
-def _derivative_combo(spec: ClassSpec, f: SchlichtSeries) -> TruncatedSeries:
-    """Series of (sigma - n) f / z + f': coefficient j is (sigma - n + 1 + j) a_{j+1}."""
-    j = np.arange(0, f.order)
-    return TruncatedSeries((spec.sigma - spec.n + 1.0 + j) * f.coeffs[1:])
+def _derivative_combo(shift, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of (sigma - n) f / z + f' for shift = sigma - n: coefficient j is (sigma - n + 1 + j) a_{j+1}.
+
+    coeffs is one member's coefficients, or rows of them with one shift per row.
+    """
+    j = np.arange(0, coeffs.shape[-1] - 1)
+    return (np.asarray(shift)[..., None] + 1.0 + j) * coeffs[..., 1:]
 
 
 def _suite_11(lattice, trials, seed, out):
@@ -370,59 +427,68 @@ def _suite_11(lattice, trials, seed, out):
             "to supply the real-part floor; members can undershoot the formula)"
         )
     order = default_order()
-    envelopes = {}
-    for spec in lattice:
-        up = _derivative_combo(spec, extremal_B_upper(spec, SHARP_ORDER))
-        low = _derivative_combo(spec, extremal_B_lower(spec, SHARP_ORDER))
-        for r in RADII:
+    envelopes = np.empty((3, len(lattice), len(RADII)))  # lower, upper, member tail (n >= 1 only)
+    for i, spec in enumerate(lattice):
+        up = _derivative_combo(spec.sigma - spec.n, extremal_B_upper(spec, SHARP_ORDER).coeffs)
+        low = _derivative_combo(spec.sigma - spec.n, extremal_B_lower(spec, SHARP_ORDER).coeffs)
+        for j, r in enumerate(RADII):
             lower, upper = distortion_bounds(spec, r)
             # the member tail is needed only where the lower envelope is enforced
-            tail = _member_tail(spec, spec.n - 1, order - 1, r, spec.sigma - spec.n + 1) if spec.n >= 1 else None
-            envelopes[spec, r] = lower, upper, tail
+            tail = _member_tail(spec, spec.n - 1, order - 1, r, spec.sigma - spec.n + 1) if spec.n >= 1 else math.nan
+            envelopes[:, i, j] = lower, upper, tail
             out.add(SHARPNESS_TOL - abs(_on_axis(up, r).real - upper))
             out.add(SHARPNESS_TOL - abs(_on_axis(low, r).real - lower))
-    for t in range(trials):
-        spec = lattice[t % len(lattice)]
-        rng = np.random.default_rng((seed, 11, t))
-        p0 = herglotz_expand(random_mixture(rng), order - 1)
-        if spec.n >= 1:
-            prev = p0
-            for m in range(1, spec.n + 1):
-                cur = iterate_step_closed(spec.sigma, m, prev)
-                out.add(COEFF_TOL - recurrence_residual(OperatorParams(spec.sigma, m), cur, prev))
-                prev = cur
-        f = member_from_p(spec, iterate_closed(spec.params, p0))
-        combo = _derivative_combo(spec, f)
-        for r, vals in zip(RADII, np.abs(evaluate_circle(combo, RADII, ANGULAR_SAMPLES))):
-            lower, upper, tail = envelopes[spec, r]
-            out.add(upper + GRID_TOLERANCE - float(vals.max()))
-            if spec.n >= 1:
-                out.add(float(vals.min()) - lower + tail + GRID_TOLERANCE)
+    ones = TruncatedSeries(np.ones(order))
+    steps = {
+        (spec.sigma, m): _factors(iterate_step_closed(spec.sigma, m, ones), 1)
+        for spec in lattice
+        for m in range(1, spec.n + 1)
+    }
+    for ts, idx in _blocks(trials, len(lattice)):
+        specs = [lattice[i] for i in idx]
+        p0 = herglotz_rows(*random_mixtures(_rngs(seed, 11, ts)), order - 1)
+        # the step chain p0 -> p1 -> .. -> p_n of every row, one level at a time
+        live, prev = np.arange(len(specs)), p0
+        for m in range(1, max(spec.n for spec in specs) + 1):
+            keep = [specs[i].n >= m for i in live]
+            live, prev = live[keep], prev[keep]
+            cur = prev.copy()
+            cur[:, 1:] *= np.array([steps[specs[i].sigma, m] for i in live])
+            lam = np.array([specs[i].sigma - (m - 1) for i in live])
+            out.add(np.min(COEFF_TOL - recurrence_residuals(lam, cur, prev)))
+            prev = cur
+        f = member_rows(iterate_rows(p0, [spec.params for spec in specs]), [spec.beta for spec in specs])
+        combo = _derivative_combo(np.array([spec.sigma - spec.n for spec in specs]), f)
+        extrema = circle_extrema(combo, _modulus_extrema)
+        lower, upper, tail = envelopes[:, idx]
+        out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 1]))
+        floor = np.array([spec.n >= 1 for spec in specs])
+        if floor.any():
+            out.add(np.min((extrema[..., 0] - lower + tail + GRID_TOLERANCE)[floor]))
 
 
 def _suite_12(lattice, trials, seed, out):
     """Convex combinations of members stay in the class."""
-    for t in range(trials):
-        spec = lattice[t % len(lattice)]
-        f = random_member_B(spec, (seed, 12, t))
-        h = random_member_B(spec, (seed, 120, t))
-        rng = np.random.default_rng((seed, 121, t))
-        mu = float(rng.uniform(0.0, 1.0))
-        combo = combine_convex(mu, p_series_of(f, spec.beta), 1.0 - mu, p_series_of(h, spec.beta))
-        out.add_test(membership_in_iterated_P(combo, spec.params))
+    for ts, idx in _blocks(trials, len(lattice)):
+        specs = [lattice[i] for i in idx]
+        betas = [spec.beta for spec in specs]
+        f = p_rows(random_members(specs, [(seed, 12, t) for t in ts]), betas)
+        h = p_rows(random_members(specs, [(seed, 120, t) for t in ts]), betas)
+        mu = np.array([rng.uniform(0.0, 1.0) for rng in _rngs(seed, 121, ts)])[:, None]
+        out.add_tests(*_iterated_P_margins(mu * f + (1.0 - mu) * h, [spec.params for spec in specs]))
 
 
 def _suite_remark22(lattice, trials, seed, out):
     """One closed iteration step equals the single-parameter transform with alpha = sigma."""
     sigmas = sorted({spec.sigma for spec in lattice})
     order = default_order()
-    for t in range(trials):
-        sigma = sigmas[t % len(sigmas)]
-        rng = np.random.default_rng((seed, 22, t))
-        p = herglotz_expand(random_mixture(rng), order)
-        a = iterate_closed(OperatorParams(sigma, 1), p)
-        b = salagean_iterate(sigma, 1, p)
-        out.add(COEFF_TOL - float(np.max(np.abs(a.coeffs - b.coeffs))))
+    ones = TruncatedSeries(np.ones(order + 1))
+    single = np.array([_factors(salagean_iterate(sigma, 1, ones), 1) for sigma in sigmas])
+    for ts, idx in _blocks(trials, len(sigmas)):
+        p = herglotz_rows(*random_mixtures(_rngs(seed, 22, ts)), order)
+        a = iterate_rows(p.copy(), [OperatorParams(sigmas[i], 1) for i in idx])
+        p[:, 1:] *= single[idx]
+        out.add(np.min(COEFF_TOL - np.max(np.abs(a - p), axis=-1)))
 
 
 SUITES = {

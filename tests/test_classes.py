@@ -31,14 +31,18 @@ from gft.classes import (
     multiplier_series,
     p_series_of,
     random_member_B,
+    random_members,
     random_mixture,
+    random_mixtures,
+    real_part_margins,
     real_part_test,
+    verdicts,
     write_bounds_csv,
 )
 from gft.kernels import OperatorParams, multiplier, multiplier_row
 from gft.operators import iterate_closed
-from gft.series import TruncatedSeries, evaluate, herglotz_expand
-from gft.verify import run_suite
+from gft.series import TruncatedSeries, evaluate, herglotz_expand, herglotz_rows
+from gft.verify import _BLOCK, default_lattice, run_suite
 
 HALFPLANE_EXTREMAL = TruncatedSeries(np.concatenate([[1.0], np.full(64, 2.0)]))
 
@@ -310,3 +314,41 @@ def test_bounds_table_and_csv():
 def test_membership_result_margin():
     res = MembershipResult((0.2,), (0.3,), "pass")
     assert res.margin == 0.3 and bool(res)
+
+
+def _one_member_at_a_time(spec, seed, order):
+    """random_member_B as it was built one member at a time: scalar atoms, the power table summed over atoms."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 9))
+    angles = rng.uniform(0.0, 2.0 * np.pi, count)
+    raw = rng.random(count) + 1e-9
+    w = raw / raw.sum()
+    w[-1] = 1.0 - float(w[:-1].sum())
+    pts = np.array([complex(np.exp(1j * a)) for a in angles])
+    p0 = np.concatenate([[1.0 + 0.0j], 2.0 * (w[:, None] * pts[:, None] ** np.arange(1, order)).sum(axis=0)])
+    return member_from_p(spec, iterate_closed(spec.params, TruncatedSeries(p0))).coeffs
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK + 1])
+def test_stacked_members_and_margins_equal_one_row_calls(rows):
+    """Stacks of every size around a block edge give each row's one-row result, bit for bit."""
+    lattice = default_lattice()
+    specs = [lattice[(7 * i) % len(lattice)] for i in range(rows)]
+    seeds = [(3, 5, i) for i in range(rows)]
+    members = random_members(specs, seeds)
+    for spec, seed, row in zip(specs, seeds, members):
+        assert row.tobytes() == random_member_B(spec, seed).coeffs.tobytes()
+        assert row.tobytes() == _one_member_at_a_time(spec, seed, 64).tobytes()
+    p = herglotz_rows(*random_mixtures([np.random.default_rng(seed) for seed in seeds]), 64)
+    for seed, row in zip(seeds, p):
+        assert row.tobytes() == herglotz_expand(random_mixture(np.random.default_rng(seed)), 64).coeffs.tobytes()
+    # scalar and per-row thresholds and coefficient bounds; some rows fail, some pass
+    per_row = (np.linspace(-0.5, 0.5, rows), np.linspace(0.5, 3.0, rows))
+    for threshold, bound in ((0.0, 2.0), (0.3, 1.5), per_row):
+        observed, padded = real_part_margins(p, threshold, bound)
+        outcome = verdicts(observed, padded)
+        for i, row in enumerate(p):
+            alone = real_part_test(TruncatedSeries(row), np.broadcast_to(threshold, rows)[i],
+                                   np.broadcast_to(bound, rows)[i])
+            assert alone.observed == tuple(observed[i]) and alone.padded == tuple(padded[i])
+            assert alone.verdict == outcome[i]

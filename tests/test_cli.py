@@ -287,6 +287,7 @@ def fuzz_inputs(tmp_path_factory):
 @settings(max_examples=60, deadline=2000)
 @example(sigma="1e308", n="1", order=["--order", "4"], inverse=[])
 @example(sigma="1e-212", n="1", order=[], inverse=["--inverse"])
+@example(sigma="1.1125369292536007e-308", n="1", order=[], inverse=["--inverse"])
 def test_kernel_fuzzed_flags_finish_cleanly(sigma, n, order, inverse):
     code, out = _run_fuzzed(["kernel", "--sigma", sigma, "--n", n, *order, *inverse])
     assert code in (0, 2)

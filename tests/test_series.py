@@ -181,6 +181,21 @@ def test_evaluate_circle_shapes_and_radii():
         evaluate_circle(s, (0.5, 1.0), 16)
 
 
+@pytest.mark.parametrize("order", [64, 1000])
+def test_evaluate_circle_on_a_stack_equals_per_row_calls(order):
+    """Rows stack bit for bit; at order 1,000 the coefficients fold past the 720 samples."""
+    rng = np.random.default_rng(order)
+    rows = rng.normal(size=(5, order + 1)) + 1j * rng.normal(size=(5, order + 1))
+    stacked = evaluate_circle(rows, (0.5, 0.9, 0.99), 720)
+    assert stacked.shape == (5, 3, 720)
+    on_one_circle = evaluate_circle(rows, 0.9, 720)
+    assert on_one_circle.shape == (5, 720)
+    for row, values, values_at_09 in zip(rows, stacked, on_one_circle):
+        alone = evaluate_circle(TruncatedSeries(row), (0.5, 0.9, 0.99), 720)
+        assert values.tobytes() == alone.tobytes()
+        assert values_at_09.tobytes() == alone[1].tobytes()
+
+
 def test_differentiate_values_and_order():
     s = TruncatedSeries(np.array([0.0, 1.0, 1.0, 4.0]))
     d = differentiate(s)

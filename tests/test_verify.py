@@ -6,6 +6,7 @@ sigma > n member below has one at |z| = 0.756.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gft.classes import ClassSpec, is_in_B, random_member_B, real_part_test
 from gft.kernels import OperatorParams
 from gft.series import differentiate, evaluate
 from gft.verify import (
+    _BLOCK,
     SUITE_ORDER,
     default_lattice,
     run_all,
@@ -178,9 +180,29 @@ def test_a_nan_margin_fails_the_suite(monkeypatch):
     assert report.verdict == "fail" and math.isnan(report.worst_margin)
     assert "no checks ran for this lattice" not in report.notes
 
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads(report.to_json(), parse_constant=reject)
+    assert data["verdict"] == "fail" and data["worst_margin"] is None
+
 
 def test_custom_lattice_restricts_the_report():
     lattice = (ClassSpec(OperatorParams(2.0, 2), 0.5),)
     report = run_suite("7", lattice=lattice, trials=6, seed=2)
     assert report.verdict == "pass"
     assert report.lattice == [{"sigma": 2.0, "n": 2, "beta": 0.5}]
+
+
+def test_suite_memory_does_not_grow_with_trials():
+    """Trials run in fixed blocks, so four blocks of trials peak within 10% of one block."""
+    run_suite("2", trials=_BLOCK)  # fill the per-process caches first
+    peaks = []
+    for trials in (_BLOCK, 4 * _BLOCK):
+        tracemalloc.start()
+        try:
+            run_suite("2", trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
