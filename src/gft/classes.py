@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import OperatorParams, _check_multiplier_params, extremal_iterate
-from .operators import _quadrature_nodes, apply_L, deiterate, iterate_rows
+from .kernels import OperatorParams, _check_multiplier_params, extremal_iterate, multiplier_row
+from .operators import _quadrature_nodes, apply_L, deiterate
 from .series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -36,9 +36,6 @@ ANGULAR_SAMPLES = 720
 GRID_TOLERANCE = 1e-9
 
 _MAX_ATOMS = 8  # random mixtures have 1 to 8 atoms
-# Rows per FFT in circle_extrema; each chunk is reduced before the next is evaluated,
-# so no (rows, radii, samples) array outlives its chunk.
-_FFT_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -103,17 +100,15 @@ def min_re_on_circle(s, r: float, samples: int) -> float:
 
 
 def circle_extrema(rows: np.ndarray, reduce) -> np.ndarray:
-    """reduce(values) for a stack of coefficient rows, stacked along the first axis.
+    """reduce(values) for a stack of coefficient rows, values = evaluate_circle(rows, RADII, ANGULAR_SAMPLES).
 
-    values = evaluate_circle(chunk, RADII, ANGULAR_SAMPLES) has shape
-    (chunk, len(RADII), ANGULAR_SAMPLES) and comes in chunks of _FFT_CHUNK
-    rows, so memory does not grow with the number of rows.  Non-finite
-    coefficients are rejected, as TruncatedSeries rejects them.
+    values has shape (rows, len(RADII), ANGULAR_SAMPLES), all from one FFT, so
+    callers keep stacks small.  Non-finite coefficients are rejected, as
+    TruncatedSeries rejects them.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("series coefficients must be finite")
-    chunks = range(0, rows.shape[0], _FFT_CHUNK)
-    return np.concatenate([reduce(evaluate_circle(rows[i : i + _FFT_CHUNK], RADII, ANGULAR_SAMPLES)) for i in chunks])
+    return reduce(evaluate_circle(rows, RADII, ANGULAR_SAMPLES))
 
 
 def real_part_margins(rows: np.ndarray, threshold, coeff_bound=2.0) -> tuple:
@@ -232,18 +227,24 @@ def random_mixtures(rngs) -> tuple:
     return points, weights
 
 
-def random_members(specs, seeds, order: int | None = None) -> np.ndarray:
-    """Stacked random_member_B: row i holds the coefficients of random_member_B(specs[i], seeds[i], order)."""
-    n = default_order() if order is None else int(order)
-    if n < 2:
-        raise ValueError(f"members need order >= 2, got {n}")
-    p0 = herglotz_rows(*random_mixtures([np.random.default_rng(seed) for seed in seeds]), n - 1)
-    return member_rows(iterate_rows(p0, [spec.params for spec in specs]), [spec.beta for spec in specs])
+def random_members(seeds, mults: np.ndarray, betas) -> np.ndarray:
+    """Stacked random_member_B: row i is the member of seed seeds[i], iterated by mults[i] and shifted by betas[i].
+
+    mults[i] is multiplier_row(sigma, n, order - 1) of row i's class, so the rows have order
+    mults.shape[-1] + 1 and each equals random_member_B of that class and seed, bit for bit.
+    """
+    p = herglotz_rows(*random_mixtures([np.random.default_rng(seed) for seed in seeds]), mults.shape[-1])
+    p[:, 1:] *= mults
+    return member_rows(p, betas)
 
 
 def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
     """Seeded random class member built from a mixture pushed through the iteration."""
-    return SchlichtSeries(TruncatedSeries(random_members([spec], [seed], order)[0]))
+    n = default_order() if order is None else int(order)
+    if n < 2:
+        raise ValueError(f"members need order >= 2, got {n}")
+    mults = multiplier_row(spec.sigma, spec.n, n - 1)[None]
+    return SchlichtSeries(TruncatedSeries(random_members([seed], mults, [spec.beta])[0]))
 
 
 def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
@@ -281,13 +282,17 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
 
     Geometric for n = 0 and n = -1.  For n >= 1, Euler's integral (DLMF 15.6.1)
     gives S(x) = x a / (a + n) E[1 / (1 - x T)] with a = sigma - n + 1 and
-    T ~ Beta(a + 1, n): a ratio of two integrals of t**a (1 - t)**(n - 1) on
-    the panels of _quadrature_nodes, which halve toward t = 0 and toward
-    t = 1, where 1 / (1 - x t) nears its pole as x -> 1.  1 - t is the
-    mirrored node and 1 - x t is (1 - x) + x (1 - t), so nothing cancels.  The ratio needs no
-    (a)_n / (n - 1)!, so it stays finite; it is exact to rounding while
-    min(a, n) <= 30 (2e-5 relative at a = n = 1000).  At x = -1 it is the Abel
-    limit, the sum of the alternating series.
+    T ~ Beta(a + 1, n): a ratio of two integrals of t**a (1 - t)**(n - 1).
+    For n >= 2 both are split at the weight's mode m = a / (a + n - 1), and
+    [0, m] and [m, 1] each carry the panels of _quadrature_nodes, which halve
+    toward their ends, so a narrow peak is resolved, and so is
+    the pole of 1 / (1 - x t) near t = 1 as x -> 1.  At n = 1 the mode is t = 1
+    and [0, 1] is one piece.  1 - t comes from the mirrored node of its piece,
+    log t and log(1 - t) from the smaller of t and 1 - t, and 1 - x t is
+    (1 - x) + x (1 - t), so nothing cancels.  The ratio needs no
+    (a)_n / (n - 1)!, so it stays finite; it is exact to rounding for a and n
+    up to 1e4 at least.  At x = -1 it is the Abel limit, the sum of the
+    alternating series.
     """
     _check_multiplier_params(sigma, n)
     x = np.asarray(x, dtype=np.float64)
@@ -298,8 +303,15 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
         return geometric if n == 0 else geometric + x / (1.0 - x) ** 2 / (sigma + 1.0)
     a = sigma - (n - 1.0)
     t, s, w = _quadrature_nodes()
-    with np.errstate(over="ignore"):  # a weight below exp(-1e308) is exactly 0
-        log_weight = a * np.log(t) + (n - 1.0) * np.log(s)
+    if n >= 2:
+        m, rest = a / (a + n - 1.0), (n - 1.0) / (a + n - 1.0)  # the mode and 1 - m, both without cancellation
+        t, s = np.concatenate([m * t, m + rest * t]), np.concatenate([rest + m * s, rest * s])
+        w = np.concatenate([m * w, rest * w])
+    near_0, small = t < s, np.minimum(t, s)
+    # rest * s underflows to 0 at a huge sigma, and a weight below exp(-1e308) is exactly 0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_small, log_large = np.log(small), np.log1p(-small)
+        log_weight = a * np.where(near_0, log_small, log_large) + (n - 1.0) * np.where(near_0, log_large, log_small)
     weight = w * np.exp(log_weight - log_weight.max())
     xs = x[..., None]
     mean = np.sum(weight / ((1.0 - xs) + xs * s), axis=-1) / np.sum(weight)

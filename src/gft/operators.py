@@ -108,33 +108,6 @@ def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
     return _scaled(q, 1, multiplier_row(params.sigma, params.n, q.order), np.divide)
 
 
-@functools.lru_cache(maxsize=128)
-def _multipliers(sigma: float, n: int, kmax: int) -> np.ndarray:
-    """multiplier_row(sigma, n, kmax), built once per (sigma, n, kmax) and shared read-only.
-
-    Serves the stacked suite paths, whose orders are the default order and
-    its neighbours; the cache keeps at most 128 rows.
-    """
-    row = multiplier_row(sigma, n, kmax)
-    row.setflags(write=False)
-    return row
-
-
-def iterate_rows(rows: np.ndarray, params, op=np.multiply) -> np.ndarray:
-    """Stacked iterate_closed, in place: rows[i, 1:] -> op(rows[i, 1:], multiplier row of params[i]).
-
-    op=np.divide is the stacked deiterate.  Rows with n = 0 are left as they
-    are, as the one-series calls leave them, and every other row gets the
-    same elementwise operation as its one-series call, so bit for bit the same
-    coefficients.  Returns rows.
-    """
-    live = [i for i, p in enumerate(params) if p.n != 0]
-    if live:
-        table = np.array([_multipliers(params[i].sigma, params[i].n, rows.shape[-1] - 1) for i in live])
-        rows[live, 1:] = op(rows[live, 1:], table)
-    return rows
-
-
 def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: complex) -> complex:
     """One radial integration step evaluated by quadrature at a single point.
 

@@ -23,10 +23,14 @@ ENV_DEFAULT_ORDER = "GFT_DEFAULT_ORDER"
 
 def default_order() -> int:
     """Truncation order used when a caller does not pass one explicitly."""
-    order = int(os.environ.get(ENV_DEFAULT_ORDER, "64"))
-    if order < 2:
-        # member and extremal builders take multiplier rows of length order - 1
-        raise ValueError(f"{ENV_DEFAULT_ORDER} must be >= 2, got {order}")
+    raw = os.environ.get(ENV_DEFAULT_ORDER, "64")
+    try:
+        order = int(raw)
+    except ValueError:
+        order = None
+    # member and extremal builders take multiplier rows of length order - 1
+    if order is None or order < 2:
+        raise ValueError(f"{ENV_DEFAULT_ORDER} must be an integer >= 2, got {raw!r}")
     return order
 
 

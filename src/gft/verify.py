@@ -14,9 +14,12 @@ the exact lower bound by at most its own dropped tail.
 Trial t of a suite draws its random members from the generator seeded
 (seed, suite, t).  Trials run in fixed blocks of _BLOCK: a block's members
 are drawn trial by trial, then expanded, iterated and tested as one stack of
-coefficient rows.  Memory therefore does not depend on the trial count, and
-since every row gets the same elementwise operations as a member built on
-its own, reports are byte-identical to evaluating one member at a time.
+coefficient rows, all of whose circle values come from one FFT.  A suite
+builds the factors of its iterations once, one multiplier row per lattice
+entry (a row of ones for n = 0), and scales each block's rows by them.
+Memory therefore does not depend on the trial count, and since every row
+gets the same elementwise operations as a member built on its own, reports
+are byte-identical to evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -47,15 +50,8 @@ from .classes import (
     real_part_margins,
     verdicts,
 )
-from .kernels import OperatorParams, extremal_iterate
-from .operators import (
-    _multipliers,
-    bernardi,
-    iterate_rows,
-    iterate_step_closed,
-    recurrence_residuals,
-    salagean_iterate,
-)
+from .kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
+from .operators import bernardi, iterate_step_closed, recurrence_residuals, salagean_iterate
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
@@ -73,8 +69,8 @@ COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
 # Order past which r**k < 1e-14 at every grid radius, so extremals cut there are exact on the axis.
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
-# Trials drawn, built and tested together.  Memory grows with the block, not with the trial count.
-_BLOCK = 25
+# Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
+_BLOCK = 4
 
 
 def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
@@ -174,14 +170,25 @@ def _factors(image, start: int) -> np.ndarray:
     return image.coeffs[start:].real
 
 
-def _iterated_P_margins(rows: np.ndarray, params) -> tuple:
-    """Stacked membership_in_iterated_P: real-part margins of the rows undone by their iterations."""
-    return real_part_margins(iterate_rows(rows, params, np.divide), 0.0)
+def _mults(pairs, kmax: int) -> np.ndarray:
+    """The iteration's factors for each (sigma, n) pair: multiplier_row(sigma, n, kmax), one row per pair."""
+    return np.array([multiplier_row(sigma, n, kmax) for sigma, n in pairs])
 
 
-def _class_margins(members: np.ndarray, specs) -> tuple:
+def _member_tables(specs, kmax: int) -> tuple:
+    """(_mults of each spec's (sigma, n), betas): the rows random_members and the class test take."""
+    return _mults([(spec.sigma, spec.n) for spec in specs], kmax), np.array([spec.beta for spec in specs])
+
+
+def _iterated_P_margins(rows: np.ndarray, mults: np.ndarray) -> tuple:
+    """Stacked membership_in_iterated_P, in place: real-part margins of rows[:, 1:] / mults."""
+    rows[:, 1:] /= mults
+    return real_part_margins(rows, 0.0)
+
+
+def _class_margins(members: np.ndarray, betas: np.ndarray, mults: np.ndarray) -> tuple:
     """Stacked membership_in_B: members -> (f / z - beta) / (1 - beta), then the iterated-family test."""
-    return _iterated_P_margins(p_rows(members, [s.beta for s in specs]), [s.params for s in specs])
+    return _iterated_P_margins(p_rows(members, betas), mults)
 
 
 def _modulus_extrema(values: np.ndarray) -> np.ndarray:
@@ -208,7 +215,7 @@ def _member_tail(spec: ClassSpec, n: int, order: int, r: float, factor: float) -
 
     Needs n >= 0, where the multipliers do not increase in k.
     """
-    return factor * tail_bound(2.0 * (1.0 - spec.beta) * _multipliers(spec.sigma, n, order)[-1], order, r)
+    return factor * tail_bound(2.0 * (1.0 - spec.beta) * multiplier(spec.sigma, n, order), order, r)
 
 
 def _suite_1(lattice, trials, seed, out):
@@ -241,12 +248,12 @@ def _suite_2(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1 and sigma - n > 0")
         return
     order = default_order()
-    deeper = [OperatorParams(sigma, n + 1) for sigma, n in pairs]
-    params = [OperatorParams(sigma, n) for sigma, n in pairs]
+    deeper = _mults([(sigma, n + 1) for sigma, n in pairs], order)
+    mults = _mults(pairs, order)
     for ts, idx in _blocks(trials, len(pairs)):
-        p0 = herglotz_rows(*random_mixtures(_rngs(seed, 2, ts)), order)
-        deep = iterate_rows(p0, [deeper[i] for i in idx])
-        out.add_tests(*_iterated_P_margins(deep, [params[i] for i in idx]))
+        p = herglotz_rows(*random_mixtures(_rngs(seed, 2, ts)), order)
+        p[:, 1:] *= deeper[idx]
+        out.add_tests(*_iterated_P_margins(p, mults[idx]))
 
 
 def _suite_3(lattice, trials, seed, out):
@@ -262,9 +269,10 @@ def _suite_3(lattice, trials, seed, out):
             envelopes[:, i, j] = lower, upper, _member_tail(spec, n, order, r, 1.0)
             out.add(SHARPNESS_TOL - abs(abs(_on_axis(ext, r)) - upper))
             out.add(SHARPNESS_TOL - abs(_on_axis(ext, -r).real - lower))
-    params = [OperatorParams(sigma, n) for sigma, n in pairs]
+    mults = _mults(pairs, order)
     for ts, idx in _blocks(trials, len(pairs)):
-        p = iterate_rows(herglotz_rows(*random_mixtures(_rngs(seed, 3, ts)), order), [params[i] for i in idx])
+        p = herglotz_rows(*random_mixtures(_rngs(seed, 3, ts)), order)
+        p[:, 1:] *= mults[idx]
         extrema = circle_extrema(p, lambda v: np.stack([np.abs(v).max(axis=-1), v.real.min(axis=-1)], axis=-1))
         lower, upper, tail = envelopes[:, idx]
         out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 0]))
@@ -278,14 +286,15 @@ def _suite_4(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1")
         return
     order = default_order()
-    params = [OperatorParams(sigma, n) for sigma, n in pairs]
+    mults = _mults(pairs, order)
     for ts, idx in _blocks(trials, len(pairs)):
         rngs = _rngs(seed, 4, ts)
-        chosen = [params[i] for i in idx]
-        p = iterate_rows(herglotz_rows(*random_mixtures(rngs), order), chosen)
-        q = iterate_rows(herglotz_rows(*random_mixtures(rngs), order), chosen)
+        p = herglotz_rows(*random_mixtures(rngs), order)
+        q = herglotz_rows(*random_mixtures(rngs), order)
+        p[:, 1:] *= mults[idx]
+        q[:, 1:] *= mults[idx]
         mu = np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
-        out.add_tests(*_iterated_P_margins(mu * p + (1.0 - mu) * q, chosen))
+        out.add_tests(*_iterated_P_margins(mu * p + (1.0 - mu) * q, mults[idx]))
 
 
 def _suite_5(lattice, trials, seed, out):
@@ -294,10 +303,12 @@ def _suite_5(lattice, trials, seed, out):
     if not entries:
         out.note("no lattice entries with sigma - n > 0")
         return
-    deeper = [ClassSpec(OperatorParams(spec.sigma, spec.n + 1), spec.beta) for spec in entries]
+    order = default_order()
+    deeper = _mults([(spec.sigma, spec.n + 1) for spec in entries], order - 1)
+    mults, betas = _member_tables(entries, order - 1)
     for ts, idx in _blocks(trials, len(entries)):
-        f = random_members([deeper[i] for i in idx], [(seed, 5, t) for t in ts])
-        out.add_tests(*_class_margins(f, [entries[i] for i in idx]))
+        f = random_members([(seed, 5, t) for t in ts], deeper[idx], betas[idx])
+        out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
 
 
 def _suite_6(lattice, trials, seed, out):
@@ -322,10 +333,10 @@ def _suite_6(lattice, trials, seed, out):
     if not entries:
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
+    mults, betas = _member_tables(entries, default_order() - 1)
     for ts, idx in _blocks(trials, len(entries)):
-        specs = [entries[i] for i in idx]
-        f = random_members(specs, [(seed, 6, t) for t in ts])
-        beta = np.array([spec.beta for spec in specs])
+        beta = betas[idx]
+        f = random_members([(seed, 6, t) for t in ts], mults[idx], beta)
         derivative = np.arange(1, f.shape[-1]) * f[:, 1:]  # differentiate, row by row
         observed, padded = real_part_margins(derivative, beta, 2.0 * (1.0 - beta))
         out.add_tests(observed, padded)
@@ -336,12 +347,13 @@ def _suite_6(lattice, trials, seed, out):
 def _suite_7(lattice, trials, seed, out):
     """Coefficient size bound, attained exactly by the upper extremal."""
     order = default_order()
-    bounds = np.array([2.0 * (1.0 - spec.beta) * _multipliers(spec.sigma, spec.n, order - 1) for spec in lattice])
+    mults, betas = _member_tables(lattice, order - 1)
+    bounds = 2.0 * (1.0 - betas)[:, None] * mults
     for spec, bound in zip(lattice, bounds):
         ext = extremal_B_upper(spec, order)
         out.add(COEFF_TOL - float(np.max(np.abs(np.abs(ext.coeffs[2:]) - bound))))
     for ts, idx in _blocks(trials, len(lattice)):
-        f = random_members([lattice[i] for i in idx], [(seed, 7, t) for t in ts], order)
+        f = random_members([(seed, 7, t) for t in ts], mults[idx], betas[idx])
         out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
 
 
@@ -354,11 +366,11 @@ def _suite_8(lattice, trials, seed, out):
     order = default_order()
     ones = SchlichtSeries.from_coeffs(np.r_[0.0, np.ones(order)])
     means = np.array([_factors(bernardi(spec.sigma - spec.n - 1.0, ones), 2) for spec in entries])
+    mults, betas = _member_tables(entries, order - 1)
     for ts, idx in _blocks(trials, len(entries)):
-        specs = [entries[i] for i in idx]
-        f = random_members(specs, [(seed, 8, t) for t in ts], order)
+        f = random_members([(seed, 8, t) for t in ts], mults[idx], betas[idx])
         f[:, 2:] *= means[idx]
-        out.add_tests(*_class_margins(f, specs))
+        out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
 
 
 def _suite_9(lattice, trials, seed, out):
@@ -373,8 +385,9 @@ def _suite_9(lattice, trials, seed, out):
             envelopes[:, i, j] = lower, upper, _member_tail(spec, spec.n, order - 1, r, r)
             out.add(SHARPNESS_TOL - abs(_on_axis(up, r).real - upper))
             out.add(SHARPNESS_TOL - abs(_on_axis(low, r).real - lower))
+    mults, betas = _member_tables(lattice, order - 1)
     for ts, idx in _blocks(trials, len(lattice)):
-        f = random_members([lattice[i] for i in idx], [(seed, 9, t) for t in ts], order)
+        f = random_members([(seed, 9, t) for t in ts], mults[idx], betas[idx])
         extrema = circle_extrema(f, _modulus_extrema)
         lower, upper, tail = envelopes[:, idx]
         out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 1]))
@@ -444,6 +457,7 @@ def _suite_11(lattice, trials, seed, out):
         for spec in lattice
         for m in range(1, spec.n + 1)
     }
+    mults, betas = _member_tables(lattice, order - 1)
     for ts, idx in _blocks(trials, len(lattice)):
         specs = [lattice[i] for i in idx]
         p0 = herglotz_rows(*random_mixtures(_rngs(seed, 11, ts)), order - 1)
@@ -457,7 +471,8 @@ def _suite_11(lattice, trials, seed, out):
             lam = np.array([specs[i].sigma - (m - 1) for i in live])
             out.add(np.min(COEFF_TOL - recurrence_residuals(lam, cur, prev)))
             prev = cur
-        f = member_rows(iterate_rows(p0, [spec.params for spec in specs]), [spec.beta for spec in specs])
+        p0[:, 1:] *= mults[idx]
+        f = member_rows(p0, betas[idx])
         combo = _derivative_combo(np.array([spec.sigma - spec.n for spec in specs]), f)
         extrema = circle_extrema(combo, _modulus_extrema)
         lower, upper, tail = envelopes[:, idx]
@@ -469,13 +484,12 @@ def _suite_11(lattice, trials, seed, out):
 
 def _suite_12(lattice, trials, seed, out):
     """Convex combinations of members stay in the class."""
+    mults, betas = _member_tables(lattice, default_order() - 1)
     for ts, idx in _blocks(trials, len(lattice)):
-        specs = [lattice[i] for i in idx]
-        betas = [spec.beta for spec in specs]
-        f = p_rows(random_members(specs, [(seed, 12, t) for t in ts]), betas)
-        h = p_rows(random_members(specs, [(seed, 120, t) for t in ts]), betas)
+        f = p_rows(random_members([(seed, 12, t) for t in ts], mults[idx], betas[idx]), betas[idx])
+        h = p_rows(random_members([(seed, 120, t) for t in ts], mults[idx], betas[idx]), betas[idx])
         mu = np.array([rng.uniform(0.0, 1.0) for rng in _rngs(seed, 121, ts)])[:, None]
-        out.add_tests(*_iterated_P_margins(mu * f + (1.0 - mu) * h, [spec.params for spec in specs]))
+        out.add_tests(*_iterated_P_margins(mu * f + (1.0 - mu) * h, mults[idx]))
 
 
 def _suite_remark22(lattice, trials, seed, out):
@@ -484,9 +498,11 @@ def _suite_remark22(lattice, trials, seed, out):
     order = default_order()
     ones = TruncatedSeries(np.ones(order + 1))
     single = np.array([_factors(salagean_iterate(sigma, 1, ones), 1) for sigma in sigmas])
+    mults = _mults([(sigma, 1) for sigma in sigmas], order)
     for ts, idx in _blocks(trials, len(sigmas)):
         p = herglotz_rows(*random_mixtures(_rngs(seed, 22, ts)), order)
-        a = iterate_rows(p.copy(), [OperatorParams(sigmas[i], 1) for i in idx])
+        a = p.copy()
+        a[:, 1:] *= mults[idx]
         p[:, 1:] *= single[idx]
         out.add(np.min(COEFF_TOL - np.max(np.abs(a - p), axis=-1)))
 

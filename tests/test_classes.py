@@ -4,6 +4,7 @@ import csv
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,8 @@ from gft.classes import (
 )
 from gft.kernels import OperatorParams, multiplier, multiplier_row
 from gft.operators import iterate_closed
-from gft.series import TruncatedSeries, evaluate, herglotz_expand, herglotz_rows
-from gft.verify import _BLOCK, default_lattice, run_suite
+from gft.series import SchlichtSeries, TruncatedSeries, evaluate, herglotz_expand, herglotz_rows
+from gft.verify import _BLOCK, _class_margins, default_lattice, run_suite
 
 HALFPLANE_EXTREMAL = TruncatedSeries(np.concatenate([[1.0], np.full(64, 2.0)]))
 
@@ -281,6 +282,24 @@ def test_multiplier_series_matches_long_partial_sums(n, shift, x):
     )
 
 
+@given(
+    log_a=st.floats(-3.0, 4.0),
+    n=st.integers(1, 10_000),
+    x=st.one_of(st.sampled_from((-1.0, -0.5, 0.5, 0.9, 0.99, 0.999999)), st.floats(-1.0, 0.999999)),
+)
+@settings(max_examples=100, deadline=None)
+def test_multiplier_series_matches_hypergeometric_oracle(log_a, n, x):
+    """S(x) against mpmath's x a / (a + n) 2F1(1, a + 1; a + n + 1; x), a = sigma - n + 1 and n up to 1e4.
+
+    Narrow Beta weights, a and n both large, and a pole near t = 1 (x -> 1) all stay exact to 1e-13.
+    """
+    sigma = 10.0**log_a + (n - 1.0)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(sigma) - (n - 1)  # the a that sigma carries after rounding
+        exact = float(x * a / (a + n) * mpmath.hyp2f1(1, a + 1, a + n + 1, x))
+    assert float(multiplier_series(sigma, n, x)) == pytest.approx(exact, rel=1e-13, abs=1e-300)
+
+
 def test_multiplier_series_shape_and_validation():
     x = np.array([[-1.0, -0.5], [0.0, 0.999]])
     s = multiplier_series(2.0, 2, x)
@@ -329,16 +348,26 @@ def _one_member_at_a_time(spec, seed, order):
     return member_from_p(spec, iterate_closed(spec.params, TruncatedSeries(p0))).coeffs
 
 
-@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK + 1])
+@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK + 1, 24, 26])
 def test_stacked_members_and_margins_equal_one_row_calls(rows):
-    """Stacks of every size around a block edge give each row's one-row result, bit for bit."""
+    """Stacks of one row, around a block edge and of several blocks give each row's one-row result, bit for bit.
+
+    Every stack holds an n = 0 entry, whose iteration multiplies, and whose class test divides, by a row of ones.
+    """
     lattice = default_lattice()
     specs = [lattice[(7 * i) % len(lattice)] for i in range(rows)]
+    assert specs[0].n == 0
     seeds = [(3, 5, i) for i in range(rows)]
-    members = random_members(specs, seeds)
+    mults = np.array([multiplier_row(spec.sigma, spec.n, 63) for spec in specs])
+    betas = np.array([spec.beta for spec in specs])
+    members = random_members(seeds, mults, betas)
     for spec, seed, row in zip(specs, seeds, members):
         assert row.tobytes() == random_member_B(spec, seed).coeffs.tobytes()
         assert row.tobytes() == _one_member_at_a_time(spec, seed, 64).tobytes()
+    observed, padded = _class_margins(members, betas, mults)
+    for i, (spec, row) in enumerate(zip(specs, members)):
+        alone = membership_in_B(SchlichtSeries.from_coeffs(row), spec)
+        assert alone.observed == tuple(observed[i]) and alone.padded == tuple(padded[i])
     p = herglotz_rows(*random_mixtures([np.random.default_rng(seed) for seed in seeds]), 64)
     for seed, row in zip(seeds, p):
         assert row.tobytes() == herglotz_expand(random_mixture(np.random.default_rng(seed)), 64).coeffs.tobytes()

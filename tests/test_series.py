@@ -30,9 +30,10 @@ from gft.series import (
 def test_default_order_env_override(monkeypatch):
     monkeypatch.setenv("GFT_DEFAULT_ORDER", "32")
     assert default_order() == 32
-    monkeypatch.setenv("GFT_DEFAULT_ORDER", "1")
-    with pytest.raises(ValueError, match=">= 2"):
-        default_order()
+    for bad in ("1", "abc", "-5", "2.5", ""):
+        monkeypatch.setenv("GFT_DEFAULT_ORDER", bad)
+        with pytest.raises(ValueError, match=f"GFT_DEFAULT_ORDER must be an integer >= 2, got '{bad}'"):
+            default_order()
     monkeypatch.delenv("GFT_DEFAULT_ORDER")
     assert default_order() == 64
 

@@ -195,10 +195,10 @@ def test_custom_lattice_restricts_the_report():
 
 
 def test_suite_memory_does_not_grow_with_trials():
-    """Trials run in fixed blocks, so four blocks of trials peak within 10% of one block."""
-    run_suite("2", trials=_BLOCK)  # fill the per-process caches first
+    """Trials run in fixed blocks, so fifty blocks of trials peak within 10% of one block."""
+    run_suite("2", trials=_BLOCK)  # warm up first, so one-time allocations count in neither peak
     peaks = []
-    for trials in (_BLOCK, 4 * _BLOCK):
+    for trials in (_BLOCK, 50 * _BLOCK):
         tracemalloc.start()
         try:
             run_suite("2", trials=trials)
