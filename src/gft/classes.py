@@ -82,11 +82,6 @@ class MembershipResult:
     def margin(self) -> float:
         return min(self.padded)
 
-    @property
-    def allowance(self) -> tuple:
-        """Per-radius slack the padded margins add: truncation-tail allowance plus grid tolerance."""
-        return tuple(p - o for p, o in zip(self.padded, self.observed))
-
 
 def circle_points(r: float, samples: int) -> np.ndarray:
     """Equally spaced points on |z| = r, starting at the positive real axis."""
@@ -99,16 +94,22 @@ def min_re_on_circle(s, r: float, samples: int) -> float:
     return float(np.min(evaluate_circle(s, r, samples).real))
 
 
-def circle_extrema(rows: np.ndarray, reduce) -> np.ndarray:
-    """reduce(values) for a stack of coefficient rows, values = evaluate_circle(rows, RADII, ANGULAR_SAMPLES).
+def circle_values(rows: np.ndarray) -> np.ndarray:
+    """Values of a stack of coefficient rows on the grid: evaluate_circle(rows, RADII, ANGULAR_SAMPLES).
 
-    values has shape (rows, len(RADII), ANGULAR_SAMPLES), all from one FFT, so
-    callers keep stacks small.  Non-finite coefficients are rejected, as
-    TruncatedSeries rejects them.
+    The shape is (rows, len(RADII), ANGULAR_SAMPLES), all from one FFT, so
+    callers keep stacks small and reduce the values themselves, over the
+    last axis for one extremum per circle.  Non-finite coefficients are
+    rejected, as TruncatedSeries rejects them.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("series coefficients must be finite")
-    return reduce(evaluate_circle(rows, RADII, ANGULAR_SAMPLES))
+    return evaluate_circle(rows, RADII, ANGULAR_SAMPLES)
+
+
+def grid_tails(coeff_bound, order: int) -> np.ndarray:
+    """tail_bound(coeff_bound, order, r) for every r in RADII, along a new last axis; coeff_bound may be an array."""
+    return tail_bound(np.asarray(coeff_bound)[..., None], order, np.array(RADII))
 
 
 def real_part_margins(rows: np.ndarray, threshold, coeff_bound=2.0) -> tuple:
@@ -117,10 +118,8 @@ def real_part_margins(rows: np.ndarray, threshold, coeff_bound=2.0) -> tuple:
     threshold and coeff_bound are scalars or one value per row; row i's
     margins are bit-identical to real_part_test on that row alone.
     """
-    lows = circle_extrema(rows, lambda values: values.real.min(axis=-1))
-    observed = lows - np.asarray(threshold)[..., None]
-    tails = np.stack([tail_bound(np.asarray(coeff_bound), rows.shape[-1] - 1, r) for r in RADII], axis=-1)
-    return observed, observed + tails + GRID_TOLERANCE
+    observed = circle_values(rows).real.min(axis=-1) - np.asarray(threshold)[..., None]
+    return observed, observed + grid_tails(coeff_bound, rows.shape[-1] - 1) + GRID_TOLERANCE
 
 
 def verdicts(observed: np.ndarray, padded: np.ndarray) -> np.ndarray:

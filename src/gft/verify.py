@@ -6,10 +6,15 @@ margin; a suite passes iff that margin is nonnegative, and a NaN margin
 fails it.  Every circle check samples the fixed grid of classes (RADII,
 ANGULAR_SAMPLES), and margins already include the truncation-tail
 allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
-not a sampling artifact.  The envelope suites
-compare against the untruncated bounds that `gft bounds` prints: a truncated
-member stays below the exact upper bound with no allowance, and may undershoot
-the exact lower bound by at most its own dropped tail.
+not a sampling artifact.  The envelope suites 3, 9 and 11 share one path:
+one (lower, upper) table per entry and radius of the untruncated bounds that
+`gft bounds` prints, which the two axis extremals must attain at x = +r,
+each summed against one table of r**k.  A truncated member stays below the
+exact upper bound with no allowance, and may undershoot the exact lower
+bound by at most its own dropped tail.  Suites 3 and 9 read the tail's
+coefficient bound off the last column of their multiplier tables, suite 11
+from one multiplier per entry; its tail is infinite at n = 0, where no
+lower envelope holds.
 
 Trial t of a suite draws its random members from the generator seeded
 (seed, suite, t).  Trials run in fixed blocks of _BLOCK: a block's members
@@ -24,7 +29,6 @@ are byte-identical to evaluating one member at a time.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -37,11 +41,12 @@ from .classes import (
     RADII,
     ClassSpec,
     _envelope,
-    circle_extrema,
+    circle_values,
     covering_constant,
     distortion_bounds,
     extremal_B_lower,
     extremal_B_upper,
+    grid_tails,
     growth_bounds,
     member_rows,
     p_rows,
@@ -117,7 +122,7 @@ class _Margins:
     def __init__(self) -> None:
         self.worst = math.inf
         self.notes: list = []
-        self.allowance: dict = {}  # radius -> smallest slack any real-part test added there
+        self.allowance = np.full(len(RADII), math.inf)  # per radius, the smallest slack any real-part test added
 
     def add(self, value: float) -> None:
         """Keep the smallest margin; a NaN margin sticks, so the suite fails."""
@@ -131,8 +136,7 @@ class _Margins:
         Keeps the smallest padded margin and, per radius, the smallest slack any test was given.
         """
         self.add(np.min(padded))
-        for r, slack in zip(RADII, np.min(padded - observed, axis=0)):
-            self.allowance[r] = min(float(slack), self.allowance.get(r, math.inf))
+        self.allowance = np.minimum(self.allowance, np.min(padded - observed, axis=0))
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -191,31 +195,30 @@ def _class_margins(members: np.ndarray, betas: np.ndarray, mults: np.ndarray) ->
     return _iterated_P_margins(p_rows(members, betas), mults)
 
 
-def _modulus_extrema(values: np.ndarray) -> np.ndarray:
-    """(min, max) of |values| per circle, along a new last axis."""
-    modulus = np.abs(values)
-    return np.stack([modulus.min(axis=-1), modulus.max(axis=-1)], axis=-1)
+def _sharp_envelopes(out, entries, bounds, extremals) -> np.ndarray:
+    """The table bounds(entry, r) of (lower, upper), shape (2, len(entries), len(RADII)), checked for sharpness.
 
-
-@functools.lru_cache(maxsize=32)
-def _axis_powers(x: float, size: int) -> np.ndarray:
-    """x**k for k < size, built once per (x, size) and shared read-only."""
-    powers = x ** np.arange(size)
-    powers.setflags(write=False)
-    return powers
-
-
-def _on_axis(c: np.ndarray, x: float) -> complex:
-    """The truncated series with coefficients c at a real point, as one dot product."""
-    return complex(c @ _axis_powers(x, c.size))
-
-
-def _member_tail(spec: ClassSpec, n: int, order: int, r: float, factor: float) -> float:
-    """Bound at |x| = r on terms past order of factor * q(x), |q_k| <= 2 (1 - beta) multiplier(sigma, n, k).
-
-    Needs n >= 0, where the multipliers do not increase in k.
+    The rows (lows, ups) = extremals(entry) must attain lower and upper at x = +r, to SHARPNESS_TOL.  Each row
+    is summed against one r**k table by one dot product per circle, bit-identical to summing it on its own.
     """
-    return factor * tail_bound(2.0 * (1.0 - spec.beta) * multiplier(spec.sigma, n, order), order, r)
+    env = np.array([[bounds(entry, r) for r in RADII] for entry in entries]).transpose(2, 0, 1)
+    powers = np.array(RADII)[:, None] ** np.arange(SHARP_ORDER + 1)
+    for i, entry in enumerate(entries):
+        axis = np.array([[row @ circle[: row.size] for circle in powers] for row in extremals(entry)]).real
+        out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, i])))
+    return env
+
+
+def _B_extremals(spec: ClassSpec) -> np.ndarray:
+    """Coefficient rows of spec's lower and upper extremal members, cut at SHARP_ORDER."""
+    return np.array([extremal_B_lower(spec, SHARP_ORDER).coeffs, extremal_B_upper(spec, SHARP_ORDER).coeffs])
+
+
+def _envelope_margins(out, low, high, env, tails) -> None:
+    """Add a block's margins: circle maxima high below upper, minima low above lower less the member tail."""
+    lower, upper = env
+    out.add(np.min(upper + GRID_TOLERANCE - high))
+    out.add(np.min(low - lower + tails + GRID_TOLERANCE))
 
 
 def _suite_1(lattice, trials, seed, out):
@@ -259,24 +262,20 @@ def _suite_2(lattice, trials, seed, out):
 def _suite_3(lattice, trials, seed, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
     pairs = _pairs(lattice, lambda s: True)
+    env = _sharp_envelopes(
+        out,
+        [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs],
+        lambda spec, r: _envelope(spec, spec.n, r, 1.0),
+        lambda spec: [extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs for sign in (-1, 1)],
+    )
     order = default_order()
-    envelopes = np.empty((3, len(pairs), len(RADII)))  # lower, upper, member tail
-    for i, (sigma, n) in enumerate(pairs):
-        spec = ClassSpec(OperatorParams(sigma, n))
-        ext = extremal_iterate(spec.params, SHARP_ORDER, 1).coeffs
-        for j, r in enumerate(RADII):
-            lower, upper = _envelope(spec, n, r, 1.0)
-            envelopes[:, i, j] = lower, upper, _member_tail(spec, n, order, r, 1.0)
-            out.add(SHARPNESS_TOL - abs(abs(_on_axis(ext, r)) - upper))
-            out.add(SHARPNESS_TOL - abs(_on_axis(ext, -r).real - lower))
     mults = _mults(pairs, order)
+    tails = grid_tails(2.0 * mults[:, -1], order)
     for ts, idx in _blocks(trials, len(pairs)):
         p = herglotz_rows(*random_mixtures(_rngs(seed, 3, ts)), order)
         p[:, 1:] *= mults[idx]
-        extrema = circle_extrema(p, lambda v: np.stack([np.abs(v).max(axis=-1), v.real.min(axis=-1)], axis=-1))
-        lower, upper, tail = envelopes[:, idx]
-        out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 0]))
-        out.add(np.min(extrema[..., 1] - lower + tail + GRID_TOLERANCE))
+        values = circle_values(p)
+        _envelope_margins(out, values.real.min(axis=-1), np.abs(values).max(axis=-1), env[:, idx], tails[idx])
 
 
 def _suite_4(lattice, trials, seed, out):
@@ -375,23 +374,14 @@ def _suite_8(lattice, trials, seed, out):
 
 def _suite_9(lattice, trials, seed, out):
     """Growth envelope for members, attained on the axis by the two extremals."""
+    env = _sharp_envelopes(out, lattice, growth_bounds, _B_extremals)
     order = default_order()
-    envelopes = np.empty((3, len(lattice), len(RADII)))  # lower, upper, member tail
-    for i, spec in enumerate(lattice):
-        up = extremal_B_upper(spec, SHARP_ORDER).coeffs
-        low = extremal_B_lower(spec, SHARP_ORDER).coeffs
-        for j, r in enumerate(RADII):
-            lower, upper = growth_bounds(spec, r)
-            envelopes[:, i, j] = lower, upper, _member_tail(spec, spec.n, order - 1, r, r)
-            out.add(SHARPNESS_TOL - abs(_on_axis(up, r).real - upper))
-            out.add(SHARPNESS_TOL - abs(_on_axis(low, r).real - lower))
     mults, betas = _member_tables(lattice, order - 1)
+    tails = np.array(RADII) * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order - 1)
     for ts, idx in _blocks(trials, len(lattice)):
         f = random_members([(seed, 9, t) for t in ts], mults[idx], betas[idx])
-        extrema = circle_extrema(f, _modulus_extrema)
-        lower, upper, tail = envelopes[:, idx]
-        out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 1]))
-        out.add(np.min(extrema[..., 0] - lower + tail + GRID_TOLERANCE))
+        modulus = np.abs(circle_values(f))
+        _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
 
 def _suite_10(lattice, trials, seed, out):
@@ -411,7 +401,8 @@ def _suite_10(lattice, trials, seed, out):
         f = extremal_B_lower(spec, order)
         low = float(np.min(np.abs(evaluate_circle(f, r, ANGULAR_SAMPLES))))
         out.add(5e-3 - abs(low - constant))
-        tail = _member_tail(spec, spec.n, order - 1, r, r)
+        # the extremal's last coefficient is the bound 2 (1 - beta) multiplier(sigma, n, order - 1) on the dropped ones
+        tail = r * tail_bound(abs(f.coeffs[-1]), order - 1, r)
         out.add(SHARPNESS_TOL + tail - abs(low - growth_bounds(spec, r)[0]))
 
 
@@ -439,18 +430,11 @@ def _suite_11(lattice, trials, seed, out):
             "n = 0 entries: lower envelope not enforced (no shallower iterate "
             "to supply the real-part floor; members can undershoot the formula)"
         )
+    env = _sharp_envelopes(out, lattice, distortion_bounds, lambda s: _derivative_combo(s.sigma - s.n, _B_extremals(s)))
     order = default_order()
-    envelopes = np.empty((3, len(lattice), len(RADII)))  # lower, upper, member tail (n >= 1 only)
-    for i, spec in enumerate(lattice):
-        up = _derivative_combo(spec.sigma - spec.n, extremal_B_upper(spec, SHARP_ORDER).coeffs)
-        low = _derivative_combo(spec.sigma - spec.n, extremal_B_lower(spec, SHARP_ORDER).coeffs)
-        for j, r in enumerate(RADII):
-            lower, upper = distortion_bounds(spec, r)
-            # the member tail is needed only where the lower envelope is enforced
-            tail = _member_tail(spec, spec.n - 1, order - 1, r, spec.sigma - spec.n + 1) if spec.n >= 1 else math.nan
-            envelopes[:, i, j] = lower, upper, tail
-            out.add(SHARPNESS_TOL - abs(_on_axis(up, r).real - upper))
-            out.add(SHARPNESS_TOL - abs(_on_axis(low, r).real - lower))
+    # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k); n = 0 has no floor
+    bound = [2.0 * (1.0 - s.beta) * multiplier(s.sigma, s.n - 1, order - 1) if s.n >= 1 else math.inf for s in lattice]
+    tails = np.array([s.sigma - s.n + 1 for s in lattice])[:, None] * grid_tails(bound, order - 1)
     ones = TruncatedSeries(np.ones(order))
     steps = {
         (spec.sigma, m): _factors(iterate_step_closed(spec.sigma, m, ones), 1)
@@ -474,12 +458,8 @@ def _suite_11(lattice, trials, seed, out):
         p0[:, 1:] *= mults[idx]
         f = member_rows(p0, betas[idx])
         combo = _derivative_combo(np.array([spec.sigma - spec.n for spec in specs]), f)
-        extrema = circle_extrema(combo, _modulus_extrema)
-        lower, upper, tail = envelopes[:, idx]
-        out.add(np.min(upper + GRID_TOLERANCE - extrema[..., 1]))
-        floor = np.array([spec.n >= 1 for spec in specs])
-        if floor.any():
-            out.add(np.min((extrema[..., 0] - lower + tail + GRID_TOLERANCE)[floor]))
+        modulus = np.abs(circle_values(combo))
+        _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
 
 def _suite_12(lattice, trials, seed, out):
@@ -543,7 +523,8 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
     if math.isinf(margins.worst):
         margins.worst = 0.0
         margins.note("no checks ran for this lattice")
-    loose = [f"r = {r:g} (at least {slack:.4g})" for r, slack in sorted(margins.allowance.items()) if slack >= 1.0]
+    # a suite with no real-part test leaves every slack at inf
+    loose = [f"r = {r:g} (at least {s:.4g})" for r, s in zip(RADII, margins.allowance) if 1.0 <= s < math.inf]
     if loose:
         margins.note(
             "truncation allowance of 1 or more at " + ", ".join(loose) + ": a real-part test fails on such "
