@@ -432,9 +432,11 @@ def _suite_11(lattice, trials, seed, out):
         )
     env = _sharp_envelopes(out, lattice, distortion_bounds, lambda s: _derivative_combo(s.sigma - s.n, _B_extremals(s)))
     order = default_order()
-    # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k); n = 0 has no floor
-    bound = [2.0 * (1.0 - s.beta) * multiplier(s.sigma, s.n - 1, order - 1) if s.n >= 1 else math.inf for s in lattice]
+    # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k)
+    bound = [2.0 * (1.0 - s.beta) * multiplier(s.sigma, s.n - 1, order - 1) if s.n >= 1 else 0.0 for s in lattice]
     tails = np.array([s.sigma - s.n + 1 for s in lattice])[:, None] * grid_tails(bound, order - 1)
+    # n = 0 has no floor; the infinite tail goes in after grid_tails, where inf * r**order would be NaN once r**order underflows
+    tails[[s.n == 0 for s in lattice]] = math.inf
     ones = TruncatedSeries(np.ones(order))
     steps = {
         (spec.sigma, m): _factors(iterate_step_closed(spec.sigma, m, ones), 1)

@@ -91,6 +91,14 @@ def test_derivative_envelope_suite_documents_the_shallow_case():
     assert any("lower envelope not enforced" in note for note in report.notes)
 
 
+def test_derivative_envelope_suite_passes_past_the_tail_underflow(monkeypatch):
+    # at order 1100, r**order underflows to 0.0 at r = 0.5, where an infinite n = 0 tail times it would be NaN
+    monkeypatch.setenv("GFT_DEFAULT_ORDER", "1100")
+    report = run_suite("11", trials=2, seed=0)
+    assert report.verdict == "pass"
+    assert math.isfinite(report.worst_margin)
+
+
 def _critical_points(coeffs) -> np.ndarray:
     """Zeros of f' for the polynomial f with the given coefficients, by modulus."""
     c = np.asarray(coeffs, dtype=np.complex128)
