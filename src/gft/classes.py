@@ -317,19 +317,29 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
     return x * a / (sigma + 1.0) * mean
 
 
-def _envelope(spec: ClassSpec, n: int, r: float, factor: float) -> tuple:
-    """factor (1 + 2 (1 - beta) S_n(x)) at x = -r and x = +r: the shape of every radial bound."""
-    if not 0.0 < r < 1.0:
+def _envelope(spec: ClassSpec, n: int, r, factor) -> tuple:
+    """factor (1 + 2 (1 - beta) S_n(x)) at x = -r and x = +r: the shape of every radial bound.
+
+    r is one radius, giving two floats, or an array of radii, giving two arrays of its shape.  One
+    multiplier_series call covers every radius, with x = -r and x = +r along a leading axis, so each
+    value is bit-identical to the call for its radius alone.
+    """
+    radii = np.asarray(r, dtype=np.float64)
+    if not np.all((radii > 0.0) & (radii < 1.0)):
         raise ValueError("radius must lie strictly between 0 and 1")
-    s = multiplier_series(spec.sigma, n, np.array([-r, r]))
-    lower, upper = (factor * (1.0 + 2.0 * (1.0 - spec.beta) * float(v)) for v in s)
-    if not np.isfinite(upper):
-        raise ValueError(f"a bound overflows at sigma={spec.sigma}, n={spec.n}, r={r}")
-    return lower, upper
+    s = multiplier_series(spec.sigma, n, np.stack([-radii, radii]))
+    lower, upper = factor * (1.0 + 2.0 * (1.0 - spec.beta) * s)
+    overflow = ~np.isfinite(upper)
+    if np.any(overflow):
+        raise ValueError(f"a bound overflows at sigma={spec.sigma}, n={spec.n}, r={radii[overflow].flat[0]}")
+    return (float(lower), float(upper)) if radii.ndim == 0 else (lower, upper)
 
 
-def growth_bounds(spec: ClassSpec, r: float) -> tuple:
-    """Sharp modulus envelope (lower, upper) for members at |z| = r: r (1 + 2 (1 - beta) S_n(-+r))."""
+def growth_bounds(spec: ClassSpec, r) -> tuple:
+    """Sharp modulus envelope (lower, upper) for members at |z| = r: r (1 + 2 (1 - beta) S_n(-+r)).
+
+    r may be an array of radii, as in _envelope.
+    """
     return _envelope(spec, spec.n, r, r)
 
 
@@ -345,7 +355,7 @@ def covering_constant(spec: ClassSpec) -> float:
     return float(1.0 + 2.0 * (1.0 - spec.beta) * multiplier_series(spec.sigma, spec.n, -1.0))
 
 
-def distortion_bounds(spec: ClassSpec, r: float) -> tuple:
+def distortion_bounds(spec: ClassSpec, r) -> tuple:
     """Envelope (m, M) for |(sigma - n) f / z + f'| over the class at |z| = r.
 
     Both ends are lam * (1 + 2 (1 - beta) S(x)) with lam = sigma - (n - 1),
@@ -357,6 +367,7 @@ def distortion_bounds(spec: ClassSpec, r: float) -> tuple:
     n >= 1 (sharp, attained by the alternating extremal); for n = 0 it is
     the value the alternating extremal attains but not a floor, since there
     is no shallower iterate whose real-part bound would enforce it.
+    r may be an array of radii, as in _envelope.
     """
     return _envelope(spec, spec.n - 1, r, spec.sigma - (spec.n - 1))
 
@@ -375,13 +386,17 @@ BOUNDS_COLUMNS = (
 
 
 def bounds_rows(specs, radii) -> list:
-    """Closed-form bound table, one row per (spec, radius); covering blank for n = 0."""
+    """Closed-form bound table, one row per (spec, radius); covering blank for n = 0.
+
+    Each spec's distortion and growth bounds come from one call each over all radii.
+    """
+    radii = np.array(radii, dtype=np.float64)
     rows = []
     for spec in specs:
         cov = covering_constant(spec) if spec.n >= 1 else None
-        for r in map(float, radii):
-            values = (spec.sigma, spec.n, spec.beta, r, *distortion_bounds(spec, r), *growth_bounds(spec, r), cov)
-            rows.append(dict(zip(BOUNDS_COLUMNS, values)))
+        columns = [radii, *distortion_bounds(spec, radii), *growth_bounds(spec, radii)]
+        for values in zip(*(column.tolist() for column in columns)):
+            rows.append(dict(zip(BOUNDS_COLUMNS, (spec.sigma, spec.n, spec.beta, *values, cov))))
     return rows
 
 

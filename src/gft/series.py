@@ -177,8 +177,13 @@ def evaluate_circle(s, radii, samples: int) -> np.ndarray:
     rows, size = c.shape[:-1], c.shape[-1]
     folded = np.zeros((*rows, *r.shape, -(-size // samples) * samples), dtype=np.complex128)
     folded[..., :size] = c.reshape(*rows, *(1,) * r.ndim, size) * r[..., None] ** np.arange(size)
-    folded = folded.reshape(*rows, *r.shape, -1, samples).sum(axis=-2)
-    return samples * np.fft.ifft(folded, axis=-1)
+    if size > samples:
+        folded = folded.reshape(*rows, *r.shape, -1, samples).sum(axis=-2)
+    # one array of values, transformed and scaled in place: a stack's temporaries stay small enough that the
+    # allocator keeps their pages between calls, instead of returning them and faulting them in again
+    values = np.fft.ifft(folded, axis=-1, out=folded)
+    values *= samples
+    return values
 
 
 def differentiate(s: TruncatedSeries) -> TruncatedSeries:

@@ -9,8 +9,11 @@ allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
 not a sampling artifact.  The envelope suites 3, 9 and 11 share one path:
 one (lower, upper) table per entry and radius of the untruncated bounds that
 `gft bounds` prints, which the two axis extremals must attain at x = +r,
-each summed against one table of r**k.  A truncated member stays below the
-exact upper bound with no allowance, and may undershoot the exact lower
+each summed against one table of r**k.  Each entry's bounds come from one
+call over all radii, and the table is built one (sigma, n) pair at a time:
+the pair's two iterates are built once and give every beta's extremal
+members, bit for bit as built on their own.  A truncated member stays below
+the exact upper bound with no allowance, and may undershoot the exact lower
 bound by at most its own dropped tail.  Suites 3 and 9 read the tail's
 coefficient bound off the last column of their multiplier tables, suite 11
 from one multiplier per entry; its tail is infinite at n = 0, where no
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,10 +75,11 @@ DEFAULT_BETAS = (0.0, 0.25, 0.5, 0.9)
 
 COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
-# Order past which r**k < 1e-14 at every grid radius, so extremals cut there are exact on the axis.
+# Order past which r**k < 1e-14 at every grid radius.  Extremals cut there drop an axis tail below SHARPNESS_TOL:
+# at r = 0.99 about 2.0e-12 in suites 3 and 9, and 6.6e-9 in suite 11, whose coefficients grow like k.
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 # Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
-_BLOCK = 4
+_BLOCK = 16
 
 
 def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
@@ -105,8 +109,11 @@ class VerificationReport:
     notes: list
 
     def to_dict(self) -> dict:
-        """The report as JSON-ready data: a non-finite worst_margin, such as a NaN check's, becomes None."""
-        data = asdict(self)
+        """The report as JSON-ready data: a non-finite worst_margin, such as a NaN check's, becomes None.
+
+        A shallow copy: its lists and dicts are the report's own.
+        """
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
         if not math.isfinite(data["worst_margin"]):
             data["worst_margin"] = None
         return data
@@ -196,22 +203,36 @@ def _class_margins(members: np.ndarray, betas: np.ndarray, mults: np.ndarray) ->
 
 
 def _sharp_envelopes(out, entries, bounds, extremals) -> np.ndarray:
-    """The table bounds(entry, r) of (lower, upper), shape (2, len(entries), len(RADII)), checked for sharpness.
+    """The table bounds(entry, RADII) of (lower, upper), shape (2, len(entries), len(RADII)), checked for sharpness.
 
-    The rows (lows, ups) = extremals(entry) must attain lower and upper at x = +r, to SHARPNESS_TOL.  Each row
-    is summed against one r**k table by one dot product per circle, bit-identical to summing it on its own.
+    Entries are taken one (sigma, n) pair at a time: extremals(specs) yields, for each spec of one pair,
+    the rows (lows, ups) that must attain lower and upper at x = +r, to SHARPNESS_TOL, so a pair's
+    shared rows are built once and dropped before the next pair.  Each row is summed against one r**k
+    table by one dot product per circle, bit-identical to summing it on its own.
     """
-    env = np.array([[bounds(entry, r) for r in RADII] for entry in entries]).transpose(2, 0, 1)
-    powers = np.array(RADII)[:, None] ** np.arange(SHARP_ORDER + 1)
+    radii = np.array(RADII)
+    env = np.empty((2, len(entries), len(RADII)))
+    powers = radii[:, None] ** np.arange(SHARP_ORDER + 1)
+    pairs: dict = {}
     for i, entry in enumerate(entries):
-        axis = np.array([[row @ circle[: row.size] for circle in powers] for row in extremals(entry)]).real
-        out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, i])))
+        pairs.setdefault(entry.params, []).append(i)
+    for group in pairs.values():
+        for i, rows in zip(group, extremals([entries[i] for i in group])):
+            env[0, i], env[1, i] = bounds(entries[i], radii)
+            axis = np.array([[row @ circle[: row.size] for circle in powers] for row in rows]).real
+            out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, i])))
     return env
 
 
-def _B_extremals(spec: ClassSpec) -> np.ndarray:
-    """Coefficient rows of spec's lower and upper extremal members, cut at SHARP_ORDER."""
-    return np.array([extremal_B_lower(spec, SHARP_ORDER).coeffs, extremal_B_upper(spec, SHARP_ORDER).coeffs])
+def _B_extremals(specs):
+    """For each spec, the coefficient rows (lower, upper) of its extremal members, cut at SHARP_ORDER.
+
+    The specs share one (sigma, n), whose two iterates are built once; each spec's rows are
+    extremal_B_lower and extremal_B_upper at SHARP_ORDER, bit for bit.
+    """
+    iterates = np.array([extremal_iterate(specs[0].params, SHARP_ORDER - 1, sign).coeffs for sign in (-1, 1)])
+    for spec in specs:
+        yield member_rows(iterates, [spec.beta, spec.beta])
 
 
 def _envelope_margins(out, low, high, env, tails) -> None:
@@ -266,7 +287,7 @@ def _suite_3(lattice, trials, seed, out):
         out,
         [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs],
         lambda spec, r: _envelope(spec, spec.n, r, 1.0),
-        lambda spec: [extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs for sign in (-1, 1)],
+        lambda specs: ([extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs for sign in (-1, 1)] for spec in specs),
     )
     order = default_order()
     mults = _mults(pairs, order)
@@ -430,7 +451,12 @@ def _suite_11(lattice, trials, seed, out):
             "n = 0 entries: lower envelope not enforced (no shallower iterate "
             "to supply the real-part floor; members can undershoot the formula)"
         )
-    env = _sharp_envelopes(out, lattice, distortion_bounds, lambda s: _derivative_combo(s.sigma - s.n, _B_extremals(s)))
+    env = _sharp_envelopes(
+        out,
+        lattice,
+        distortion_bounds,
+        lambda specs: (_derivative_combo(s.sigma - s.n, rows) for s, rows in zip(specs, _B_extremals(specs))),
+    )
     order = default_order()
     # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k)
     bound = [2.0 * (1.0 - s.beta) * multiplier(s.sigma, s.n - 1, order - 1) if s.n >= 1 else 0.0 for s in lattice]

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gft import classes
 from gft.classes import (
     BOUNDS_COLUMNS,
+    RADII,
     ClassSpec,
     MembershipResult,
     bounds_rows,
@@ -230,6 +232,36 @@ def test_distortion_oracle_values():
     assert low0 < up0
 
 
+def test_bounds_over_an_array_of_radii_match_the_scalar_calls():
+    """One call over all radii gives each radius's scalar bounds bit for bit, on the default lattice."""
+    radii = np.array(RADII)
+    for spec in default_lattice():
+        for bounds in (growth_bounds, distortion_bounds):
+            lower, upper = bounds(spec, radii)
+            scalar = np.array([bounds(spec, r) for r in RADII]).T
+            assert lower.tobytes() == scalar[0].tobytes() and upper.tobytes() == scalar[1].tobytes()
+            assert all(type(v) is float for v in bounds(spec, 0.5))
+    spec = ClassSpec(OperatorParams(1.0, 1))
+    for bounds in (growth_bounds, distortion_bounds):
+        with pytest.raises(ValueError, match="radius must lie strictly between 0 and 1"):
+            bounds(spec, np.array([0.5, 1.0]))
+
+
+def test_bounds_table_makes_one_quadrature_call_per_bound_and_spec(monkeypatch):
+    """bounds_rows takes each spec's growth and distortion bounds over all radii at once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return multiplier_series(*args)
+
+    monkeypatch.setattr(classes, "multiplier_series", counted)
+    specs = default_lattice()
+    rows = bounds_rows(specs, RADII)
+    assert len(rows) == len(specs) * len(RADII)
+    assert len(calls) == 2 * len(specs) + sum(spec.n >= 1 for spec in specs)
+
+
 def _atanh_sqrt(x):
     """atanh(sqrt(x)) / sqrt(x) for 0 < x < 1, with 1 - sqrt(x) formed as (1 - x) / (1 + sqrt(x))."""
     q = math.sqrt(x)
@@ -348,9 +380,9 @@ def _one_member_at_a_time(spec, seed, order):
     return member_from_p(spec, iterate_closed(spec.params, TruncatedSeries(p0))).coeffs
 
 
-@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK + 1, 24, 26])
+@pytest.mark.parametrize("rows", [1, 3, 5, _BLOCK - 1, _BLOCK + 1, 24, 26])
 def test_stacked_members_and_margins_equal_one_row_calls(rows):
-    """Stacks of one row, around a block edge and of several blocks give each row's one-row result, bit for bit.
+    """Stacks of one row, of a few rows, around a block edge and past it give each row's one-row result, bit for bit.
 
     Every stack holds an n = 0 entry, whose iteration multiplies, and whose class test divides, by a row of ones.
     """

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from gft import classes, verify
-from gft.classes import ClassSpec, is_in_B, random_member_B, real_part_test
-from gft.kernels import OperatorParams
+from gft.classes import RADII, ClassSpec, extremal_B_upper, is_in_B, random_member_B, real_part_test
+from gft.kernels import OperatorParams, extremal_iterate
 from gft.series import differentiate, evaluate
 from gft.verify import (
     _BLOCK,
+    SHARP_ORDER,
+    SHARPNESS_TOL,
     SUITE_ORDER,
     default_lattice,
     run_all,
@@ -43,6 +45,37 @@ def test_reports_are_deterministic():
     a = run_suite("7", trials=10, seed=3).to_json()
     b = run_suite("7", trials=10, seed=3).to_json()
     assert a == b
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    """Every suite that runs trials gives the same report bytes at any block size, partial last block included."""
+    suites = [key for key in SUITE_ORDER if key != "10"]  # suite 10 is deterministic and runs no trials
+    reports = {key: run_suite(key, trials=23, seed=0).to_json() for key in suites}
+    for block in (1, 7):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        for key in suites:
+            assert run_suite(key, trials=23, seed=0).to_json() == reports[key], (block, key)
+
+
+def test_extremals_cut_at_the_sharp_order_drop_less_than_the_sharpness_tolerance():
+    """The axis tail that the sharpness checks of suites 3, 9 and 11 leave out, worst over the default lattice.
+
+    It is summed from upper extremals three times longer, whose coefficients bound the lower extremals' moduli.
+    The tail is largest at r = 0.99: about 2.0e-12 for the iterates and members, and 6.6e-9 for suite 11's
+    combination, whose coefficients grow like k.  A SHARPNESS_TOL below these needs the tail added first.
+    """
+    r, order = max(RADII), 3 * SHARP_ORDER
+    powers = r ** np.arange(order + 1)
+    iterates, members, combos = [], [], []
+    for spec in default_lattice():
+        iterates.append(extremal_iterate(spec.params, order).coeffs.real[SHARP_ORDER + 1 :] @ powers[SHARP_ORDER + 1 :])
+        f = extremal_B_upper(spec, order).coeffs.real
+        members.append(f[SHARP_ORDER + 1 :] @ powers[SHARP_ORDER + 1 :])
+        combos.append(verify._derivative_combo(spec.sigma - spec.n, f)[SHARP_ORDER:] @ powers[SHARP_ORDER:order])
+    assert max(iterates) == pytest.approx(2.0e-12, rel=0.02)
+    assert max(members) == pytest.approx(2.0e-12, rel=0.02)
+    assert max(combos) == pytest.approx(6.6e-9, rel=0.02)
+    assert max(iterates + members + combos) < SHARPNESS_TOL
 
 
 def test_report_serialization():
