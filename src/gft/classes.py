@@ -36,6 +36,8 @@ ANGULAR_SAMPLES = 720
 GRID_TOLERANCE = 1e-9
 
 _MAX_ATOMS = 8  # random mixtures have 1 to 8 atoms
+# Trials whose seed words trial_generators computes in one pass: a suite's 200, with memory bounded past that.
+_SEED_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -197,42 +199,140 @@ def membership_in_B_direct(f: SchlichtSeries, spec: ClassSpec) -> MembershipResu
     return real_part_test(ratio, spec.beta, coeff_bound=2.0 * (1.0 - spec.beta))
 
 
+def _uint32_words(seed) -> list:
+    """The 32-bit words numpy's SeedSequence reads from an integer seed or a nested sequence of them, low word first."""
+    if isinstance(seed, str):  # numpy reads a string as a decimal integer, or hex after 0x
+        seed = int(seed, 16) if seed.startswith("0x") else int(seed)
+    if not isinstance(seed, (int, np.integer)):
+        return [word for part in seed for word in _uint32_words(part)]
+    value = int(seed)
+    if value < 0:
+        raise ValueError(f"seeds must be non-negative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hash_chain(start: int, mult: int, length: int) -> np.ndarray:
+    """start, start * mult, start * mult**2, .. modulo 2**32: the constants successive SeedSequence hashes use."""
+    chain = [start]
+    for _ in range(length - 1):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of values[j] with constants chain[j], chain[j + 1], for each row j, on uint32 arrays."""
+    v = (values ^ chain[:-1, None]) * chain[1:, None]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    v = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return v ^ (v >> 16)
+
+
+def seed_words(prefix, ts) -> np.ndarray:
+    """SeedSequence((*prefix, t)).generate_state(4, np.uint64) for each trial index t in ts: shape (len(ts), 4).
+
+    numpy's SeedSequence (NEP 19) with its default pool of four words, run once for all t on uint32 arrays:
+    hash the entropy words into the pool, mix every pool word into every other, mix in the entropy words
+    past the pool, and hash the pool out into eight words, read in pairs as little-endian uint64.  Each t
+    must be below 2**32, so that every trial's entropy has as many words.
+    """
+    words = _uint32_words(prefix)
+    size = len(words) + 1
+    entropy = np.zeros((max(size, 4), len(ts)), dtype=np.uint32)
+    entropy[: size - 1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[size - 1] = ts
+    chain = _hash_chain(0x43B0D7E5, 0x931E8875, 17 + 4 * max(size - 4, 0))
+    pool = _hashmix(entropy[:4], chain[:5])
+    k = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src : src + 1], chain[k : k + 4]))
+        k += 3
+    for src in range(4, size):
+        pool = _mix(pool, _hashmix(entropy[src : src + 1], chain[k : k + 5]))
+        k += 4
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_chain(0x8B51F9DD, 0x58F38DED, 9))
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def trial_generators(prefix, count: int):
+    """Yield default_rng((*prefix, t)) for t = 0, 1, .., count - 1: the same streams, built more cheaply.
+
+    seed_words runs over _SEED_CHUNK trials at a time, so memory does not grow with count, and each
+    generator is PCG64 seeded from its trial's four words.  numpy.random is imported on the first
+    call, not with gft.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence that hands PCG64 the four words it asks for, already computed."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    for start in range(0, count, _SEED_CHUNK):
+        for words in seed_words(prefix, range(start, min(start + _SEED_CHUNK, count))):
+            yield Generator(PCG64(Words(words)))
+
+
 def _draw_atoms(rng: np.random.Generator) -> tuple:
-    """Points and convex weights of one to _MAX_ATOMS random circle point masses."""
+    """Angles, as fractions u of a turn, and convex weights of one to _MAX_ATOMS random circle point masses.
+
+    One random(2 count) call makes the draws uniform(0, 2 pi, count) then random(count) made: uniform
+    is 0 + 2 pi u, so _circle(u) gives the same points.
+    """
     count = int(rng.integers(1, _MAX_ATOMS + 1))
-    angles = rng.uniform(0.0, 2.0 * np.pi, count)
-    raw = rng.random(count) + 1e-9
+    u = rng.random(2 * count)
+    raw = u[count:] + 1e-9
     w = raw / raw.sum()
     w[-1] = 1.0 - float(w[:-1].sum())  # kill rounding drift before the convexity check
-    return np.exp(1j * angles), w
+    return u[:count], w
+
+
+def _circle(turns: np.ndarray) -> np.ndarray:
+    """The points exp(2 pi i u) of angles given as fractions u of a turn."""
+    return np.exp(1j * (2.0 * np.pi * turns))
 
 
 def random_mixture(rng: np.random.Generator) -> HerglotzMixture:
     """Random finite mixture of one to eight circle point masses with convex weights."""
-    return HerglotzMixture(tuple(zip(*_draw_atoms(rng))))
+    turns, w = _draw_atoms(rng)
+    return HerglotzMixture(tuple(zip(_circle(turns), w)))
 
 
 def random_mixtures(rngs) -> tuple:
     """Stacked random_mixture, one per generator: (points, weights), each (len(rngs), _MAX_ATOMS).
 
     Rows with fewer atoms are padded with point 1 and weight 0, which add
-    nothing in herglotz_rows.  Each generator makes the same draws as random_mixture.
+    nothing in herglotz_rows.  Each generator makes the same draws as random_mixture,
+    and each weight sum is its own row's; the points come from one _circle call.
     """
-    points = np.ones((len(rngs), _MAX_ATOMS), dtype=np.complex128)
+    turns = np.zeros((len(rngs), _MAX_ATOMS))
     weights = np.zeros((len(rngs), _MAX_ATOMS))
     for i, rng in enumerate(rngs):
-        x, w = _draw_atoms(rng)
-        points[i, : x.size], weights[i, : w.size] = x, w
-    return points, weights
+        u, w = _draw_atoms(rng)
+        turns[i, : u.size], weights[i, : w.size] = u, w
+    return _circle(turns), weights
 
 
-def random_members(seeds, mults: np.ndarray, betas) -> np.ndarray:
-    """Stacked random_member_B: row i is the member of seed seeds[i], iterated by mults[i] and shifted by betas[i].
+def random_members(rngs, mults: np.ndarray, betas) -> np.ndarray:
+    """Stacked random_member_B: row i is the member drawn from rngs[i], iterated by mults[i] and shifted by betas[i].
 
     mults[i] is multiplier_row(sigma, n, order - 1) of row i's class, so the rows have order
-    mults.shape[-1] + 1 and each equals random_member_B of that class and seed, bit for bit.
+    mults.shape[-1] + 1 and each equals random_member_B of that class, seeded as rngs[i] was, bit for bit.
     """
-    p = herglotz_rows(*random_mixtures([np.random.default_rng(seed) for seed in seeds]), mults.shape[-1])
+    p = herglotz_rows(*random_mixtures(rngs), mults.shape[-1])
     p[:, 1:] *= mults
     return member_rows(p, betas)
 
@@ -243,7 +343,7 @@ def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> Schlicht
     if n < 2:
         raise ValueError(f"members need order >= 2, got {n}")
     mults = multiplier_row(spec.sigma, spec.n, n - 1)[None]
-    return SchlichtSeries(TruncatedSeries(random_members([seed], mults, [spec.beta])[0]))
+    return SchlichtSeries(TruncatedSeries(random_members([np.random.default_rng(seed)], mults, [spec.beta])[0]))
 
 
 def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
@@ -312,27 +412,52 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
         log_small, log_large = np.log(small), np.log1p(-small)
         log_weight = a * np.where(near_0, log_small, log_large) + (n - 1.0) * np.where(near_0, log_large, log_small)
     weight = w * np.exp(log_weight - log_weight.max())
-    xs = x[..., None]
-    mean = np.sum(weight / ((1.0 - xs) + xs * s), axis=-1) / np.sum(weight)
-    return x * a / (sigma + 1.0) * mean
+    # one x at a time into one buffer, so no temporary grows with x
+    sums, row = np.empty(x.shape), np.empty_like(s)
+    for i, xi in enumerate(x.flat):
+        np.multiply(xi, s, out=row)
+        row += 1.0 - xi
+        np.divide(weight, row, out=row)
+        sums.flat[i] = row.sum()
+    return x * a / (sigma + 1.0) * (sums / np.sum(weight))
+
+
+def _shift(beta: float, s):
+    """1 + 2 (1 - beta) s: a bound of the class at beta from a multiplier series value s."""
+    return 1.0 + 2.0 * (1.0 - beta) * s
+
+
+def _radial_series(sigma: float, n: int, r) -> tuple:
+    """(radii, S_n(x) at x = -r and x = +r along a leading axis), from one multiplier_series call.
+
+    r is one radius or an array of radii; each value is bit-identical to the call for its radius alone.
+    """
+    radii = np.asarray(r, dtype=np.float64)
+    if not np.all((radii > 0.0) & (radii < 1.0)):
+        raise ValueError("radius must lie strictly between 0 and 1")
+    return radii, multiplier_series(sigma, n, np.stack([-radii, radii]))
+
+
+def _scaled(spec: ClassSpec, series: tuple, factor) -> tuple:
+    """factor _shift(beta, S) at x = -r and x = +r, from _radial_series output: two floats, or two arrays.
+
+    An overflow names the spec and its first overflowing radius.
+    """
+    radii, s = series
+    lower, upper = factor * _shift(spec.beta, s)
+    overflow = ~np.isfinite(upper)
+    if np.any(overflow):
+        raise ValueError(f"a bound overflows at sigma={spec.sigma}, n={spec.n}, r={radii[overflow].flat[0]}")
+    return (float(lower), float(upper)) if radii.ndim == 0 else (lower, upper)
 
 
 def _envelope(spec: ClassSpec, n: int, r, factor) -> tuple:
     """factor (1 + 2 (1 - beta) S_n(x)) at x = -r and x = +r: the shape of every radial bound.
 
-    r is one radius, giving two floats, or an array of radii, giving two arrays of its shape.  One
-    multiplier_series call covers every radius, with x = -r and x = +r along a leading axis, so each
-    value is bit-identical to the call for its radius alone.
+    r is one radius, giving two floats, or an array of radii, giving two arrays of its shape, all from
+    one multiplier_series call.
     """
-    radii = np.asarray(r, dtype=np.float64)
-    if not np.all((radii > 0.0) & (radii < 1.0)):
-        raise ValueError("radius must lie strictly between 0 and 1")
-    s = multiplier_series(spec.sigma, n, np.stack([-radii, radii]))
-    lower, upper = factor * (1.0 + 2.0 * (1.0 - spec.beta) * s)
-    overflow = ~np.isfinite(upper)
-    if np.any(overflow):
-        raise ValueError(f"a bound overflows at sigma={spec.sigma}, n={spec.n}, r={radii[overflow].flat[0]}")
-    return (float(lower), float(upper)) if radii.ndim == 0 else (lower, upper)
+    return _scaled(spec, _radial_series(spec.sigma, n, r), factor)
 
 
 def growth_bounds(spec: ClassSpec, r) -> tuple:
@@ -352,7 +477,7 @@ def covering_constant(spec: ClassSpec) -> float:
     """
     if spec.n < 1:
         raise ValueError("the covering series diverges for n = 0")
-    return float(1.0 + 2.0 * (1.0 - spec.beta) * multiplier_series(spec.sigma, spec.n, -1.0))
+    return float(_shift(spec.beta, multiplier_series(spec.sigma, spec.n, -1.0)))
 
 
 def distortion_bounds(spec: ClassSpec, r) -> tuple:
@@ -388,13 +513,23 @@ BOUNDS_COLUMNS = (
 def bounds_rows(specs, radii) -> list:
     """Closed-form bound table, one row per (spec, radius); covering blank for n = 0.
 
-    Each spec's distortion and growth bounds come from one call each over all radii.
+    Every bound is an affine map of a series that depends on (sigma, n) alone, so each pair's three
+    series are computed once, over all radii, and mapped for each of its betas, as covering_constant,
+    distortion_bounds and growth_bounds map them.
     """
     radii = np.array(radii, dtype=np.float64)
+    pairs: dict = {}
     rows = []
     for spec in specs:
-        cov = covering_constant(spec) if spec.n >= 1 else None
-        columns = [radii, *distortion_bounds(spec, radii), *growth_bounds(spec, radii)]
+        if spec.params not in pairs:
+            pairs[spec.params] = (
+                multiplier_series(spec.sigma, spec.n, -1.0) if spec.n >= 1 else None,
+                _radial_series(spec.sigma, spec.n - 1, radii),
+                _radial_series(spec.sigma, spec.n, radii),
+            )
+        covering, distortion, growth = pairs[spec.params]
+        cov = None if covering is None else float(_shift(spec.beta, covering))
+        columns = [radii, *_scaled(spec, distortion, spec.sigma - (spec.n - 1)), *_scaled(spec, growth, radii)]
         for values in zip(*(column.tolist() for column in columns)):
             rows.append(dict(zip(BOUNDS_COLUMNS, (spec.sigma, spec.n, spec.beta, *values, cov))))
     return rows

@@ -19,15 +19,19 @@ coefficient bound off the last column of their multiplier tables, suite 11
 from one multiplier per entry; its tail is infinite at n = 0, where no
 lower envelope holds.
 
-Trial t of a suite draws its random members from the generator seeded
-(seed, suite, t).  Trials run in fixed blocks of _BLOCK: a block's members
-are drawn trial by trial, then expanded, iterated and tested as one stack of
-coefficient rows, all of whose circle values come from one FFT.  A suite
-builds the factors of its iterations once, one multiplier row per lattice
-entry (a row of ones for n = 0), and scales each block's rows by them.
-Memory therefore does not depend on the trial count, and since every row
-gets the same elementwise operations as a member built on its own, reports
-are byte-identical to evaluating one member at a time.
+Trial t of a suite draws its random members from the stream of
+default_rng((seed, suite, t)).  classes.trial_generators builds those
+generators: it computes their SeedSequence state words for a chunk of trials
+in one vectorised pass and seeds PCG64 from them directly.  Trials run in
+fixed blocks of _BLOCK: a block's members are drawn trial by trial, with two
+generator calls each, their atoms are put on the circle at once, and the
+members are expanded, iterated and tested as one stack of coefficient rows,
+all of whose circle values come from one FFT.  A suite builds the factors of
+its iterations once, one multiplier row per lattice entry (a row of ones for
+n = 0), and scales each block's rows by them.  Memory therefore does not
+depend on the trial count, and since every row gets the same elementwise
+operations as a member built on its own, reports are byte-identical to
+evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -56,6 +61,7 @@ from .classes import (
     random_members,
     random_mixtures,
     real_part_margins,
+    trial_generators,
     verdicts,
 )
 from .kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
@@ -158,19 +164,16 @@ def _pairs(lattice, pred):
     return sorted({(spec.sigma, spec.n) for spec in lattice if pred(spec)})
 
 
-def _blocks(trials: int, size: int):
-    """(trial indices, entry index per trial) for each block of _BLOCK consecutive trials.
+def _blocks(trials: int, size: int, seed, *streams):
+    """(trial indices, entry index per trial, then its generators in each stream) for each block of _BLOCK trials.
 
-    Trial t tests entry t % size, as every suite cycles through its entries.
+    Trial t tests entry t % size, as every suite cycles through its entries, and draws from
+    default_rng((seed, stream, t)) in each stream, built by one trial_generators per stream.
     """
+    generators = [trial_generators((seed, stream), trials) for stream in streams]
     for start in range(0, trials, _BLOCK):
         ts = range(start, min(start + _BLOCK, trials))
-        yield ts, np.array([t % size for t in ts])
-
-
-def _rngs(seed, suite: int, ts) -> list:
-    """Trial t's generator, seeded (seed, suite, t)."""
-    return [np.random.default_rng((seed, suite, t)) for t in ts]
+        yield ts, np.array([t % size for t in ts]), *(list(islice(g, len(ts))) for g in generators)
 
 
 def _factors(image, start: int) -> np.ndarray:
@@ -252,8 +255,7 @@ def _suite_1(lattice, trials, seed, out):
     order = default_order()
     ones = TruncatedSeries(np.ones(order + 1))
     steps = np.array([_factors(iterate_step_closed(sigma, n, ones), 1) for sigma, n in pairs])
-    for ts, idx in _blocks(trials, len(pairs)):
-        rngs = _rngs(seed, 1, ts)
+    for ts, idx, rngs in _blocks(trials, len(pairs), seed, 1):
         q = herglotz_rows(*random_mixtures(rngs), order)
         scale = np.array([rng.uniform(0.05, 1.0) for rng in rngs])
         gamma = np.array([gammas[t % len(gammas)] for t in ts])
@@ -274,8 +276,8 @@ def _suite_2(lattice, trials, seed, out):
     order = default_order()
     deeper = _mults([(sigma, n + 1) for sigma, n in pairs], order)
     mults = _mults(pairs, order)
-    for ts, idx in _blocks(trials, len(pairs)):
-        p = herglotz_rows(*random_mixtures(_rngs(seed, 2, ts)), order)
+    for _, idx, rngs in _blocks(trials, len(pairs), seed, 2):
+        p = herglotz_rows(*random_mixtures(rngs), order)
         p[:, 1:] *= deeper[idx]
         out.add_tests(*_iterated_P_margins(p, mults[idx]))
 
@@ -292,8 +294,8 @@ def _suite_3(lattice, trials, seed, out):
     order = default_order()
     mults = _mults(pairs, order)
     tails = grid_tails(2.0 * mults[:, -1], order)
-    for ts, idx in _blocks(trials, len(pairs)):
-        p = herglotz_rows(*random_mixtures(_rngs(seed, 3, ts)), order)
+    for _, idx, rngs in _blocks(trials, len(pairs), seed, 3):
+        p = herglotz_rows(*random_mixtures(rngs), order)
         p[:, 1:] *= mults[idx]
         values = circle_values(p)
         _envelope_margins(out, values.real.min(axis=-1), np.abs(values).max(axis=-1), env[:, idx], tails[idx])
@@ -307,8 +309,7 @@ def _suite_4(lattice, trials, seed, out):
         return
     order = default_order()
     mults = _mults(pairs, order)
-    for ts, idx in _blocks(trials, len(pairs)):
-        rngs = _rngs(seed, 4, ts)
+    for _, idx, rngs in _blocks(trials, len(pairs), seed, 4):
         p = herglotz_rows(*random_mixtures(rngs), order)
         q = herglotz_rows(*random_mixtures(rngs), order)
         p[:, 1:] *= mults[idx]
@@ -326,8 +327,8 @@ def _suite_5(lattice, trials, seed, out):
     order = default_order()
     deeper = _mults([(spec.sigma, spec.n + 1) for spec in entries], order - 1)
     mults, betas = _member_tables(entries, order - 1)
-    for ts, idx in _blocks(trials, len(entries)):
-        f = random_members([(seed, 5, t) for t in ts], deeper[idx], betas[idx])
+    for _, idx, rngs in _blocks(trials, len(entries), seed, 5):
+        f = random_members(rngs, deeper[idx], betas[idx])
         out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
 
 
@@ -354,9 +355,9 @@ def _suite_6(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
     mults, betas = _member_tables(entries, default_order() - 1)
-    for ts, idx in _blocks(trials, len(entries)):
+    for _, idx, rngs in _blocks(trials, len(entries), seed, 6):
         beta = betas[idx]
-        f = random_members([(seed, 6, t) for t in ts], mults[idx], beta)
+        f = random_members(rngs, mults[idx], beta)
         derivative = np.arange(1, f.shape[-1]) * f[:, 1:]  # differentiate, row by row
         observed, padded = real_part_margins(derivative, beta, 2.0 * (1.0 - beta))
         out.add_tests(observed, padded)
@@ -372,8 +373,8 @@ def _suite_7(lattice, trials, seed, out):
     for spec, bound in zip(lattice, bounds):
         ext = extremal_B_upper(spec, order)
         out.add(COEFF_TOL - float(np.max(np.abs(np.abs(ext.coeffs[2:]) - bound))))
-    for ts, idx in _blocks(trials, len(lattice)):
-        f = random_members([(seed, 7, t) for t in ts], mults[idx], betas[idx])
+    for _, idx, rngs in _blocks(trials, len(lattice), seed, 7):
+        f = random_members(rngs, mults[idx], betas[idx])
         out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
 
 
@@ -387,8 +388,8 @@ def _suite_8(lattice, trials, seed, out):
     ones = SchlichtSeries.from_coeffs(np.r_[0.0, np.ones(order)])
     means = np.array([_factors(bernardi(spec.sigma - spec.n - 1.0, ones), 2) for spec in entries])
     mults, betas = _member_tables(entries, order - 1)
-    for ts, idx in _blocks(trials, len(entries)):
-        f = random_members([(seed, 8, t) for t in ts], mults[idx], betas[idx])
+    for _, idx, rngs in _blocks(trials, len(entries), seed, 8):
+        f = random_members(rngs, mults[idx], betas[idx])
         f[:, 2:] *= means[idx]
         out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
 
@@ -399,8 +400,8 @@ def _suite_9(lattice, trials, seed, out):
     order = default_order()
     mults, betas = _member_tables(lattice, order - 1)
     tails = np.array(RADII) * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order - 1)
-    for ts, idx in _blocks(trials, len(lattice)):
-        f = random_members([(seed, 9, t) for t in ts], mults[idx], betas[idx])
+    for _, idx, rngs in _blocks(trials, len(lattice), seed, 9):
+        f = random_members(rngs, mults[idx], betas[idx])
         modulus = np.abs(circle_values(f))
         _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
@@ -470,9 +471,9 @@ def _suite_11(lattice, trials, seed, out):
         for m in range(1, spec.n + 1)
     }
     mults, betas = _member_tables(lattice, order - 1)
-    for ts, idx in _blocks(trials, len(lattice)):
+    for _, idx, rngs in _blocks(trials, len(lattice), seed, 11):
         specs = [lattice[i] for i in idx]
-        p0 = herglotz_rows(*random_mixtures(_rngs(seed, 11, ts)), order - 1)
+        p0 = herglotz_rows(*random_mixtures(rngs), order - 1)
         # the step chain p0 -> p1 -> .. -> p_n of every row, one level at a time
         live, prev = np.arange(len(specs)), p0
         for m in range(1, max(spec.n for spec in specs) + 1):
@@ -493,10 +494,10 @@ def _suite_11(lattice, trials, seed, out):
 def _suite_12(lattice, trials, seed, out):
     """Convex combinations of members stay in the class."""
     mults, betas = _member_tables(lattice, default_order() - 1)
-    for ts, idx in _blocks(trials, len(lattice)):
-        f = p_rows(random_members([(seed, 12, t) for t in ts], mults[idx], betas[idx]), betas[idx])
-        h = p_rows(random_members([(seed, 120, t) for t in ts], mults[idx], betas[idx]), betas[idx])
-        mu = np.array([rng.uniform(0.0, 1.0) for rng in _rngs(seed, 121, ts)])[:, None]
+    for _, idx, f_rngs, h_rngs, mu_rngs in _blocks(trials, len(lattice), seed, 12, 120, 121):
+        f = p_rows(random_members(f_rngs, mults[idx], betas[idx]), betas[idx])
+        h = p_rows(random_members(h_rngs, mults[idx], betas[idx]), betas[idx])
+        mu = np.array([rng.uniform(0.0, 1.0) for rng in mu_rngs])[:, None]
         out.add_tests(*_iterated_P_margins(mu * f + (1.0 - mu) * h, mults[idx]))
 
 
@@ -507,8 +508,8 @@ def _suite_remark22(lattice, trials, seed, out):
     ones = TruncatedSeries(np.ones(order + 1))
     single = np.array([_factors(salagean_iterate(sigma, 1, ones), 1) for sigma in sigmas])
     mults = _mults([(sigma, 1) for sigma in sigmas], order)
-    for ts, idx in _blocks(trials, len(sigmas)):
-        p = herglotz_rows(*random_mixtures(_rngs(seed, 22, ts)), order)
+    for _, idx, rngs in _blocks(trials, len(sigmas), seed, 22):
+        p = herglotz_rows(*random_mixtures(rngs), order)
         a = p.copy()
         a[:, 1:] *= mults[idx]
         p[:, 1:] *= single[idx]

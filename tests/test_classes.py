@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import subprocess
+import sys
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -39,6 +42,8 @@ from gft.classes import (
     random_mixtures,
     real_part_margins,
     real_part_test,
+    seed_words,
+    trial_generators,
     verdicts,
     write_bounds_csv,
 )
@@ -248,7 +253,10 @@ def test_bounds_over_an_array_of_radii_match_the_scalar_calls():
 
 
 def test_bounds_table_makes_one_quadrature_call_per_bound_and_spec(monkeypatch):
-    """bounds_rows takes each spec's growth and distortion bounds over all radii at once."""
+    """bounds_rows computes each (sigma, n) pair's growth, distortion and covering series once, over all radii.
+
+    The betas of a pair share its series: on the default lattice, 11 pairs, 7 of them with n >= 1.
+    """
     calls = []
 
     def counted(*args):
@@ -259,7 +267,8 @@ def test_bounds_table_makes_one_quadrature_call_per_bound_and_spec(monkeypatch):
     specs = default_lattice()
     rows = bounds_rows(specs, RADII)
     assert len(rows) == len(specs) * len(RADII)
-    assert len(calls) == 2 * len(specs) + sum(spec.n >= 1 for spec in specs)
+    pairs = {(spec.sigma, spec.n) for spec in specs}
+    assert len(calls) == 2 * len(pairs) + sum(n >= 1 for _, n in pairs) == 29
 
 
 def _atanh_sqrt(x):
@@ -392,7 +401,7 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
     seeds = [(3, 5, i) for i in range(rows)]
     mults = np.array([multiplier_row(spec.sigma, spec.n, 63) for spec in specs])
     betas = np.array([spec.beta for spec in specs])
-    members = random_members(seeds, mults, betas)
+    members = random_members(list(trial_generators((3, 5), rows)), mults, betas)
     for spec, seed, row in zip(specs, seeds, members):
         assert row.tobytes() == random_member_B(spec, seed).coeffs.tobytes()
         assert row.tobytes() == _one_member_at_a_time(spec, seed, 64).tobytes()
@@ -413,3 +422,39 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
                                    np.broadcast_to(bound, rows)[i])
             assert alone.observed == tuple(observed[i]) and alone.padded == tuple(padded[i])
             assert alone.verdict == outcome[i]
+
+
+_STREAMS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 22, 120, 121)  # the suites' stream ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**96 - 1),
+    stream=st.sampled_from(_STREAMS),
+    t=st.one_of(st.sampled_from([0, 1, classes._SEED_CHUNK - 1, classes._SEED_CHUNK, 2 * classes._SEED_CHUNK]),
+                st.integers(0, 3 * classes._SEED_CHUNK)),
+)
+def test_trial_generators_build_the_numpy_seeded_streams(seed, stream, t):
+    """Trial t's seed words and first draws are those of default_rng((seed, stream, t)), up to 96-bit seeds."""
+    words = np.random.SeedSequence((seed, stream, t)).generate_state(4, np.uint64)
+    assert seed_words((seed, stream), [t, t + 1])[0].tobytes() == words.tobytes()
+    fast = next(islice(trial_generators((seed, stream), t + 1), t, None))
+    numpy_seeded = np.random.default_rng((seed, stream, t))
+    assert fast.integers(1, 9) == numpy_seeded.integers(1, 9)
+    assert fast.random(16).tobytes() == numpy_seeded.random(16).tobytes()
+
+
+def test_trial_generators_take_nested_seeds_and_reject_negative_ones():
+    for prefix in (((1, (2, 3)), 5), ([4, 5], 12), ((), 2), ("0x1f", 3)):
+        expected = [np.random.default_rng((*prefix, t)).random(4) for t in range(3)]
+        assert [g.random(4).tobytes() for g in trial_generators(prefix, 3)] == [e.tobytes() for e in expected]
+    for prefix in ((-1, 2), ((0, -2), 2)):
+        with pytest.raises(ValueError):
+            next(trial_generators(prefix, 1))
+
+
+def test_importing_gft_does_not_import_numpy_random():
+    """numpy.random loads only when a generator is built, so import time stays out of every run's setup."""
+    code = "import sys, gft; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.decode().strip() == "False"

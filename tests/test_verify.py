@@ -240,10 +240,14 @@ def test_custom_lattice_restricts_the_report():
 
 
 def test_suite_memory_does_not_grow_with_trials():
-    """Trials run in fixed blocks, so fifty blocks of trials peak within 10% of one block."""
+    """Trials run in fixed blocks, so two hundred blocks of trials peak within 10% of one block.
+
+    At that count, the 32 bytes of seed words per trial would break the margin if they were computed
+    for every trial at once rather than one chunk at a time.
+    """
     run_suite("2", trials=_BLOCK)  # warm up first, so one-time allocations count in neither peak
     peaks = []
-    for trials in (_BLOCK, 50 * _BLOCK):
+    for trials in (_BLOCK, 200 * _BLOCK):
         tracemalloc.start()
         try:
             run_suite("2", trials=trials)
@@ -251,3 +255,23 @@ def test_suite_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+# sequence and big-integer seeds, each checked against generators seeded by numpy itself
+@pytest.mark.parametrize("seed", [(1, (2, 3)), [4, 5], 2**40 + 3, 2**95 + 1])
+def test_reports_keep_the_streams_of_numpy_seeded_generators(monkeypatch, seed):
+    """Every trial suite gives the report it gave with default_rng((seed, stream, t)) for trial t."""
+    fast = {key: run_suite(key, trials=_BLOCK + 3, seed=seed).to_json() for key in verify.SUITE_ORDER}
+
+    def numpy_seeded(prefix, count):
+        return (np.random.default_rng((*prefix, t)) for t in range(count))
+
+    monkeypatch.setattr(verify, "trial_generators", numpy_seeded)
+    for key, report in fast.items():
+        assert report == run_suite(key, trials=_BLOCK + 3, seed=seed).to_json()
+
+
+def test_a_negative_seed_is_rejected():
+    for seed in (-1, (0, -2)):
+        with pytest.raises(ValueError):
+            run_suite("2", trials=1, seed=seed)
