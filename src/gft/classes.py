@@ -36,8 +36,8 @@ ANGULAR_SAMPLES = 720
 GRID_TOLERANCE = 1e-9
 
 _MAX_ATOMS = 8  # random mixtures have 1 to 8 atoms
-# Trials whose seed words trial_generators computes in one pass: a suite's 200, with memory bounded past that.
-_SEED_CHUNK = 256
+# Uniforms one random mixture reads: its atom count, then _MAX_ATOMS angles and _MAX_ATOMS raw weights.
+_DRAWS = 1 + 2 * _MAX_ATOMS
 
 
 @dataclass(frozen=True)
@@ -199,151 +199,50 @@ def membership_in_B_direct(f: SchlichtSeries, spec: ClassSpec) -> MembershipResu
     return real_part_test(ratio, spec.beta, coeff_bound=2.0 * (1.0 - spec.beta))
 
 
-def _uint32_words(seed) -> list:
-    """The 32-bit words numpy's SeedSequence reads from an integer seed or a nested sequence of them, low word first."""
-    if isinstance(seed, str):  # numpy reads a string as a decimal integer, or hex after 0x
-        seed = int(seed, 16) if seed.startswith("0x") else int(seed)
-    if not isinstance(seed, (int, np.integer)):
-        return [word for part in seed for word in _uint32_words(part)]
-    value = int(seed)
-    if value < 0:
-        raise ValueError(f"seeds must be non-negative, got {value}")
-    words = [value & 0xFFFFFFFF]
-    while value >> 32:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
+def random_mixtures(u: np.ndarray) -> tuple:
+    """The mixtures read from rows of _DRAWS uniforms: (points, weights), each (rows, _MAX_ATOMS).
 
-
-def _hash_chain(start: int, mult: int, length: int) -> np.ndarray:
-    """start, start * mult, start * mult**2, .. modulo 2**32: the constants successive SeedSequence hashes use."""
-    chain = [start]
-    for _ in range(length - 1):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    return np.array(chain, dtype=np.uint32)
-
-
-def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of values[j] with constants chain[j], chain[j + 1], for each row j, on uint32 arrays."""
-    v = (values ^ chain[:-1, None]) * chain[1:, None]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 arrays."""
-    v = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return v ^ (v >> 16)
-
-
-def seed_words(prefix, ts) -> np.ndarray:
-    """SeedSequence((*prefix, t)).generate_state(4, np.uint64) for each trial index t in ts: shape (len(ts), 4).
-
-    numpy's SeedSequence (NEP 19) with its default pool of four words, run once for all t on uint32 arrays:
-    hash the entropy words into the pool, mix every pool word into every other, mix in the entropy words
-    past the pool, and hash the pool out into eight words, read in pairs as little-endian uint64.  Each t
-    must be below 2**32, so that every trial's entropy has as many words.
+    u[:, 0] sets the atom count, 1 + floor(_MAX_ATOMS u); the next _MAX_ATOMS columns are the angles, as
+    fractions of a turn, and the last _MAX_ATOMS the raw weights, each plus 1e-9.  Atoms past the count get
+    weight 0, which adds exact zeros in herglotz_rows.  The weights are normalised by their sum and the
+    last one takes what the others leave; both sums run left to right, so a row sums as it would alone.
     """
-    words = _uint32_words(prefix)
-    size = len(words) + 1
-    entropy = np.zeros((max(size, 4), len(ts)), dtype=np.uint32)
-    entropy[: size - 1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[size - 1] = ts
-    chain = _hash_chain(0x43B0D7E5, 0x931E8875, 17 + 4 * max(size - 4, 0))
-    pool = _hashmix(entropy[:4], chain[:5])
-    k = 4
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src : src + 1], chain[k : k + 4]))
-        k += 3
-    for src in range(4, size):
-        pool = _mix(pool, _hashmix(entropy[src : src + 1], chain[k : k + 5]))
-        k += 4
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_chain(0x8B51F9DD, 0x58F38DED, 9))
-    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
-
-
-def trial_generators(prefix, count: int):
-    """Yield default_rng((*prefix, t)) for t = 0, 1, .., count - 1: the same streams, built more cheaply.
-
-    seed_words runs over _SEED_CHUNK trials at a time, so memory does not grow with count, and each
-    generator is PCG64 seeded from its trial's four words.  numpy.random is imported on the first
-    call, not with gft.
-    """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        """A seed sequence that hands PCG64 the four words it asks for, already computed."""
-
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    for start in range(0, count, _SEED_CHUNK):
-        for words in seed_words(prefix, range(start, min(start + _SEED_CHUNK, count))):
-            yield Generator(PCG64(Words(words)))
-
-
-def _draw_atoms(rng: np.random.Generator) -> tuple:
-    """Angles, as fractions u of a turn, and convex weights of one to _MAX_ATOMS random circle point masses.
-
-    One random(2 count) call makes the draws uniform(0, 2 pi, count) then random(count) made: uniform
-    is 0 + 2 pi u, so _circle(u) gives the same points.
-    """
-    count = int(rng.integers(1, _MAX_ATOMS + 1))
-    u = rng.random(2 * count)
-    raw = u[count:] + 1e-9
-    w = raw / raw.sum()
-    w[-1] = 1.0 - float(w[:-1].sum())  # kill rounding drift before the convexity check
-    return u[:count], w
-
-
-def _circle(turns: np.ndarray) -> np.ndarray:
-    """The points exp(2 pi i u) of angles given as fractions u of a turn."""
-    return np.exp(1j * (2.0 * np.pi * turns))
+    rows = np.arange(u.shape[0])
+    last = (_MAX_ATOMS * u[:, 0]).astype(np.intp)
+    raw = np.where(np.arange(_MAX_ATOMS) <= last[:, None], u[:, 1 + _MAX_ATOMS : _DRAWS] + 1e-9, 0.0)
+    weights = raw / raw.cumsum(axis=1)[:, -1:]
+    weights[rows, last] = 0.0
+    weights[rows, last] = 1.0 - weights.cumsum(axis=1)[:, -1]  # kill rounding drift before the convexity check
+    return np.exp(1j * (2.0 * np.pi * u[:, 1 : 1 + _MAX_ATOMS])), weights
 
 
 def random_mixture(rng: np.random.Generator) -> HerglotzMixture:
-    """Random finite mixture of one to eight circle point masses with convex weights."""
-    turns, w = _draw_atoms(rng)
-    return HerglotzMixture(tuple(zip(_circle(turns), w)))
+    """Random finite mixture of one to eight circle point masses with convex weights: one row of random_mixtures."""
+    points, weights = random_mixtures(rng.random((1, _DRAWS)))
+    live = weights[0] > 0.0
+    return HerglotzMixture(tuple(zip(points[0, live], weights[0, live])))
 
 
-def random_mixtures(rngs) -> tuple:
-    """Stacked random_mixture, one per generator: (points, weights), each (len(rngs), _MAX_ATOMS).
+def random_members(u: np.ndarray, mults: np.ndarray, betas) -> np.ndarray:
+    """Stacked random_member_B: row i is the member read from u[i], iterated by mults[i] and shifted by betas[i].
 
-    Rows with fewer atoms are padded with point 1 and weight 0, which add
-    nothing in herglotz_rows.  Each generator makes the same draws as random_mixture,
-    and each weight sum is its own row's; the points come from one _circle call.
+    u holds rows of _DRAWS uniforms, and mults[i] is multiplier_row(sigma, n, order - 1) of row i's class, so
+    the rows have order mults.shape[-1] + 1.  Row i equals random_member_B(spec, seed) of that class, bit for
+    bit, when u[i] is default_rng(seed).random(_DRAWS).
     """
-    turns = np.zeros((len(rngs), _MAX_ATOMS))
-    weights = np.zeros((len(rngs), _MAX_ATOMS))
-    for i, rng in enumerate(rngs):
-        u, w = _draw_atoms(rng)
-        turns[i, : u.size], weights[i, : w.size] = u, w
-    return _circle(turns), weights
-
-
-def random_members(rngs, mults: np.ndarray, betas) -> np.ndarray:
-    """Stacked random_member_B: row i is the member drawn from rngs[i], iterated by mults[i] and shifted by betas[i].
-
-    mults[i] is multiplier_row(sigma, n, order - 1) of row i's class, so the rows have order
-    mults.shape[-1] + 1 and each equals random_member_B of that class, seeded as rngs[i] was, bit for bit.
-    """
-    p = herglotz_rows(*random_mixtures(rngs), mults.shape[-1])
+    p = herglotz_rows(*random_mixtures(u), mults.shape[-1])
     p[:, 1:] *= mults
     return member_rows(p, betas)
 
 
 def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
-    """Seeded random class member built from a mixture pushed through the iteration."""
+    """Seeded random class member: the mixture read from default_rng(seed).random((1, _DRAWS)), iterated."""
     n = default_order() if order is None else int(order)
     if n < 2:
         raise ValueError(f"members need order >= 2, got {n}")
     mults = multiplier_row(spec.sigma, spec.n, n - 1)[None]
-    return SchlichtSeries(TruncatedSeries(random_members([np.random.default_rng(seed)], mults, [spec.beta])[0]))
+    u = np.random.default_rng(seed).random((1, _DRAWS))
+    return SchlichtSeries(TruncatedSeries(random_members(u, mults, [spec.beta])[0]))
 
 
 def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
@@ -438,7 +337,7 @@ def _radial_series(sigma: float, n: int, r) -> tuple:
     return radii, multiplier_series(sigma, n, np.stack([-radii, radii]))
 
 
-def _scaled(spec: ClassSpec, series: tuple, factor) -> tuple:
+def _radial_bounds(spec: ClassSpec, series: tuple, factor) -> tuple:
     """factor _shift(beta, S) at x = -r and x = +r, from _radial_series output: two floats, or two arrays.
 
     An overflow names the spec and its first overflowing radius.
@@ -457,7 +356,7 @@ def _envelope(spec: ClassSpec, n: int, r, factor) -> tuple:
     r is one radius, giving two floats, or an array of radii, giving two arrays of its shape, all from
     one multiplier_series call.
     """
-    return _scaled(spec, _radial_series(spec.sigma, n, r), factor)
+    return _radial_bounds(spec, _radial_series(spec.sigma, n, r), factor)
 
 
 def growth_bounds(spec: ClassSpec, r) -> tuple:
@@ -529,7 +428,8 @@ def bounds_rows(specs, radii) -> list:
             )
         covering, distortion, growth = pairs[spec.params]
         cov = None if covering is None else float(_shift(spec.beta, covering))
-        columns = [radii, *_scaled(spec, distortion, spec.sigma - (spec.n - 1)), *_scaled(spec, growth, radii)]
+        m_bounds = _radial_bounds(spec, distortion, spec.sigma - (spec.n - 1))
+        columns = [radii, *m_bounds, *_radial_bounds(spec, growth, radii)]
         for values in zip(*(column.tolist() for column in columns)):
             rows.append(dict(zip(BOUNDS_COLUMNS, (spec.sigma, spec.n, spec.beta, *values, cov))))
     return rows

@@ -9,29 +9,29 @@ allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
 not a sampling artifact.  The envelope suites 3, 9 and 11 share one path:
 one (lower, upper) table per entry and radius of the untruncated bounds that
 `gft bounds` prints, which the two axis extremals must attain at x = +r,
-each summed against one table of r**k.  Each entry's bounds come from one
-call over all radii, and the table is built one (sigma, n) pair at a time:
-the pair's two iterates are built once and give every beta's extremal
-members, bit for bit as built on their own.  A truncated member stays below
-the exact upper bound with no allowance, and may undershoot the exact lower
-bound by at most its own dropped tail.  Suites 3 and 9 read the tail's
-coefficient bound off the last column of their multiplier tables, suite 11
-from one multiplier per entry; its tail is infinite at n = 0, where no
-lower envelope holds.
+each summed against one table of r**k.  The table is built one (sigma, n)
+pair at a time, as bounds_rows builds it: the pair's series comes from one
+call over all radii and is mapped for each beta, and the pair's two iterates
+are built once and give every beta's extremal members, bit for bit as built
+on their own.  A truncated member stays below the exact upper bound with no
+allowance, and may undershoot the exact lower bound by at most its own
+dropped tail.  Suites 3 and 9 read the tail's coefficient bound off the last
+column of their multiplier tables, suite 11 from one multiplier per entry;
+its tail is infinite at n = 0, where no lower envelope holds.
 
-Trial t of a suite draws its random members from the stream of
-default_rng((seed, suite, t)).  classes.trial_generators builds those
-generators: it computes their SeedSequence state words for a chunk of trials
-in one vectorised pass and seeds PCG64 from them directly.  Trials run in
-fixed blocks of _BLOCK: a block's members are drawn trial by trial, with two
-generator calls each, their atoms are put on the circle at once, and the
-members are expanded, iterated and tested as one stack of coefficient rows,
-all of whose circle values come from one FFT.  A suite builds the factors of
-its iterations once, one multiplier row per lattice entry (a row of ones for
-n = 0), and scales each block's rows by them.  Memory therefore does not
-depend on the trial count, and since every row gets the same elementwise
-operations as a member built on its own, reports are byte-identical to
-evaluating one member at a time.
+Trial t of suite k (22 for remark22) reads row t of one table of uniforms,
+default_rng((seed, k)).random((trials, width)): classes._DRAWS columns per
+random mixture, for its atom count, angles and weights, then suite 1's
+scale, or suites 4 and 12's second mixture and weight mu.  Trial t alone is
+the one row drawn after advancing the generator by t * width.  Trials run
+in fixed blocks of _BLOCK: a block draws the table's next rows with one
+call, reads their mixtures at once, and expands, iterates and tests the
+members as one stack of coefficient rows, all of whose circle values come
+from one FFT.  A suite builds the factors of its iterations once, one
+multiplier row per lattice entry (a row of ones for n = 0), and scales each
+block's rows by them.  Memory therefore does not depend on the trial count,
+and since every row gets the same elementwise operations as a member built
+on its own, reports are byte-identical to evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -39,19 +39,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
 from .classes import (
+    _DRAWS,
     ANGULAR_SAMPLES,
     GRID_TOLERANCE,
     RADII,
     ClassSpec,
-    _envelope,
+    _radial_bounds,
+    _radial_series,
     circle_values,
     covering_constant,
-    distortion_bounds,
     extremal_B_lower,
     extremal_B_upper,
     grid_tails,
@@ -61,7 +61,6 @@ from .classes import (
     random_members,
     random_mixtures,
     real_part_margins,
-    trial_generators,
     verdicts,
 )
 from .kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
@@ -164,16 +163,16 @@ def _pairs(lattice, pred):
     return sorted({(spec.sigma, spec.n) for spec in lattice if pred(spec)})
 
 
-def _blocks(trials: int, size: int, seed, *streams):
-    """(trial indices, entry index per trial, then its generators in each stream) for each block of _BLOCK trials.
+def _blocks(trials: int, size: int, seed, suite: int, width: int):
+    """(trial indices, entry index per trial, their rows of uniforms) for each block of _BLOCK trials.
 
-    Trial t tests entry t % size, as every suite cycles through its entries, and draws from
-    default_rng((seed, stream, t)) in each stream, built by one trial_generators per stream.
+    Trial t tests entry t % size, as every suite cycles through its entries, and reads row t of the table
+    default_rng((seed, suite)).random((trials, width)): each block draws the table's next rows.
     """
-    generators = [trial_generators((seed, stream), trials) for stream in streams]
+    rng = np.random.default_rng((seed, suite))
     for start in range(0, trials, _BLOCK):
         ts = range(start, min(start + _BLOCK, trials))
-        yield ts, np.array([t % size for t in ts]), *(list(islice(g, len(ts))) for g in generators)
+        yield ts, np.array([t % size for t in ts]), rng.random((len(ts), width))
 
 
 def _factors(image, start: int) -> np.ndarray:
@@ -205,13 +204,16 @@ def _class_margins(members: np.ndarray, betas: np.ndarray, mults: np.ndarray) ->
     return _iterated_P_margins(p_rows(members, betas), mults)
 
 
-def _sharp_envelopes(out, entries, bounds, extremals) -> np.ndarray:
-    """The table bounds(entry, RADII) of (lower, upper), shape (2, len(entries), len(RADII)), checked for sharpness.
+def _sharp_envelopes(out, entries, depth: int, factor, extremals) -> np.ndarray:
+    """The bounds (lower, upper) = factor(entry, r) (1 + 2 (1 - beta) S_{n + depth}(-+r)) at every r in RADII.
 
-    Entries are taken one (sigma, n) pair at a time: extremals(specs) yields, for each spec of one pair,
-    the rows (lows, ups) that must attain lower and upper at x = +r, to SHARPNESS_TOL, so a pair's
-    shared rows are built once and dropped before the next pair.  Each row is summed against one r**k
-    table by one dot product per circle, bit-identical to summing it on its own.
+    The table has shape (2, len(entries), len(RADII)) and is checked for sharpness.  Entries are taken one
+    (sigma, n) pair at a time, as in bounds_rows: one _radial_series call per pair, over all radii, mapped
+    for each entry by _radial_bounds, so the bounds are those `gft bounds` prints, bit for bit.
+    extremals(specs) yields, for each spec of one pair, the rows (lows, ups) that must attain lower and
+    upper at x = +r, to SHARPNESS_TOL, so a pair's shared rows are built once and dropped before the next
+    pair.  Each row is summed against one r**k table by one dot product per circle, bit-identical to
+    summing it on its own.
     """
     radii = np.array(RADII)
     env = np.empty((2, len(entries), len(RADII)))
@@ -220,8 +222,10 @@ def _sharp_envelopes(out, entries, bounds, extremals) -> np.ndarray:
     for i, entry in enumerate(entries):
         pairs.setdefault(entry.params, []).append(i)
     for group in pairs.values():
+        params = entries[group[0]].params
+        series = _radial_series(params.sigma, params.n + depth, radii)
         for i, rows in zip(group, extremals([entries[i] for i in group])):
-            env[0, i], env[1, i] = bounds(entries[i], radii)
+            env[0, i], env[1, i] = _radial_bounds(entries[i], series, factor(entries[i], radii))
             axis = np.array([[row @ circle[: row.size] for circle in powers] for row in rows]).real
             out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, i])))
     return env
@@ -255,9 +259,9 @@ def _suite_1(lattice, trials, seed, out):
     order = default_order()
     ones = TruncatedSeries(np.ones(order + 1))
     steps = np.array([_factors(iterate_step_closed(sigma, n, ones), 1) for sigma, n in pairs])
-    for ts, idx, rngs in _blocks(trials, len(pairs), seed, 1):
-        q = herglotz_rows(*random_mixtures(rngs), order)
-        scale = np.array([rng.uniform(0.05, 1.0) for rng in rngs])
+    for ts, idx, u in _blocks(trials, len(pairs), seed, 1, _DRAWS + 1):
+        q = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
+        scale = 0.05 + 0.95 * u[:, _DRAWS]  # uniform(0.05, 1.0), as numpy computes it
         gamma = np.array([gammas[t % len(gammas)] for t in ts])
         q[:, 1:] *= ((1.0 - gamma) * scale)[:, None]
         q[:, 1:] *= steps[idx]
@@ -276,8 +280,8 @@ def _suite_2(lattice, trials, seed, out):
     order = default_order()
     deeper = _mults([(sigma, n + 1) for sigma, n in pairs], order)
     mults = _mults(pairs, order)
-    for _, idx, rngs in _blocks(trials, len(pairs), seed, 2):
-        p = herglotz_rows(*random_mixtures(rngs), order)
+    for _, idx, u in _blocks(trials, len(pairs), seed, 2, _DRAWS):
+        p = herglotz_rows(*random_mixtures(u), order)
         p[:, 1:] *= deeper[idx]
         out.add_tests(*_iterated_P_margins(p, mults[idx]))
 
@@ -288,14 +292,15 @@ def _suite_3(lattice, trials, seed, out):
     env = _sharp_envelopes(
         out,
         [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs],
-        lambda spec, r: _envelope(spec, spec.n, r, 1.0),
+        0,
+        lambda spec, r: 1.0,
         lambda specs: ([extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs for sign in (-1, 1)] for spec in specs),
     )
     order = default_order()
     mults = _mults(pairs, order)
     tails = grid_tails(2.0 * mults[:, -1], order)
-    for _, idx, rngs in _blocks(trials, len(pairs), seed, 3):
-        p = herglotz_rows(*random_mixtures(rngs), order)
+    for _, idx, u in _blocks(trials, len(pairs), seed, 3, _DRAWS):
+        p = herglotz_rows(*random_mixtures(u), order)
         p[:, 1:] *= mults[idx]
         values = circle_values(p)
         _envelope_margins(out, values.real.min(axis=-1), np.abs(values).max(axis=-1), env[:, idx], tails[idx])
@@ -309,12 +314,12 @@ def _suite_4(lattice, trials, seed, out):
         return
     order = default_order()
     mults = _mults(pairs, order)
-    for _, idx, rngs in _blocks(trials, len(pairs), seed, 4):
-        p = herglotz_rows(*random_mixtures(rngs), order)
-        q = herglotz_rows(*random_mixtures(rngs), order)
+    for _, idx, u in _blocks(trials, len(pairs), seed, 4, 2 * _DRAWS + 1):
+        p = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
+        q = herglotz_rows(*random_mixtures(u[:, _DRAWS:-1]), order)
         p[:, 1:] *= mults[idx]
         q[:, 1:] *= mults[idx]
-        mu = np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
+        mu = u[:, -1:]
         out.add_tests(*_iterated_P_margins(mu * p + (1.0 - mu) * q, mults[idx]))
 
 
@@ -327,8 +332,8 @@ def _suite_5(lattice, trials, seed, out):
     order = default_order()
     deeper = _mults([(spec.sigma, spec.n + 1) for spec in entries], order - 1)
     mults, betas = _member_tables(entries, order - 1)
-    for _, idx, rngs in _blocks(trials, len(entries), seed, 5):
-        f = random_members(rngs, deeper[idx], betas[idx])
+    for _, idx, u in _blocks(trials, len(entries), seed, 5, _DRAWS):
+        f = random_members(u, deeper[idx], betas[idx])
         out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
 
 
@@ -355,9 +360,9 @@ def _suite_6(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
     mults, betas = _member_tables(entries, default_order() - 1)
-    for _, idx, rngs in _blocks(trials, len(entries), seed, 6):
+    for _, idx, u in _blocks(trials, len(entries), seed, 6, _DRAWS):
         beta = betas[idx]
-        f = random_members(rngs, mults[idx], beta)
+        f = random_members(u, mults[idx], beta)
         derivative = np.arange(1, f.shape[-1]) * f[:, 1:]  # differentiate, row by row
         observed, padded = real_part_margins(derivative, beta, 2.0 * (1.0 - beta))
         out.add_tests(observed, padded)
@@ -373,8 +378,8 @@ def _suite_7(lattice, trials, seed, out):
     for spec, bound in zip(lattice, bounds):
         ext = extremal_B_upper(spec, order)
         out.add(COEFF_TOL - float(np.max(np.abs(np.abs(ext.coeffs[2:]) - bound))))
-    for _, idx, rngs in _blocks(trials, len(lattice), seed, 7):
-        f = random_members(rngs, mults[idx], betas[idx])
+    for _, idx, u in _blocks(trials, len(lattice), seed, 7, _DRAWS):
+        f = random_members(u, mults[idx], betas[idx])
         out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
 
 
@@ -388,20 +393,21 @@ def _suite_8(lattice, trials, seed, out):
     ones = SchlichtSeries.from_coeffs(np.r_[0.0, np.ones(order)])
     means = np.array([_factors(bernardi(spec.sigma - spec.n - 1.0, ones), 2) for spec in entries])
     mults, betas = _member_tables(entries, order - 1)
-    for _, idx, rngs in _blocks(trials, len(entries), seed, 8):
-        f = random_members(rngs, mults[idx], betas[idx])
+    for _, idx, u in _blocks(trials, len(entries), seed, 8, _DRAWS):
+        f = random_members(u, mults[idx], betas[idx])
         f[:, 2:] *= means[idx]
         out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
 
 
 def _suite_9(lattice, trials, seed, out):
     """Growth envelope for members, attained on the axis by the two extremals."""
-    env = _sharp_envelopes(out, lattice, growth_bounds, _B_extremals)
+    # growth_bounds: r (1 + 2 (1 - beta) S_n(-+r))
+    env = _sharp_envelopes(out, lattice, 0, lambda spec, r: r, _B_extremals)
     order = default_order()
     mults, betas = _member_tables(lattice, order - 1)
     tails = np.array(RADII) * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order - 1)
-    for _, idx, rngs in _blocks(trials, len(lattice), seed, 9):
-        f = random_members(rngs, mults[idx], betas[idx])
+    for _, idx, u in _blocks(trials, len(lattice), seed, 9, _DRAWS):
+        f = random_members(u, mults[idx], betas[idx])
         modulus = np.abs(circle_values(f))
         _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
@@ -455,7 +461,8 @@ def _suite_11(lattice, trials, seed, out):
     env = _sharp_envelopes(
         out,
         lattice,
-        distortion_bounds,
+        -1,  # distortion_bounds: (sigma - n + 1) (1 + 2 (1 - beta) S_{n - 1}(-+r))
+        lambda spec, r: spec.sigma - (spec.n - 1),
         lambda specs: (_derivative_combo(s.sigma - s.n, rows) for s, rows in zip(specs, _B_extremals(specs))),
     )
     order = default_order()
@@ -471,9 +478,9 @@ def _suite_11(lattice, trials, seed, out):
         for m in range(1, spec.n + 1)
     }
     mults, betas = _member_tables(lattice, order - 1)
-    for _, idx, rngs in _blocks(trials, len(lattice), seed, 11):
+    for _, idx, u in _blocks(trials, len(lattice), seed, 11, _DRAWS):
         specs = [lattice[i] for i in idx]
-        p0 = herglotz_rows(*random_mixtures(rngs), order - 1)
+        p0 = herglotz_rows(*random_mixtures(u), order - 1)
         # the step chain p0 -> p1 -> .. -> p_n of every row, one level at a time
         live, prev = np.arange(len(specs)), p0
         for m in range(1, max(spec.n for spec in specs) + 1):
@@ -494,10 +501,10 @@ def _suite_11(lattice, trials, seed, out):
 def _suite_12(lattice, trials, seed, out):
     """Convex combinations of members stay in the class."""
     mults, betas = _member_tables(lattice, default_order() - 1)
-    for _, idx, f_rngs, h_rngs, mu_rngs in _blocks(trials, len(lattice), seed, 12, 120, 121):
-        f = p_rows(random_members(f_rngs, mults[idx], betas[idx]), betas[idx])
-        h = p_rows(random_members(h_rngs, mults[idx], betas[idx]), betas[idx])
-        mu = np.array([rng.uniform(0.0, 1.0) for rng in mu_rngs])[:, None]
+    for _, idx, u in _blocks(trials, len(lattice), seed, 12, 2 * _DRAWS + 1):
+        f = p_rows(random_members(u[:, :_DRAWS], mults[idx], betas[idx]), betas[idx])
+        h = p_rows(random_members(u[:, _DRAWS:-1], mults[idx], betas[idx]), betas[idx])
+        mu = u[:, -1:]
         out.add_tests(*_iterated_P_margins(mu * f + (1.0 - mu) * h, mults[idx]))
 
 
@@ -508,8 +515,8 @@ def _suite_remark22(lattice, trials, seed, out):
     ones = TruncatedSeries(np.ones(order + 1))
     single = np.array([_factors(salagean_iterate(sigma, 1, ones), 1) for sigma in sigmas])
     mults = _mults([(sigma, 1) for sigma in sigmas], order)
-    for _, idx, rngs in _blocks(trials, len(sigmas), seed, 22):
-        p = herglotz_rows(*random_mixtures(rngs), order)
+    for _, idx, u in _blocks(trials, len(sigmas), seed, 22, _DRAWS):
+        p = herglotz_rows(*random_mixtures(u), order)
         a = p.copy()
         a[:, 1:] *= mults[idx]
         p[:, 1:] *= single[idx]
@@ -566,7 +573,7 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
         verdict=verdict,
         worst_margin=margins.worst,
         trials=int(trials),
-        seed=int(seed) if np.isscalar(seed) else seed,
+        seed=int(seed) if isinstance(seed, np.integer) else seed,  # numpy integers as int, for JSON
         lattice=[{"sigma": s.sigma, "n": s.n, "beta": s.beta} for s in lattice],
         grid={"radii": list(RADII), "angular_samples": ANGULAR_SAMPLES, "tolerance": GRID_TOLERANCE},
         notes=margins.notes,

@@ -1,7 +1,7 @@
 """Verification harness: suite plumbing, determinism, and critical-point certificates of non-univalence.
 
 A zero of f' inside the disk proves f is not univalent there; the pinned
-sigma > n member below has one at |z| = 0.756.
+sigma > n member below has one at |z| = 0.766.
 """
 
 import json
@@ -17,6 +17,7 @@ from gft.kernels import OperatorParams, extremal_iterate
 from gft.series import differentiate, evaluate
 from gft.verify import (
     _BLOCK,
+    _DRAWS,
     SHARP_ORDER,
     SHARPNESS_TOL,
     SUITE_ORDER,
@@ -152,16 +153,16 @@ def test_member_with_dominant_depth_parameter_can_lose_injectivity():
     """Pinned example: a genuine class member whose restriction fails.
 
     For sigma > n the class contains members whose derivative vanishes inside
-    the disk; this seed reproduces one with f' = 0 at |z| = 0.756, 0.821 and
-    0.850, so f is not univalent on |z| < 0.9, and Re f' < 0 somewhere on
+    the disk; this seed reproduces one with f' = 0 at |z| = 0.766, 0.818 and
+    0.872, so f is not univalent on |z| < 0.9, and Re f' < 0 somewhere on
     |z| = 0.9.  It is why the bounded-turning suite only runs entries with
     sigma <= n.
     """
     spec = ClassSpec(OperatorParams(2.0, 1))
-    f = random_member_B(spec, (0, 6, 8))
+    f = random_member_B(spec, (0, 6, 1))
     assert is_in_B(f, spec)
     inside = [z for z in _critical_points(f.coeffs) if abs(z) < 0.9]
-    assert np.allclose(np.abs(inside), [0.7556, 0.8213, 0.8501], atol=1e-4)
+    assert np.allclose(np.abs(inside), [0.7662, 0.8184, 0.8717], atol=1e-4)
     derivative = differentiate(f)
     assert all(abs(evaluate(derivative, z)) < 1e-12 for z in inside)
     turning = real_part_test(differentiate(f), 0.0, coeff_bound=2.0)
@@ -169,16 +170,17 @@ def test_member_with_dominant_depth_parameter_can_lose_injectivity():
 
 
 def _move_bounds(monkeypatch, lower_by, upper_by):
-    """Replace the envelopes the suites read, verify's _envelope, growth_bounds and distortion_bounds, by moved copies.
+    """Replace _radial_bounds, which maps each entry's series to the bounds that the suites and `gft bounds` read.
 
-    Only verify's names are replaced: growth_bounds and distortion_bounds call classes._envelope, so each moves once.
+    Only verify's name is replaced, so the suites read moved bounds and classes keeps the exact ones.
     """
-    for name in ("_envelope", "growth_bounds", "distortion_bounds"):
-        def moved(*args, exact=getattr(verify, name)):
-            lower, upper = exact(*args)
-            return lower + lower_by, upper + upper_by
+    exact = verify._radial_bounds
 
-        monkeypatch.setattr(verify, name, moved)
+    def moved(*args):
+        lower, upper = exact(*args)
+        return lower + lower_by, upper + upper_by
+
+    monkeypatch.setattr(verify, "_radial_bounds", moved)
 
 
 def test_envelope_suites_check_the_printed_bounds(monkeypatch):
@@ -206,7 +208,7 @@ def test_membership_suites_name_the_radii_they_cannot_fail_at(monkeypatch):
     assert "r = 0.9 " not in loose[0] and "r = 0.5 " not in loose[0]
     # suite 1's step images have coefficients up to 2 |1 - gamma| scale, so r = 0.99 is loose there too
     step = [note for note in run_suite("1").notes if note.startswith("truncation allowance of 1 or more")]
-    assert len(step) == 1 and "r = 0.99 (at least 1.164)" in step[0]
+    assert len(step) == 1 and "r = 0.99 (at least 1.085)" in step[0]
     # suite 7 runs no real-part test, so it gives no slack to report
     assert not any(note.startswith("truncation allowance") for note in run_suite("7", trials=4).notes)
     for module in (classes, verify):
@@ -218,9 +220,7 @@ def test_membership_suites_name_the_radii_they_cannot_fail_at(monkeypatch):
 
 def test_a_nan_margin_fails_the_suite(monkeypatch):
     """A check that yields NaN counts as a failure, not as a check that never ran."""
-    nan_bounds = lambda spec, r: (math.nan, math.nan)  # noqa: E731
-    monkeypatch.setattr(classes, "growth_bounds", nan_bounds)
-    monkeypatch.setattr(verify, "growth_bounds", nan_bounds)
+    monkeypatch.setattr(verify, "_radial_bounds", lambda spec, series, factor: (math.nan, math.nan))
     report = run_suite("9", trials=1)
     assert report.verdict == "fail" and math.isnan(report.worst_margin)
     assert "no checks ran for this lattice" not in report.notes
@@ -242,8 +242,8 @@ def test_custom_lattice_restricts_the_report():
 def test_suite_memory_does_not_grow_with_trials():
     """Trials run in fixed blocks, so two hundred blocks of trials peak within 10% of one block.
 
-    At that count, the 32 bytes of seed words per trial would break the margin if they were computed
-    for every trial at once rather than one chunk at a time.
+    At that count, a suite's whole table of uniforms, 136 bytes per trial, would break the margin if it
+    were drawn at once rather than one block of rows at a time.
     """
     run_suite("2", trials=_BLOCK)  # warm up first, so one-time allocations count in neither peak
     peaks = []
@@ -257,18 +257,47 @@ def test_suite_memory_does_not_grow_with_trials():
     assert peaks[1] <= 1.1 * peaks[0]
 
 
-# sequence and big-integer seeds, each checked against generators seeded by numpy itself
+@pytest.mark.parametrize("width", [_DRAWS, _DRAWS + 1, 2 * _DRAWS + 1])
+def test_blocks_read_the_rows_of_one_seeded_table(width):
+    """The blocks' rows, partial last block included, are one default_rng((seed, suite)) draw of the table.
+
+    Row t is also drawn alone after advancing the generator by t * width.
+    """
+    trials, seed, suite = 2 * _BLOCK + 5, (7, 2**64 + 1), 4
+    blocks = list(verify._blocks(trials, 3, seed, suite, width))
+    starts = range(0, trials, _BLOCK)
+    assert [list(ts) for ts, _, _ in blocks] == [list(range(s, min(s + _BLOCK, trials))) for s in starts]
+    assert np.concatenate([idx for _, idx, _ in blocks]).tolist() == [t % 3 for t in range(trials)]
+    table = np.random.default_rng((seed, suite)).random((trials, width))
+    assert np.concatenate([u for _, _, u in blocks]).tobytes() == table.tobytes()
+    for t in (0, _BLOCK + 1, trials - 1):
+        rng = np.random.default_rng((seed, suite))
+        rng.bit_generator.advance(t * width)
+        assert rng.random(width).tobytes() == table[t].tobytes()
+
+
+# sequence and big-integer seeds, all read by numpy itself
 @pytest.mark.parametrize("seed", [(1, (2, 3)), [4, 5], 2**40 + 3, 2**95 + 1])
 def test_reports_keep_the_streams_of_numpy_seeded_generators(monkeypatch, seed):
-    """Every trial suite gives the report it gave with default_rng((seed, stream, t)) for trial t."""
+    """Every trial suite gives the same report when trial t draws its row alone from default_rng((seed, suite))."""
     fast = {key: run_suite(key, trials=_BLOCK + 3, seed=seed).to_json() for key in verify.SUITE_ORDER}
 
-    def numpy_seeded(prefix, count):
-        return (np.random.default_rng((*prefix, t)) for t in range(count))
+    def one_row_at_a_time(trials, size, seed, suite, width):
+        for t in range(trials):
+            rng = np.random.default_rng((seed, suite))
+            rng.bit_generator.advance(t * width)
+            yield range(t, t + 1), np.array([t % size]), rng.random((1, width))
 
-    monkeypatch.setattr(verify, "trial_generators", numpy_seeded)
+    monkeypatch.setattr(verify, "_blocks", one_row_at_a_time)
     for key, report in fast.items():
         assert report == run_suite(key, trials=_BLOCK + 3, seed=seed).to_json()
+
+
+def test_seeds_are_reported_as_given():
+    """A numeric string seeds as numpy reads it, and a numpy integer is reported as an int."""
+    reports = [json.loads(run_suite("7", trials=3, seed=seed).to_json()) for seed in ("0x1f", 31, np.uint8(31))]
+    assert [report.pop("seed") for report in reports] == ["0x1f", 31, 31]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_a_negative_seed_is_rejected():
