@@ -1,112 +1,90 @@
-"""Truncated power series, disk convolution operators, and sharp-bound verification."""
+"""Truncated power series, disk convolution operators, and sharp-bound verification.
 
-from .classes import (
-    ClassSpec,
-    MembershipResult,
-    bounds_rows,
-    covering_constant,
-    distortion_bounds,
-    extremal_B_lower,
-    extremal_B_upper,
-    growth_bounds,
-    inflate_to_non_member,
-    is_in_B,
-    membership_in_B,
-    membership_in_B_direct,
-    membership_in_P,
-    membership_in_iterated_P,
-    min_re_on_circle,
-    random_member_B,
-    write_bounds_csv,
-)
-from .kernels import (
-    OperatorParams,
-    extremal_iterate,
-    multiplier,
-    pochhammer,
-    tau_coeffs,
-    tau_inv_coeffs,
-)
-from .operators import (
-    apply_L,
-    apply_l,
-    bernardi,
-    deiterate,
-    iterate_closed,
-    iterate_quadrature_step,
-    iterate_step_closed,
-    noor,
-    recurrence_residual,
-    ruscheweyh,
-    salagean_iterate,
-)
-from .series import (
-    HerglotzMixture,
-    SchlichtSeries,
-    TruncatedSeries,
-    combine_convex,
-    convolve,
-    default_order,
-    differentiate,
-    evaluate,
-    from_json,
-    herglotz_expand,
-    shift_to_beta,
-    to_json,
-)
-from .verify import VerificationReport, default_lattice, run_all, run_suite
+Submodules load on first use (PEP 562): each public name below is read from
+its home module the first time it is accessed, and then kept here, so
+`import gft` compiles and runs none of them.  `gft.verify`, `gft.classes`
+and the other submodules load the same way, on first attribute access.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassSpec",
-    "HerglotzMixture",
-    "MembershipResult",
-    "OperatorParams",
-    "SchlichtSeries",
-    "TruncatedSeries",
-    "VerificationReport",
-    "apply_L",
-    "apply_l",
-    "bernardi",
-    "bounds_rows",
-    "combine_convex",
-    "convolve",
-    "covering_constant",
-    "default_lattice",
-    "default_order",
-    "deiterate",
-    "differentiate",
-    "distortion_bounds",
-    "evaluate",
-    "extremal_B_lower",
-    "extremal_B_upper",
-    "extremal_iterate",
-    "from_json",
-    "growth_bounds",
-    "herglotz_expand",
-    "inflate_to_non_member",
-    "is_in_B",
-    "iterate_closed",
-    "iterate_quadrature_step",
-    "iterate_step_closed",
-    "membership_in_B",
-    "membership_in_B_direct",
-    "membership_in_P",
-    "membership_in_iterated_P",
-    "min_re_on_circle",
-    "multiplier",
-    "noor",
-    "pochhammer",
-    "random_member_B",
-    "recurrence_residual",
-    "ruscheweyh",
-    "run_all",
-    "run_suite",
-    "salagean_iterate",
-    "shift_to_beta",
-    "tau_coeffs",
-    "tau_inv_coeffs",
-    "to_json",
-    "write_bounds_csv",
-]
+# Home module of every public name.
+_HOMES = {
+    "classes": (
+        "ClassSpec",
+        "MembershipResult",
+        "bounds_rows",
+        "covering_constant",
+        "default_lattice",
+        "distortion_bounds",
+        "extremal_B_lower",
+        "extremal_B_upper",
+        "growth_bounds",
+        "inflate_to_non_member",
+        "is_in_B",
+        "membership_in_B",
+        "membership_in_B_direct",
+        "membership_in_P",
+        "membership_in_iterated_P",
+        "min_re_on_circle",
+        "random_member_B",
+        "write_bounds_csv",
+    ),
+    "kernels": (
+        "OperatorParams",
+        "extremal_iterate",
+        "multiplier",
+        "pochhammer",
+        "tau_coeffs",
+        "tau_inv_coeffs",
+    ),
+    "operators": (
+        "apply_L",
+        "apply_l",
+        "bernardi",
+        "deiterate",
+        "iterate_closed",
+        "iterate_quadrature_step",
+        "iterate_step_closed",
+        "noor",
+        "recurrence_residual",
+        "ruscheweyh",
+        "salagean_iterate",
+    ),
+    "series": (
+        "HerglotzMixture",
+        "SchlichtSeries",
+        "TruncatedSeries",
+        "combine_convex",
+        "convolve",
+        "default_order",
+        "differentiate",
+        "evaluate",
+        "from_json",
+        "herglotz_expand",
+        "shift_to_beta",
+        "to_json",
+    ),
+    "verify": ("VerificationReport", "run_all", "run_suite"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = ("classes", "cli", "kernels", "operators", "series", "verify")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Load a public name or a submodule the first time it is asked for."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -35,6 +35,11 @@ RADII = (0.5, 0.9, 0.99)
 ANGULAR_SAMPLES = 720
 GRID_TOLERANCE = 1e-9
 
+# The default (sigma, n, beta) lattice of `gft bounds` and the verification suites.
+DEFAULT_SIGMAS = (0.5, 1.0, 2.0, 3.5)
+DEFAULT_NS = (0, 1, 2, 3)
+DEFAULT_BETAS = (0.0, 0.25, 0.5, 0.9)
+
 _MAX_ATOMS = 8  # random mixtures have 1 to 8 atoms
 # Uniforms one random mixture reads: its atom count, then _MAX_ATOMS angles and _MAX_ATOMS raw weights.
 _DRAWS = 1 + 2 * _MAX_ATOMS
@@ -58,6 +63,18 @@ class ClassSpec:
     @property
     def n(self) -> int:
         return self.params.n
+
+
+def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
+    """Every valid (sigma, n, beta) from the given sets; invalid (sigma, n) pairs are skipped."""
+    out = []
+    for sigma in sigmas:
+        for n in ns:
+            if sigma - (n - 1) <= 0.0:
+                continue
+            for beta in betas:
+                out.append(ClassSpec(OperatorParams(sigma, n), beta))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -300,7 +317,7 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
         geometric = x / (1.0 - x)
         return geometric if n == 0 else geometric + x / (1.0 - x) ** 2 / (sigma + 1.0)
     a = sigma - (n - 1.0)
-    t, s, w = _quadrature_nodes()
+    t, s, w, _ = _quadrature_nodes()
     if n >= 2:
         m, rest = a / (a + n - 1.0), (n - 1.0) / (a + n - 1.0)  # the mode and 1 - m, both without cancellation
         t, s = np.concatenate([m * t, m + rest * t]), np.concatenate([rest + m * s, rest * s])

@@ -5,6 +5,9 @@ a normalized series file), iterate (closed-form iteration of a unit-constant
 series), extremal (emit extremal series), bounds (closed-form bound table as
 CSV), verify (run a theorem suite).  Exit codes: 0 success, 1 suite failure,
 2 usage or validation error.
+
+Each subcommand imports the parts of gft it uses when it runs, so `gft
+bounds` never loads the verification suites.
 """
 
 from __future__ import annotations
@@ -15,27 +18,6 @@ import json
 import sys
 
 import numpy as np
-
-from .classes import (
-    RADII,
-    ClassSpec,
-    bounds_rows,
-    extremal_B_lower,
-    extremal_B_upper,
-    write_bounds_csv,
-)
-from .kernels import OperatorParams, extremal_iterate, tau_coeffs, tau_inv_coeffs
-from .operators import apply_L, apply_l, bernardi, deiterate, iterate_closed, noor, ruscheweyh
-from .series import SchlichtSeries, from_json, to_json
-from .verify import (
-    DEFAULT_BETAS,
-    DEFAULT_NS,
-    DEFAULT_SIGMAS,
-    SUITE_ORDER,
-    default_lattice,
-    run_all,
-    run_suite,
-)
 
 
 def _joined(values) -> str:
@@ -89,14 +71,17 @@ def _build_parser() -> argparse.ArgumentParser:
     extremal.add_argument("--out", default=None)
 
     bounds = sub.add_parser("bounds", help="closed-form bound table as CSV")
-    bounds.add_argument("--sigma", default=_joined(DEFAULT_SIGMAS), help="comma-separated values")
-    bounds.add_argument("--n", default=_joined(DEFAULT_NS), help="comma-separated values")
-    bounds.add_argument("--beta", default=_joined(DEFAULT_BETAS), help="comma-separated values")
-    bounds.add_argument("--radii", default=_joined(RADII), help="comma-separated values")
+    # the defaults are the lattice and radii of classes, filled in by _cmd_bounds
+    for flag in ("--sigma", "--n", "--beta", "--radii"):
+        bounds.add_argument(flag, default=None, help="comma-separated values")
     bounds.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--theorem", required=True, help=f"one of {', '.join(SUITE_ORDER)}, or 'all'")
+    verify.add_argument(
+        "--theorem",
+        required=True,
+        help="a suite id, such as 7 or remark22, or 'all'; an unknown id lists the known ones",
+    )
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", default=None)
@@ -113,6 +98,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _read_schlicht(path: str) -> SchlichtSeries:
+    from .series import SchlichtSeries, from_json
+
     with open(path, "r", encoding="utf-8") as handle:
         return SchlichtSeries(from_json(handle.read()))
 
@@ -125,6 +112,9 @@ def _parse_floats(text: str, flag: str) -> list:
 
 
 def _cmd_kernel(args) -> int:
+    from .kernels import OperatorParams, tau_coeffs, tau_inv_coeffs
+    from .series import to_json
+
     params = OperatorParams(args.sigma, args.n)
     series = tau_inv_coeffs(params, args.order) if args.inverse else tau_coeffs(params, args.order)
     _emit(to_json(series), args.out)
@@ -132,6 +122,10 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .kernels import OperatorParams
+    from .operators import apply_L, apply_l, bernardi, noor, ruscheweyh
+    from .series import to_json
+
     f = _read_schlicht(args.infile)
     if args.op in ("L", "l"):
         if args.sigma is None or args.n is None:
@@ -151,6 +145,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    from .kernels import OperatorParams
+    from .operators import deiterate, iterate_closed
+    from .series import from_json, to_json
+
     with open(args.infile, "r", encoding="utf-8") as handle:
         p = from_json(handle.read())
     params = OperatorParams(args.sigma, args.n)
@@ -160,6 +158,10 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .classes import ClassSpec, extremal_B_lower, extremal_B_upper
+    from .kernels import OperatorParams, extremal_iterate
+    from .series import to_json
+
     minimum = 1 if args.family == "iterate" else 2
     if args.order is not None and args.order < minimum:
         raise ValueError(f"--order must be >= {minimum} for --family {args.family}, got {args.order}")
@@ -174,12 +176,24 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    sigmas = _parse_floats(args.sigma, "--sigma")
-    ns = _parse_floats(args.n, "--n")
+    from .classes import (
+        DEFAULT_BETAS,
+        DEFAULT_NS,
+        DEFAULT_SIGMAS,
+        RADII,
+        bounds_rows,
+        default_lattice,
+        write_bounds_csv,
+    )
+
+    flags = ((args.sigma, DEFAULT_SIGMAS), (args.n, DEFAULT_NS), (args.beta, DEFAULT_BETAS), (args.radii, RADII))
+    sigma, n, beta, radius = (_joined(default) if text is None else text for text, default in flags)
+    sigmas = _parse_floats(sigma, "--sigma")
+    ns = _parse_floats(n, "--n")
     if not all(v.is_integer() for v in ns):
-        raise ValueError(f"--n expects comma-separated integers, got {args.n!r}")
-    betas = _parse_floats(args.beta, "--beta")
-    radii = _parse_floats(args.radii, "--radii")
+        raise ValueError(f"--n expects comma-separated integers, got {n!r}")
+    betas = _parse_floats(beta, "--beta")
+    radii = _parse_floats(radius, "--radii")
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError("--radii values must lie strictly between 0 and 1")
     specs = default_lattice(sigmas, [int(v) for v in ns], betas)
@@ -193,6 +207,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITE_ORDER, run_all, run_suite
+
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.theorem == "all":

@@ -107,8 +107,8 @@ def tau_inv_coeffs(params: OperatorParams, order: int | None = None) -> Truncate
     """Hadamard inverse of the kernel: reciprocal coefficients for k >= 1, zero constant."""
     t = tau_coeffs(params, order)
     c = np.zeros_like(t.coeffs)
-    # a subnormal kernel coefficient has no finite reciprocal; TruncatedSeries rejects the result
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a kernel coefficient that is subnormal or 0 has no finite reciprocal; TruncatedSeries rejects the result
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c[1:] = 1.0 / t.coeffs[1:]
     return TruncatedSeries(c)
 

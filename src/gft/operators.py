@@ -27,7 +27,7 @@ from .series import (
 
 @functools.cache
 def _quadrature_nodes() -> tuple:
-    """Composite Gauss-Legendre-12 nodes t, their complements 1 - t, and weights on [0, 1].
+    """Composite Gauss-Legendre-12 nodes t, their complements 1 - t, weights on [0, 1], and log t.
 
     The panels on [0, 1/2] are [2**-(j + 2), 2**-(j + 1)] for j < 64, the
     last reaching 0, and those on [1/2, 1] are their mirror images: they
@@ -35,8 +35,9 @@ def _quadrature_nodes() -> tuple:
     factors t**a and (1 - t)**a with a > -1 are resolved to near machine
     accuracy; a uniform split cannot reach 1e-8 once a < 0.  t on the left
     half and 1 - t on the right half are halved Gauss nodes, so the distance
-    to the nearer endpoint is exact.  2 x 64 x 12 nodes, built once and
-    shared, so all three arrays are read-only.
+    to the nearer endpoint is exact, and log t is taken from whichever of t
+    and 1 - t is exact.  2 x 64 x 12 nodes, built once and shared, so all
+    four arrays are read-only.
     """
     x, w = np.polynomial.legendre.leggauss(12)
     hi = 0.5 ** np.arange(64)
@@ -44,7 +45,11 @@ def _quadrature_nodes() -> tuple:
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     u = (mid[:, None] + half[:, None] * x).ravel() / 2.0
     wu = (half[:, None] * w).ravel() / 2.0
-    out = np.concatenate([u, 1.0 - u]), np.concatenate([1.0 - u, u]), np.concatenate([wu, wu])
+    t, s = np.concatenate([u, 1.0 - u]), np.concatenate([1.0 - u, u])
+    # np.where discards the log of 0 it also forms where 1 - t rounds to 1
+    with np.errstate(divide="ignore"):
+        log_t = np.where(t < s, np.log(t), np.log1p(-s))
+    out = t, s, np.concatenate([wu, wu]), log_t
     for a in out:
         a.setflags(write=False)
     return out
@@ -58,7 +63,9 @@ def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
     """
     if f.order < 2:
         return f
-    return _scaled(f, 2, 1.0 / multiplier_row(params.sigma, params.n, f.order - 1))
+    # a multiplier that underflows to 0 has no finite reciprocal; TruncatedSeries rejects the result
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _scaled(f, 2, 1.0 / multiplier_row(params.sigma, params.n, f.order - 1))
 
 
 def apply_l(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
@@ -84,12 +91,18 @@ def noor(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
     return SchlichtSeries(convolve(f.inner, t))
 
 
+def _step_lambda(sigma: float, m: int) -> float:
+    """lam = sigma - (m - 1) of integration step m, which must be finite and positive; a NaN sigma fails too."""
+    lam = sigma - (m - 1.0)
+    if m < 1 or not 0.0 < lam < np.inf:
+        raise ValueError("step m needs m >= 1 and a finite sigma - (m - 1) > 0")
+    return lam
+
+
 def iterate_step_closed(sigma: float, m: int, p: TruncatedSeries) -> TruncatedSeries:
     """Single radial integration step in closed form: c_k -> (sigma - m + 1) / (sigma - m + 1 + k) c_k."""
-    if m < 1 or sigma - (m - 1) <= 0.0:
-        raise ValueError("step m needs m >= 1 and sigma - (m - 1) > 0")
+    lam = _step_lambda(sigma, m)
     k = np.arange(1, p.order + 1)
-    lam = sigma - (m - 1.0)
     return _scaled(p, 1, lam / (lam + k))
 
 
@@ -105,7 +118,9 @@ def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
     """Inverse of iterate_closed: divide coefficient k by multiplier(sigma, n, k)."""
     if params.n == 0:
         return q
-    return _scaled(q, 1, multiplier_row(params.sigma, params.n, q.order), np.divide)
+    # a subnormal multiplier has no finite quotient; TruncatedSeries rejects the result
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _scaled(q, 1, multiplier_row(params.sigma, params.n, q.order), np.divide)
 
 
 def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: complex) -> complex:
@@ -121,18 +136,14 @@ def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: co
     coefficient multiplier enters, so the result is an independent check on
     the closed form.
     """
-    if m < 1 or sigma - (m - 1) <= 0.0:
-        raise ValueError("step m needs m >= 1 and sigma - (m - 1) > 0")
+    lam = _step_lambda(sigma, m)
     z = complex(z)
     if z == 0:
         raise ValueError("z = 0 is excluded; the limiting value is p(0)")
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # written so that a NaN point fails too
         raise ValueError("quadrature point must satisfy 0 < |z| < 1")
-    v, one_minus_v, w = _quadrature_nodes()
-    lam = sigma - (m - 1.0)
-    # log v from whichever of v and 1 - v is exact; np.where discards the log of 0 it also forms
-    with np.errstate(divide="ignore", over="ignore"):
-        log_v = np.where(v < one_minus_v, np.log(v), np.log1p(-one_minus_v))
+    _, _, w, log_v = _quadrature_nodes()
+    with np.errstate(over="ignore"):  # a tiny lam overflows log v / lam to -inf, which exp takes to 0
         u = np.exp(log_v / lam)
     return complex(np.sum(w * evaluate_grid(p_prev, u * z)))
 

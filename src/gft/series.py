@@ -6,8 +6,9 @@ evaluation has a tail.  The tail convention used by all circle checks is
 B * r**(N+1) / (1 - r) for a series whose dropped coefficients are bounded
 by B.  Every circle check evaluates through one kernel, evaluate_circle,
 which gets the values at equally spaced points on any number of circles
-from one batched FFT; evaluate_grid's Horner loop serves points off those
-grids.
+from one batched FFT.  evaluate_grid's Horner loop serves points off those
+grids, such as the quadrature oracle's nodes, and runs in place in one
+buffer per call.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def evaluate(s, z: complex) -> complex:
     vector complex arithmetic can differ from it in the last bit.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # written so that a NaN point fails too
         raise ValueError("evaluation point must satisfy |z| < 1")
     acc = 0.0 + 0.0j
     for c in s.coeffs[::-1]:
@@ -148,13 +149,19 @@ def evaluate(s, z: complex) -> complex:
 
 
 def evaluate_grid(s, points) -> np.ndarray:
-    """Vectorized Horner evaluation at an array of points inside the disk."""
+    """Vectorized Horner evaluation at an array of points inside the disk.
+
+    The loop runs acc = acc * pts + c with numpy's own complex multiply and
+    add, in place in one buffer, so no step allocates; the values are
+    bit-identical to the allocating loop.
+    """
     pts = np.asarray(points, dtype=np.complex128)
-    if np.any(np.abs(pts) >= 1.0):
+    if not np.all(np.abs(pts) < 1.0):
         raise ValueError("evaluation points must satisfy |z| < 1")
     acc = np.zeros_like(pts)
     for c in s.coeffs[::-1]:
-        acc = acc * pts + c
+        np.multiply(acc, pts, out=acc)
+        np.add(acc, c, out=acc)
     return acc
 
 

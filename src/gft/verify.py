@@ -52,6 +52,7 @@ from .classes import (
     _radial_series,
     circle_values,
     covering_constant,
+    default_lattice,
     extremal_B_lower,
     extremal_B_upper,
     grid_tails,
@@ -74,10 +75,6 @@ from .series import (
     tail_bound,
 )
 
-DEFAULT_SIGMAS = (0.5, 1.0, 2.0, 3.5)
-DEFAULT_NS = (0, 1, 2, 3)
-DEFAULT_BETAS = (0.0, 0.25, 0.5, 0.9)
-
 COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
 # Order past which r**k < 1e-14 at every grid radius.  Extremals cut there drop an axis tail below SHARPNESS_TOL:
@@ -85,18 +82,6 @@ SHARPNESS_TOL = 1e-7
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 # Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
 _BLOCK = 16
-
-
-def default_lattice(sigmas=DEFAULT_SIGMAS, ns=DEFAULT_NS, betas=DEFAULT_BETAS) -> tuple:
-    """Every valid (sigma, n, beta) from the given sets; invalid (sigma, n) pairs are skipped."""
-    out = []
-    for sigma in sigmas:
-        for n in ns:
-            if sigma - (n - 1) <= 0.0:
-                continue
-            for beta in betas:
-                out.append(ClassSpec(OperatorParams(sigma, n), beta))
-    return tuple(out)
 
 
 @dataclass

@@ -443,8 +443,41 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
             assert alone.verdict == outcome[i]
 
 
+def _loaded_after(code: str, modules) -> list:
+    """The modules of the list that a fresh interpreter has loaded after running code."""
+    check = f"{code}\nimport sys; print(*[m for m in {list(modules)!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode().splitlines()[-1].split()
+
+
 def test_importing_gft_does_not_import_numpy_random():
-    """numpy.random loads only when a generator is built, so import time stays out of every run's setup."""
-    code = "import sys, gft; print('numpy.random' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
-    assert done.returncode == 0 and done.stdout.decode().strip() == "False"
+    """numpy.random loads only when a generator is built, so import time stays out of every run's setup.
+
+    Every submodule is imported, as `gft verify` imports them.
+    """
+    assert _loaded_after("import gft.verify, gft.cli", ["gft.verify", "numpy.random"]) == ["gft.verify"]
+
+
+def test_gft_loads_its_submodules_on_first_use():
+    """`import gft, gft.cli` loads no class or suite code, and `gft bounds` loads no suite code."""
+    watched = ["gft.classes", "gft.verify", "csv"]
+    assert _loaded_after("import gft, gft.cli", watched) == []
+    bounds = "import contextlib, io, gft.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    bounds += "    assert gft.cli.main(['bounds', '--sigma', '1', '--n', '1', '--radii', '0.5']) == 0"
+    assert _loaded_after(bounds, watched) == ["gft.classes", "csv"]
+
+
+def test_every_public_name_is_its_home_module_object():
+    """Each name of gft.__all__ is the object its home module defines, and `from gft import *` binds them all."""
+    import gft
+
+    namespace = {}
+    exec("from gft import *", namespace)
+    for name in gft.__all__:
+        value = getattr(gft, name)
+        assert value.__module__.startswith("gft.") and getattr(sys.modules[value.__module__], name) is value
+        assert namespace[name] is value and name in dir(gft)
+    assert gft.verify.default_lattice is gft.classes.default_lattice is gft.default_lattice
+    with pytest.raises(AttributeError, match="no attribute 'evaluate_grid'"):
+        gft.evaluate_grid

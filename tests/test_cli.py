@@ -288,6 +288,7 @@ def fuzz_inputs(tmp_path_factory):
 @example(sigma="1e308", n="1", order=["--order", "4"], inverse=[])
 @example(sigma="1e-212", n="1", order=[], inverse=["--inverse"])
 @example(sigma="1.1125369292536007e-308", n="1", order=[], inverse=["--inverse"])
+@example(sigma="5e-324", n="1", order=[], inverse=["--inverse"])  # a kernel coefficient underflows to 0
 def test_kernel_fuzzed_flags_finish_cleanly(sigma, n, order, inverse):
     code, out = _run_fuzzed(["kernel", "--sigma", sigma, "--n", n, *order, *inverse])
     assert code in (0, 2)
@@ -306,6 +307,7 @@ def test_kernel_fuzzed_flags_finish_cleanly(sigma, n, order, inverse):
 @example(op="L", sigma=["--sigma", "1"], n=["--n", "1"], c=[], source="huge member")
 @example(op="ruscheweyh", sigma=["--sigma", "5"], n=[], c=[], source="huge member")
 @example(op="bernardi", sigma=[], n=[], c=["--c", "inf"], source="member")
+@example(op="L", sigma=["--sigma", "5e-324"], n=["--n", "1"], c=[], source="member")  # a multiplier underflows to 0
 def test_apply_fuzzed_flags_finish_cleanly(fuzz_inputs, op, sigma, n, c, source):
     code, out = _run_fuzzed(["apply", "--op", op, *sigma, *n, *c, "--in", fuzz_inputs[source]])
     assert code in (0, 2)
@@ -317,6 +319,7 @@ def test_apply_fuzzed_flags_finish_cleanly(fuzz_inputs, op, sigma, n, c, source)
 @settings(max_examples=60, deadline=2000)
 @example(sigma="0.5", n="1", inverse=["--inverse"], source="huge unit")
 @example(sigma="1e-80", n="1", inverse=["--inverse"], source="member")
+@example(sigma="2.225073858507e-311", n="1", inverse=["--inverse"], source="member")  # complex 0 * inf once warned
 def test_iterate_fuzzed_flags_finish_cleanly(fuzz_inputs, sigma, n, inverse, source):
     code, out = _run_fuzzed(["iterate", "--sigma", sigma, "--n", n, *inverse, "--in", fuzz_inputs[source]])
     assert code in (0, 2)

@@ -164,6 +164,9 @@ def test_step_validation():
         iterate_step_closed(2.0, 0, p)
     with pytest.raises(ValueError):
         iterate_step_closed(0.5, 2, p)  # sigma - (m - 1) <= 0
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite sigma"):
+            iterate_step_closed(sigma, 1, p)
 
 
 def test_deiterate_inverts_iterate():
@@ -188,12 +191,16 @@ def test_recurrence_ties_adjacent_depths():
 
 
 def test_quadrature_nodes_are_shared_and_read_only():
-    nodes, complements, weights = _quadrature_nodes()
+    nodes, complements, weights, logs = _quadrature_nodes()
     assert _quadrature_nodes()[0] is nodes  # built once and shared
-    assert nodes.shape == complements.shape == weights.shape == (2 * 64 * 12,)
-    for array in (nodes, complements, weights):
+    assert nodes.shape == complements.shape == weights.shape == logs.shape == (2 * 64 * 12,)
+    for array in (nodes, complements, weights, logs):
         with pytest.raises(ValueError):
             array[0] = 0.5
+    # log t from whichever of t and 1 - t is exact
+    with np.errstate(divide="ignore"):
+        expected = np.where(nodes < complements, np.log(nodes), np.log1p(-complements))
+    assert logs.tobytes() == expected.tobytes()
 
 
 def test_quadrature_matches_closed_step():
@@ -219,6 +226,13 @@ def test_quadrature_point_validation():
         iterate_quadrature_step(1.0, 1, p, 1.0 + 0.0j)
     with pytest.raises(ValueError):
         iterate_quadrature_step(0.5, 2, p, 0.5)
+    # a NaN compares False both ways, so each check must fail it
+    for z in (math.nan, complex(math.nan, 0.5), complex(math.inf, math.nan)):
+        with pytest.raises(ValueError, match="quadrature point must satisfy"):
+            iterate_quadrature_step(1.0, 1, p, z)
+    for sigma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite sigma"):
+            iterate_quadrature_step(sigma, 1, p, 0.5)
 
 
 def test_salagean_iterate_powers():

@@ -140,6 +140,27 @@ def test_evaluate_rejects_boundary_points():
         evaluate(s, 1.0)
     with pytest.raises(ValueError):
         evaluate_grid(s, [0.5, 1.0j])
+    # a NaN compares False both ways, so the checks are written to fail it
+    for z in (np.nan, complex(0.5, np.nan)):
+        with pytest.raises(ValueError, match="must satisfy"):
+            evaluate(s, z)
+        with pytest.raises(ValueError, match="must satisfy"):
+            evaluate_grid(s, [z, 0.5])
+
+
+@given(order=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_grid_equals_the_allocating_horner_loop(order, seed):
+    """The in-place loop gives the bytes of acc = acc * pts + c, at 0 and at points near the unit circle."""
+    rng = np.random.default_rng(seed)
+    s = TruncatedSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+    angles = 2.0 * np.pi * rng.random(40)
+    radii = np.concatenate([[0.0], rng.random(19), 1.0 - 10.0 ** -rng.uniform(3, 14, 20)])
+    pts = radii * np.exp(1j * angles)
+    expected = np.zeros_like(pts)
+    for c in s.coeffs[::-1]:
+        expected = expected * pts + c
+    assert evaluate_grid(s, pts).tobytes() == expected.tobytes()
 
 
 def test_evaluate_grid_matches_scalar():

@@ -12,9 +12,27 @@ import numpy as np
 import pytest
 
 from gft import classes, verify
-from gft.classes import RADII, ClassSpec, extremal_B_upper, is_in_B, random_member_B, real_part_test
-from gft.kernels import OperatorParams, extremal_iterate
-from gft.series import differentiate, evaluate
+from gft.classes import (
+    RADII,
+    ClassSpec,
+    extremal_B_upper,
+    is_in_B,
+    membership_in_iterated_P,
+    random_member_B,
+    random_members,
+    real_part_test,
+)
+from gft.kernels import OperatorParams, extremal_iterate, multiplier_row
+from gft.operators import iterate_closed, iterate_step_closed
+from gft.series import (
+    SchlichtSeries,
+    TruncatedSeries,
+    combine_convex,
+    default_order,
+    differentiate,
+    evaluate,
+    herglotz_rows,
+)
 from gft.verify import (
     _BLOCK,
     _DRAWS,
@@ -304,3 +322,79 @@ def test_a_negative_seed_is_rejected():
     for seed in (-1, (0, -2)):
         with pytest.raises(ValueError):
             run_suite("2", trials=1, seed=seed)
+
+
+class _Recorder:
+    """Stands in for a suite's margins and keeps the observed margins of every real-part test, row by row."""
+
+    def __init__(self) -> None:
+        self.observed = []
+
+    def add_tests(self, observed, padded) -> None:
+        self.observed.extend(observed)
+
+    def add(self, value) -> None:
+        pass
+
+    def note(self, text) -> None:
+        pass
+
+
+def _mixture_p(u):
+    """The unit-constant series of the mixture read from one row of _DRAWS uniforms."""
+    return TruncatedSeries(herglotz_rows(*classes.random_mixtures(u[None]), default_order())[0])
+
+
+def _suite_1_trial(spec, t, u):
+    gamma = (0.0, 0.3, 0.7, 1.2, 2.0)[t % 5]
+    scale = 0.05 + 0.95 * u[_DRAWS]
+    p = _mixture_p(u[:_DRAWS])
+    q = iterate_step_closed(spec.sigma, spec.n, TruncatedSeries(np.r_[1.0, (1.0 - gamma) * scale * p.coeffs[1:]]))
+    if gamma >= 1.0:
+        return real_part_test(TruncatedSeries(-q.coeffs), -gamma).observed
+    return real_part_test(q, gamma).observed
+
+
+def _suite_4_trial(spec, t, u):
+    p, q = (iterate_closed(spec.params, _mixture_p(u[i : i + _DRAWS])) for i in (0, _DRAWS))
+    return membership_in_iterated_P(combine_convex(u[-1], p, 1.0 - u[-1], q), spec.params).observed
+
+
+def _member_p(spec, u):
+    """The unit-constant series behind the class member read from one row of _DRAWS uniforms."""
+    mults = multiplier_row(spec.sigma, spec.n, default_order() - 1)[None]
+    f = SchlichtSeries.from_coeffs(random_members(u[None], mults, [spec.beta])[0])
+    return classes.p_series_of(f, spec.beta)
+
+
+def _suite_12_trial(spec, t, u):
+    f, h = (_member_p(spec, u[i : i + _DRAWS]) for i in (0, _DRAWS))
+    return membership_in_iterated_P(combine_convex(u[-1], f, 1.0 - u[-1], h), spec.params).observed
+
+
+@pytest.mark.parametrize(
+    "suite, width, trial",
+    [("1", _DRAWS + 1, _suite_1_trial), ("4", 2 * _DRAWS + 1, _suite_4_trial), ("12", 2 * _DRAWS + 1, _suite_12_trial)],
+)
+def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
+    """Suites 1, 4 and 12 read each draw from the columns the verify docstring gives it.
+
+    Suite 1: a mixture, then its scale; suites 4 and 12: two mixtures, then the weight mu.  The rows are
+    one base row and, per column, a copy that differs from it in that column alone, and every trial's
+    margins must equal a rebuild of that trial from its own row.
+    """
+    rng = np.random.default_rng(int(suite))
+    table = np.tile(rng.random(width), (width + 1, 1))
+    table[np.arange(1, width + 1), np.arange(width)] = rng.random(width)
+
+    def one_block(trials, size, seed, suite_id, columns):
+        assert (trials, columns) == table.shape
+        yield range(trials), np.arange(trials) % size, table
+
+    monkeypatch.setattr(verify, "_blocks", one_block)
+    spec = ClassSpec(OperatorParams(2.0, 2), 0.25)
+    out = _Recorder()
+    getattr(verify, f"_suite_{suite}")((spec,), len(table), 0, out)
+    assert len(out.observed) == len(table)
+    for t, (u, observed) in enumerate(zip(table, out.observed)):
+        assert np.allclose(observed, trial(spec, t, u), rtol=0.0, atol=1e-12), f"trial {t}"
