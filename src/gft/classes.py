@@ -193,7 +193,7 @@ def member_rows(p_iter: np.ndarray, betas) -> np.ndarray:
 def member_from_p(spec: ClassSpec, p_iter: TruncatedSeries) -> SchlichtSeries:
     """Normalized series z (beta + (1 - beta) p) from an already-iterated unit-constant series."""
     require_unit_constant(p_iter)
-    return SchlichtSeries(TruncatedSeries(member_rows(p_iter.coeffs[None], [spec.beta])[0]))
+    return SchlichtSeries(member_rows(p_iter.coeffs[None], [spec.beta])[0])
 
 
 def membership_in_B(f: SchlichtSeries, spec: ClassSpec) -> MembershipResult:
@@ -259,7 +259,7 @@ def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> Schlicht
         raise ValueError(f"members need order >= 2, got {n}")
     mults = multiplier_row(spec.sigma, spec.n, n - 1)[None]
     u = np.random.default_rng(seed).random((1, _DRAWS))
-    return SchlichtSeries(TruncatedSeries(random_members(u, mults, [spec.beta])[0]))
+    return SchlichtSeries(random_members(u, mults, [spec.beta])[0])
 
 
 def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
@@ -270,7 +270,7 @@ def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> Sc
     c = np.array(f.coeffs)
     for _ in range(64):
         c[idx] = 2.0 * c[idx] if c[idx] != 0 else 1.0
-        candidate = SchlichtSeries(TruncatedSeries(c))
+        candidate = SchlichtSeries(c)
         if not membership_in_B(candidate, spec):
             return candidate
     raise RuntimeError("coefficient inflation failed to leave the class")

@@ -20,11 +20,6 @@ import sys
 import numpy as np
 
 
-def _joined(values) -> str:
-    """Comma-separated flag default that _parse_floats reads back exactly."""
-    return ",".join(map(str, values))
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one `prog: error: message` line and exit 2; subparsers inherit the class."""
 
@@ -101,14 +96,20 @@ def _read_schlicht(path: str) -> SchlichtSeries:
     from .series import SchlichtSeries, from_json
 
     with open(path, "r", encoding="utf-8") as handle:
-        return SchlichtSeries(from_json(handle.read()))
+        return SchlichtSeries(from_json(handle.read()).coeffs)
 
 
-def _parse_floats(text: str, flag: str) -> list:
+def _parse_floats(text: str | None, flag: str, default) -> list:
+    """A flag's comma-separated numbers, or its default values when the flag is absent; an empty list is an error."""
+    if text is None:
+        return [float(v) for v in default]
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _cmd_kernel(args) -> int:
@@ -186,14 +187,12 @@ def _cmd_bounds(args) -> int:
         write_bounds_csv,
     )
 
-    flags = ((args.sigma, DEFAULT_SIGMAS), (args.n, DEFAULT_NS), (args.beta, DEFAULT_BETAS), (args.radii, RADII))
-    sigma, n, beta, radius = (_joined(default) if text is None else text for text, default in flags)
-    sigmas = _parse_floats(sigma, "--sigma")
-    ns = _parse_floats(n, "--n")
+    sigmas = _parse_floats(args.sigma, "--sigma", DEFAULT_SIGMAS)
+    ns = _parse_floats(args.n, "--n", DEFAULT_NS)
     if not all(v.is_integer() for v in ns):
-        raise ValueError(f"--n expects comma-separated integers, got {n!r}")
-    betas = _parse_floats(beta, "--beta")
-    radii = _parse_floats(radius, "--radii")
+        raise ValueError(f"--n expects comma-separated integers, got {args.n!r}")
+    betas = _parse_floats(args.beta, "--beta", DEFAULT_BETAS)
+    radii = _parse_floats(args.radii, "--radii", RADII)
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError("--radii values must lie strictly between 0 and 1")
     specs = default_lattice(sigmas, [int(v) for v in ns], betas)

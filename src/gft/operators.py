@@ -80,7 +80,7 @@ def ruscheweyh(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
     if sigma <= -1.0:
         raise ValueError("require sigma > -1")
     t = tau_coeffs(OperatorParams(sigma, 0), f.order)
-    return SchlichtSeries(convolve(f.inner, t))
+    return SchlichtSeries(convolve(f, t).coeffs)
 
 
 def noor(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
@@ -88,7 +88,7 @@ def noor(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
     if sigma <= -1.0:
         raise ValueError("require sigma > -1")
     t = tau_inv_coeffs(OperatorParams(sigma, 0), f.order)
-    return SchlichtSeries(convolve(f.inner, t))
+    return SchlichtSeries(convolve(f, t).coeffs)
 
 
 def _step_lambda(sigma: float, m: int) -> float:

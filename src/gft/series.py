@@ -60,34 +60,20 @@ class TruncatedSeries:
         return self.coeffs.size - 1
 
     def truncated(self, order: int) -> "TruncatedSeries":
-        """Copy cut down to the given order (no-op when already shorter)."""
+        """Copy of the same type cut down to the given order (no-op when already shorter)."""
         if order >= self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return type(self)(self.coeffs[: order + 1])
 
 
 @dataclass(frozen=True, eq=False)
-class SchlichtSeries:
-    """Series normalized to z + a_2 z^2 + ...: c_0 = 0 and c_1 = 1 exactly."""
-
-    inner: TruncatedSeries
+class SchlichtSeries(TruncatedSeries):
+    """A truncated series normalized to z + a_2 z^2 + ...: the series checks, then c_0 = 0 and c_1 = 1 exactly."""
 
     def __post_init__(self) -> None:
-        c = self.inner.coeffs
-        if c[0] != 0 or c[1] != 1:
+        super().__post_init__()
+        if self.coeffs[0] != 0 or self.coeffs[1] != 1:
             raise ValueError("normalized series requires c_0 = 0 and c_1 = 1 exactly")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "SchlichtSeries":
-        return cls(TruncatedSeries(coeffs))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.inner.coeffs
-
-    @property
-    def order(self) -> int:
-        return self.inner.order
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +104,12 @@ class HerglotzMixture:
 def _scaled(s, start: int, factors, op=np.multiply):
     """The diagonal action under every operator: c[start:] -> op(c[start:], factors).
 
-    Returns a new series of the same type as s (TruncatedSeries or
-    SchlichtSeries), so a normalized input comes back normalized.
+    Returns a new series of the type of s, built and checked once, so a
+    normalized input comes back normalized.
     """
     c = s.coeffs.copy()
     c[start:] = op(c[start:], factors)
-    out = TruncatedSeries(c)
-    return SchlichtSeries(out) if isinstance(s, SchlichtSeries) else out
+    return type(s)(c)
 
 
 def convolve(f, g) -> TruncatedSeries:

@@ -16,8 +16,8 @@ are built once and give every beta's extremal members, bit for bit as built
 on their own.  A truncated member stays below the exact upper bound with no
 allowance, and may undershoot the exact lower bound by at most its own
 dropped tail.  Suites 3 and 9 read the tail's coefficient bound off the last
-column of their multiplier tables, suite 11 from one multiplier per entry;
-its tail is infinite at n = 0, where no lower envelope holds.
+column of their multiplier tables, suite 11 off the depth n - 1 table of its
+levels; its tail is infinite at n = 0, where no lower envelope holds.
 
 Trial t of suite k (22 for remark22) reads row t of one table of uniforms,
 default_rng((seed, k)).random((trials, width)): classes._DRAWS columns per
@@ -29,9 +29,11 @@ call, reads their mixtures at once, and expands, iterates and tests the
 members as one stack of coefficient rows, all of whose circle values come
 from one FFT.  A suite builds the factors of its iterations once, one
 multiplier row per lattice entry (a row of ones for n = 0), and scales each
-block's rows by them.  Memory therefore does not depend on the trial count,
-and since every row gets the same elementwise operations as a member built
-on its own, reports are byte-identical to evaluating one member at a time.
+block's rows by them; suite 11 has one such table per depth m, row min(m, n),
+and its recurrence ties the closed-form iterates at consecutive depths.
+Memory therefore does not depend on the trial count, and since every row
+gets the same elementwise operations as a member built on its own, reports
+are byte-identical to evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .classes import (
     real_part_margins,
     verdicts,
 )
-from .kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
+from .kernels import OperatorParams, extremal_iterate, multiplier_row
 from .operators import bernardi, iterate_step_closed, recurrence_residuals, salagean_iterate
 from .series import (
     SchlichtSeries,
@@ -375,7 +377,7 @@ def _suite_8(lattice, trials, seed, out):
         out.note("no lattice entries with sigma - n > 0")
         return
     order = default_order()
-    ones = SchlichtSeries.from_coeffs(np.r_[0.0, np.ones(order)])
+    ones = SchlichtSeries(np.r_[0.0, np.ones(order)])
     means = np.array([_factors(bernardi(spec.sigma - spec.n - 1.0, ones), 2) for spec in entries])
     mults, betas = _member_tables(entries, order - 1)
     for _, idx, u in _blocks(trials, len(entries), seed, 8, _DRAWS):
@@ -431,6 +433,10 @@ def _derivative_combo(shift, coeffs: np.ndarray) -> np.ndarray:
 def _suite_11(lattice, trials, seed, out):
     """Step recurrence residual plus the envelope for (sigma - n) f / z + f'.
 
+    Each trial's iterate is built once in closed form at every depth m = 0..n,
+    and the recurrence lam p_m + z p_m' = lam p_{m-1}, lam = sigma - (m - 1),
+    ties consecutive depths, so every step of every entry is checked.
+
     The lower envelope is enforced only for n >= 1: it comes from the
     real-part floor of the one-level-shallower iterate, which exists only
     when that shallower object is itself an iterate.  At n = 0 the m-series
@@ -451,34 +457,26 @@ def _suite_11(lattice, trials, seed, out):
         lambda specs: (_derivative_combo(s.sigma - s.n, rows) for s, rows in zip(specs, _B_extremals(specs))),
     )
     order = default_order()
+    ns, sigmas, betas = (np.array([getattr(s, key) for s in lattice]) for key in ("n", "sigma", "beta"))
+    # levels[m] holds each entry's closed-form iterate factors at depth min(m, n); the deepest is its member's iterate
+    levels = np.array([_mults([(s.sigma, min(m, s.n)) for s in lattice], order - 1) for m in range(ns.max() + 1)])
     # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k)
-    bound = [2.0 * (1.0 - s.beta) * multiplier(s.sigma, s.n - 1, order - 1) if s.n >= 1 else 0.0 for s in lattice]
-    tails = np.array([s.sigma - s.n + 1 for s in lattice])[:, None] * grid_tails(bound, order - 1)
+    bound = np.where(ns >= 1, 2.0 * (1.0 - betas) * levels[ns - 1, np.arange(len(lattice)), -1], 0.0)
+    tails = (sigmas - ns + 1)[:, None] * grid_tails(bound, order - 1)
     # n = 0 has no floor; the infinite tail goes in after grid_tails, where inf * r**order would be NaN once r**order underflows
-    tails[[s.n == 0 for s in lattice]] = math.inf
-    ones = TruncatedSeries(np.ones(order))
-    steps = {
-        (spec.sigma, m): _factors(iterate_step_closed(spec.sigma, m, ones), 1)
-        for spec in lattice
-        for m in range(1, spec.n + 1)
-    }
-    mults, betas = _member_tables(lattice, order - 1)
+    tails[ns == 0] = math.inf
     for _, idx, u in _blocks(trials, len(lattice), seed, 11, _DRAWS):
-        specs = [lattice[i] for i in idx]
         p0 = herglotz_rows(*random_mixtures(u), order - 1)
-        # the step chain p0 -> p1 -> .. -> p_n of every row, one level at a time
-        live, prev = np.arange(len(specs)), p0
-        for m in range(1, max(spec.n for spec in specs) + 1):
-            keep = [specs[i].n >= m for i in live]
-            live, prev = live[keep], prev[keep]
-            cur = prev.copy()
-            cur[:, 1:] *= np.array([steps[specs[i].sigma, m] for i in live])
-            lam = np.array([specs[i].sigma - (m - 1) for i in live])
-            out.add(np.min(COEFF_TOL - recurrence_residuals(lam, cur, prev)))
+        # levels m - 1 and m of the rows with n >= m must satisfy the recurrence with lam = sigma - (m - 1)
+        prev = p0
+        for m in range(1, ns[idx].max() + 1):
+            cur = p0.copy()
+            cur[:, 1:] *= levels[m][idx]
+            deep = ns[idx] >= m
+            out.add(np.min(COEFF_TOL - recurrence_residuals(sigmas[idx][deep] - (m - 1), cur[deep], prev[deep])))
             prev = cur
-        p0[:, 1:] *= mults[idx]
-        f = member_rows(p0, betas[idx])
-        combo = _derivative_combo(np.array([spec.sigma - spec.n for spec in specs]), f)
+        f = member_rows(prev, betas[idx])
+        combo = _derivative_combo(sigmas[idx] - ns[idx], f)
         modulus = np.abs(circle_values(combo))
         _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
@@ -541,7 +539,7 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
     title, suite = SUITES[key]
     margins = _Margins()
     suite(lattice, int(trials), seed, margins)
-    if math.isinf(margins.worst):
+    if margins.worst == math.inf:
         margins.worst = 0.0
         margins.note("no checks ran for this lattice")
     # a suite with no real-part test leaves every slack at inf

@@ -38,7 +38,6 @@ from gft.operators import (
 )
 from gft.series import (
     SchlichtSeries,
-    TruncatedSeries,
     evaluate,
     evaluate_grid,
     herglotz_expand,
@@ -69,7 +68,7 @@ def random_schlicht(seed, order=64):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
     c[0], c[1] = 0.0, 1.0
-    return SchlichtSeries(TruncatedSeries(c))
+    return SchlichtSeries(c)
 
 
 def test_criterion_01_multiplier_dual_formula():

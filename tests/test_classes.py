@@ -426,7 +426,7 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
         assert row.tobytes() == _one_member_at_a_time(spec, u_row, 64).tobytes()
     observed, padded = _class_margins(members, betas, mults)
     for i, (spec, row) in enumerate(zip(specs, members)):
-        alone = membership_in_B(SchlichtSeries.from_coeffs(row), spec)
+        alone = membership_in_B(SchlichtSeries(row), spec)
         assert alone.observed == tuple(observed[i]) and alone.padded == tuple(padded[i])
     p = herglotz_rows(*random_mixtures(u), 64)
     for seed, row in zip(seeds, p):

@@ -28,7 +28,7 @@ def run_cli(capsys, *argv):
 
 def write_series(tmp_path, name, coeffs):
     path = tmp_path / name
-    path.write_text(to_json(SchlichtSeries.from_coeffs(coeffs)) + "\n")
+    path.write_text(to_json(SchlichtSeries(coeffs)) + "\n")
     return str(path)
 
 
@@ -185,6 +185,14 @@ def test_bounds_skips_invalid_pairs_but_rejects_empty(capsys):
         assert code == 2 and out == "" and "integers" in err and len(err.strip().split("\n")) == 1
 
 
+@pytest.mark.parametrize("flag", ["--sigma", "--n", "--beta", "--radii"])
+@pytest.mark.parametrize("text", ["", ",", " , "])
+def test_bounds_rejects_an_empty_list_naming_its_flag(capsys, flag, text):
+    code, out, err = run_cli(capsys, "bounds", f"{flag}={text}")
+    assert code == 2 and out == ""
+    assert err == f"gft: error: {flag} needs at least one value, got {text!r}\n"
+
+
 def test_bounds_defaults_are_the_verification_lattice(capsys):
     code, out, _ = run_cli(capsys, "bounds")
     expected = io.StringIO()
@@ -253,7 +261,7 @@ _ORDER = st.integers(-3, 40).map(str)  # kept small: a fuzzed order never alloca
 
 # --in files for apply and iterate, by name; "directory" and "missing" are added by the fixture
 _INPUT_TEXTS = {
-    "member": to_json(SchlichtSeries.from_coeffs([0.0, 1.0, 0.5, -0.25, 1e-3])),
+    "member": to_json(SchlichtSeries([0.0, 1.0, 0.5, -0.25, 1e-3])),
     "unit": json.dumps({"order": 3, "coeffs": [[1.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]]}),
     "huge member": json.dumps({"order": 3, "coeffs": [[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]}),
     "huge unit": json.dumps({"order": 2, "coeffs": [[1.0, 0.0], [1e308, 0.0], [1e308, 0.0]]}),

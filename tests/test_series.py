@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gft.classes import ClassSpec, circle_points, extremal_B_lower
 from gft.kernels import OperatorParams
+from gft.operators import apply_L, bernardi
 from gft.series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -71,12 +72,24 @@ def test_truncated_copy_and_noop():
 
 
 def test_schlicht_normalization_is_exact():
-    f = SchlichtSeries.from_coeffs([0.0, 1.0, 0.5])
+    f = SchlichtSeries([0.0, 1.0, 0.5])
     assert f.order == 2 and f.coeffs[1] == 1.0
     with pytest.raises(ValueError):
-        SchlichtSeries.from_coeffs([1e-16, 1.0, 0.5])
+        SchlichtSeries([1e-16, 1.0, 0.5])
     with pytest.raises(ValueError):
-        SchlichtSeries.from_coeffs([0.0, 1.0 + 1e-12, 0.5])
+        SchlichtSeries([0.0, 1.0 + 1e-12, 0.5])
+    with pytest.raises(ValueError):
+        SchlichtSeries([1.0, 1.0])
+
+
+def test_schlicht_series_is_a_truncated_series_and_operators_keep_it_normalized():
+    f = SchlichtSeries([0.0, 1.0, 0.5, -0.25j])
+    assert isinstance(f, TruncatedSeries)
+    with pytest.raises(ValueError):
+        SchlichtSeries([0.0, np.nan, 0.5])  # the series checks run first
+    for g in (apply_L(OperatorParams(2.0, 1), f), bernardi(1.0, f), f.truncated(2)):
+        assert type(g) is SchlichtSeries
+    assert np.array_equal(f.truncated(2).coeffs, f.coeffs[:3])
 
 
 def test_mixture_validation():

@@ -250,6 +250,39 @@ def test_a_nan_margin_fails_the_suite(monkeypatch):
     assert data["verdict"] == "fail" and data["worst_margin"] is None
 
 
+def test_a_minus_infinite_margin_fails_the_suite(monkeypatch):
+    """A check that yields -inf counts as a failure, not as a check that never ran."""
+    monkeypatch.setattr(verify, "_radial_bounds", lambda spec, series, factor: (math.inf, math.inf))
+    report = run_suite("9", trials=1)
+    assert report.verdict == "fail" and report.worst_margin == -math.inf
+    assert "no checks ran for this lattice" not in report.notes
+    data = json.loads(report.to_json())
+    assert data["verdict"] == "fail" and data["worst_margin"] is None
+
+
+def test_suite_11_fails_through_its_recurrence_check(monkeypatch):
+    """Depth-1 multiplier rows scaled by 1 + 1e-9 break the recurrence at steps 1 and 2, and suite 11 fails there.
+
+    Scaling every depth's rows alike would cancel out of the recurrence, so one depth alone is perturbed.
+    """
+    row, residuals = verify.multiplier_row, verify.recurrence_residuals
+    monkeypatch.setattr(verify, "multiplier_row", lambda sigma, n, kmax: row(sigma, n, kmax) * (1.0 + 1e-9 * (n == 1)))
+    seen = []
+    monkeypatch.setattr(verify, "recurrence_residuals", lambda *args: seen.append(residuals(*args)) or seen[-1])
+    report = run_suite("11", trials=8)
+    assert report.verdict == "fail"
+    assert report.worst_margin == verify.COEFF_TOL - max(np.max(r) for r in seen)
+
+
+def test_suite_11_checks_every_step_of_every_entry(monkeypatch):
+    """Steps 1 and 2 of (2, 2) and step 1 of (3.5, 1): lam = sigma - (m - 1) is 2, 1 and 3.5."""
+    lattice = (ClassSpec(OperatorParams(2.0, 2), 0.5), ClassSpec(OperatorParams(3.5, 1), 0.0))
+    residuals, lams = verify.recurrence_residuals, set()
+    monkeypatch.setattr(verify, "recurrence_residuals", lambda lam, *rows: lams.update(lam) or residuals(lam, *rows))
+    assert run_suite("11", lattice=lattice, trials=2).verdict == "pass"
+    assert lams == {2.0, 1.0, 3.5}
+
+
 def test_custom_lattice_restricts_the_report():
     lattice = (ClassSpec(OperatorParams(2.0, 2), 0.5),)
     report = run_suite("7", lattice=lattice, trials=6, seed=2)
@@ -363,7 +396,7 @@ def _suite_4_trial(spec, t, u):
 def _member_p(spec, u):
     """The unit-constant series behind the class member read from one row of _DRAWS uniforms."""
     mults = multiplier_row(spec.sigma, spec.n, default_order() - 1)[None]
-    f = SchlichtSeries.from_coeffs(random_members(u[None], mults, [spec.beta])[0])
+    f = SchlichtSeries(random_members(u[None], mults, [spec.beta])[0])
     return classes.p_series_of(f, spec.beta)
 
 
