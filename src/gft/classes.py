@@ -25,6 +25,7 @@ from .series import (
     TruncatedSeries,
     default_order,
     evaluate_circle,
+    evaluate_circle_real,
     herglotz_rows,
     require_unit_constant,
     tail_bound,
@@ -110,20 +111,22 @@ def circle_points(r: float, samples: int) -> np.ndarray:
 
 def min_re_on_circle(s, r: float, samples: int) -> float:
     """Minimum sampled real part of the series on the circle |z| = r."""
-    return float(np.min(evaluate_circle(s, r, samples).real))
+    return float(np.min(evaluate_circle_real(s, r, samples)))
 
 
-def circle_values(rows: np.ndarray) -> np.ndarray:
-    """Values of a stack of coefficient rows on the grid: evaluate_circle(rows, RADII, ANGULAR_SAMPLES).
+def circle_values(rows: np.ndarray, kernel=evaluate_circle) -> np.ndarray:
+    """Values of a stack of coefficient rows on the grid: kernel(rows, RADII, ANGULAR_SAMPLES).
 
     The shape is (rows, len(RADII), ANGULAR_SAMPLES), all from one FFT, so
     callers keep stacks small and reduce the values themselves, over the
-    last axis for one extremum per circle.  Non-finite coefficients are
-    rejected, as TruncatedSeries rejects them.
+    last axis for one extremum per circle.  The modulus checks take the
+    complex values of evaluate_circle; the real-part tests pass
+    evaluate_circle_real.  Non-finite coefficients are rejected, as
+    TruncatedSeries rejects them.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("series coefficients must be finite")
-    return evaluate_circle(rows, RADII, ANGULAR_SAMPLES)
+    return kernel(rows, RADII, ANGULAR_SAMPLES)
 
 
 def grid_tails(coeff_bound, order: int) -> np.ndarray:
@@ -137,7 +140,7 @@ def real_part_margins(rows: np.ndarray, threshold, coeff_bound=2.0) -> tuple:
     threshold and coeff_bound are scalars or one value per row; row i's
     margins are bit-identical to real_part_test on that row alone.
     """
-    observed = circle_values(rows).real.min(axis=-1) - np.asarray(threshold)[..., None]
+    observed = circle_values(rows, evaluate_circle_real).min(axis=-1) - np.asarray(threshold)[..., None]
     return observed, observed + grid_tails(coeff_bound, rows.shape[-1] - 1) + GRID_TOLERANCE
 
 

@@ -4,11 +4,13 @@ Every operator in this package acts diagonally on coefficients, so a series
 cut at order N loses nothing under the operators themselves; only point
 evaluation has a tail.  The tail convention used by all circle checks is
 B * r**(N+1) / (1 - r) for a series whose dropped coefficients are bounded
-by B.  Every circle check evaluates through one kernel, evaluate_circle,
-which gets the values at equally spaced points on any number of circles
-from one batched FFT.  evaluate_grid's Horner loop serves points off those
-grids, such as the quadrature oracle's nodes, and runs in place in one
-buffer per call.
+by B.  Every circle check evaluates through one of two kernels that share
+their first step, the r**k scaling and the fold: evaluate_circle gets the
+values at equally spaced points on any number of circles from one batched
+FFT, and evaluate_circle_real gets their real parts, which every real-part
+threshold test reads, from one real FFT of half the length.  evaluate_grid's
+Horner loop serves points off those grids, such as the quadrature oracle's
+nodes, and runs in place in one buffer per call.
 """
 
 from __future__ import annotations
@@ -150,15 +152,11 @@ def evaluate_grid(s, points) -> np.ndarray:
     return acc
 
 
-def evaluate_circle(s, radii, samples: int) -> np.ndarray:
-    """Values at r exp(2 pi i j / samples), j = 0..samples - 1, on every circle |z| = r at once.
+def _folded_circle(s, radii, samples: int) -> np.ndarray:
+    """The circle kernels' shared first step: validate, scale c_k by r**k, and fold mod samples.
 
-    Henrici's circle kernel: scale c_k by r**k, fold the scaled coefficients
-    mod samples (c_k and c_{k + samples} agree at every sample point), and
-    take samples * ifft along the last axis.  s is a series or an array of
-    coefficient rows (..., N + 1); the shape is (..., len(radii), samples),
-    without the radius axis for a scalar radius.  Each row's values are
-    bit-identical to evaluating that row alone.
+    c_k and c_{k + samples} agree at every sample point, so their scaled values add.  The shape is
+    (..., len(radii), L), with L = min(N + 1, samples): coefficients past L are zero and not stored.
     """
     r = np.asarray(radii, dtype=np.float64)
     if not np.all((r > 0.0) & (r < 1.0)):
@@ -167,14 +165,54 @@ def evaluate_circle(s, radii, samples: int) -> np.ndarray:
         raise ValueError("need at least one sample per circle")
     c = np.asarray(getattr(s, "coeffs", s))
     rows, size = c.shape[:-1], c.shape[-1]
+    scaled = c.reshape(*rows, *(1,) * r.ndim, size) * r[..., None] ** np.arange(size)
+    if size <= samples:
+        return scaled
     folded = np.zeros((*rows, *r.shape, -(-size // samples) * samples), dtype=np.complex128)
-    folded[..., :size] = c.reshape(*rows, *(1,) * r.ndim, size) * r[..., None] ** np.arange(size)
-    if size > samples:
-        folded = folded.reshape(*rows, *r.shape, -1, samples).sum(axis=-2)
-    # one array of values, transformed and scaled in place: a stack's temporaries stay small enough that the
-    # allocator keeps their pages between calls, instead of returning them and faulting them in again
-    values = np.fft.ifft(folded, axis=-1, out=folded)
+    folded[..., :size] = scaled
+    return folded.reshape(*rows, *r.shape, -1, samples).sum(axis=-2)
+
+
+def evaluate_circle(s, radii, samples: int) -> np.ndarray:
+    """Values at r exp(2 pi i j / samples), j = 0..samples - 1, on every circle |z| = r at once.
+
+    Henrici's circle kernel: scale c_k by r**k, fold the scaled coefficients
+    mod samples, and take samples * ifft along the last axis.  s is a series
+    or an array of coefficient rows (..., N + 1); the shape is
+    (..., len(radii), samples), without the radius axis for a scalar radius.
+    Each row's values are bit-identical to evaluating that row alone.
+    """
+    folded = _folded_circle(s, radii, samples)
+    values = np.zeros((*folded.shape[:-1], samples), dtype=np.complex128)
+    values[..., : folded.shape[-1]] = folded
+    # transformed and scaled in place: a stack's temporaries stay small enough that the allocator keeps their
+    # pages between calls, instead of returning them and faulting them in again
+    np.fft.ifft(values, axis=-1, out=values)
     values *= samples
+    return values
+
+
+def evaluate_circle_real(s, radii, samples: int) -> np.ndarray:
+    """evaluate_circle(s, radii, samples).real, from one real FFT of half the length.
+
+    With b the folded coefficients and M = samples, Re sum_k b_k w**(jk) is half
+    the Hermitian sum of X_k = b_k + conj(b_{M - k}) for 0 < k < M / 2, with
+    X_0 = 2 b_0 and, for even M, X_{M/2} = 2 b_{M/2}, whose imaginary parts
+    irfft drops.  The unnormalised irfft of X, zero-padded to M // 2 + 1 terms,
+    gives that sum, and halving it is exact.  Takes, and rejects, the same
+    arguments as evaluate_circle, and each row's values are bit-identical to
+    that row's alone.
+    """
+    folded = _folded_circle(s, radii, samples)
+    half = samples // 2
+    spectrum = folded[..., : half + 1].copy()
+    # b_{M - k} is stored for k >= first; at k = M / 2 this adds conj(b_{M/2}), giving 2 b_{M/2}'s real part
+    first = samples + 1 - folded.shape[-1]
+    if first <= half:
+        spectrum[..., first:] += np.conj(folded[..., : samples - half - 1 : -1])
+    spectrum[..., 0] *= 2.0
+    values = np.fft.irfft(spectrum, n=samples, axis=-1, norm="forward")
+    values *= 0.5
     return values
 
 
@@ -194,13 +232,19 @@ def differentiate(s: TruncatedSeries) -> TruncatedSeries:
 def herglotz_rows(points: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
     """Stacked herglotz_expand: row i is c_0 = 1, c_k = 2 sum_j weights[i, j] points[i, j]**k for k <= order.
 
-    points and weights have shape (rows, atoms).  The sum runs over the atoms
-    in column order, so each row is bit-identical to expanding its own atoms
-    alone; atoms of weight 0, which pad rows with fewer atoms, add exact zeros.
+    points and weights have shape (rows, atoms).  Each atom's powers are a running product along k, built
+    in one (rows, atoms, order) buffer and weighted there; the sum runs over the atoms in column order, so
+    each row is bit-identical to expanding its own atoms alone; atoms of weight 0, which pad rows with fewer
+    atoms, add exact zeros.
     """
+    terms = np.empty((*points.shape, order), dtype=np.complex128)
+    terms[...] = points[..., None]
+    np.cumprod(terms, axis=-1, out=terms)
+    terms *= weights[..., None]
     out = np.empty((points.shape[0], order + 1), dtype=np.complex128)
     out[:, 0] = 1.0
-    out[:, 1:] = 2.0 * (weights[..., None] * points[..., None] ** np.arange(1, order + 1)).sum(axis=1)
+    np.sum(terms, axis=1, out=out[:, 1:])
+    out[:, 1:] *= 2.0
     return out
 
 

@@ -390,6 +390,7 @@ def _one_member_at_a_time(spec, u, order):
     """The member read from one row u of 17 uniforms: scalar atoms, sums left to right, powers summed over atoms.
 
     u[0] gives the count of atoms, u[1:9] their angles as fractions of a turn, u[9:17] their raw weights.
+    Each atom's powers x, x**2, ... come from multiplying by x once per step, as a running product does.
     """
     count = 1 + int(8 * u[0])
     angles = 2.0 * np.pi * u[1 : 1 + count]
@@ -402,8 +403,14 @@ def _one_member_at_a_time(spec, u, order):
     for value in w[:-1]:
         rest += value
     w[-1] = 1.0 - rest
-    pts = np.array([complex(np.exp(1j * a)) for a in angles])
-    p0 = np.concatenate([[1.0 + 0.0j], 2.0 * (w[:, None] * pts[:, None] ** np.arange(1, order)).sum(axis=0)])
+    powers = []
+    for a in angles:
+        x = power = complex(np.exp(1j * a))
+        powers.append([power])
+        for _ in range(order - 2):
+            power *= x
+            powers[-1].append(power)
+    p0 = np.concatenate([[1.0 + 0.0j], 2.0 * (w[:, None] * np.array(powers)).sum(axis=0)])
     return member_from_p(spec, iterate_closed(spec.params, TruncatedSeries(p0))).coeffs
 
 

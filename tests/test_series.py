@@ -18,6 +18,7 @@ from gft.series import (
     differentiate,
     evaluate,
     evaluate_circle,
+    evaluate_circle_real,
     evaluate_grid,
     from_json,
     herglotz_expand,
@@ -229,6 +230,35 @@ def test_evaluate_circle_on_a_stack_equals_per_row_calls(order):
         alone = evaluate_circle(TruncatedSeries(row), (0.5, 0.9, 0.99), 720)
         assert values.tobytes() == alone.tobytes()
         assert values_at_09.tobytes() == alone[1].tobytes()
+
+
+@given(
+    size=st.integers(2, 1500),
+    samples=st.sampled_from([1, 2, 7, 64, 361, 720]),
+    radii=st.sampled_from([0.5, 0.999, (0.5, 0.9, 0.99), (0.3,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_circle_real_is_the_real_part(size, samples, radii, seed):
+    """The half-length real FFT gives evaluate_circle's real parts, to 1e-14 of sum_k |c_k| r**k.
+
+    Sizes reach past 2 * samples, so coefficients fold; rows stack bit for bit, and both kernels reject the
+    same radii and sample counts.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+    real = evaluate_circle_real(rows, radii, samples)
+    expected = evaluate_circle(rows, radii, samples).real
+    assert real.shape == expected.shape
+    r = np.asarray(radii)[..., None]
+    scale = (np.abs(rows).reshape(3, *(1,) * (r.ndim - 1), size) * r ** np.arange(size)).sum(axis=-1)
+    assert np.all(np.abs(real - expected) <= 1e-14 * scale[..., None])
+    for row, values in zip(rows, real):
+        assert values.tobytes() == evaluate_circle_real(TruncatedSeries(row), radii, samples).tobytes()
+    for bad_radii, bad_samples in ((0.0, samples), ((0.5, 1.0), samples), (np.nan, samples), (radii, 0)):
+        for kernel in (evaluate_circle, evaluate_circle_real):
+            with pytest.raises(ValueError):
+                kernel(rows, bad_radii, bad_samples)
 
 
 def test_differentiate_values_and_order():

@@ -133,6 +133,19 @@ def test_suite_with_no_applicable_entries_reports_a_note():
     assert any("no checks ran" in note for note in report.notes)
 
 
+def test_remark22_skips_entries_with_sigma_at_most_zero():
+    """The single-parameter transform needs alpha = sigma > 0; a valid entry with sigma <= 0 is skipped with a note."""
+    shallow = ClassSpec(OperatorParams(-0.5, 0), 0.0)
+    report = run_suite("remark22", lattice=(shallow,), trials=4)
+    assert report.verdict == "pass" and report.worst_margin == 0.0
+    assert any("sigma <= 0 skipped" in note for note in report.notes)
+    assert any("no checks ran" in note for note in report.notes)
+    mixed = run_suite("remark22", lattice=(shallow, ClassSpec(OperatorParams(1.0, 1))), trials=4)
+    assert mixed.verdict == "pass" and mixed.worst_margin == 1e-12
+    assert any("sigma <= 0 skipped" in note for note in mixed.notes)
+    assert not any("no checks ran" in note for note in mixed.notes)
+
+
 def test_injectivity_suite_documents_its_restriction():
     report = run_suite("6", trials=4, seed=0)
     assert any("sigma > n excluded" in note for note in report.notes)
@@ -210,9 +223,12 @@ def test_envelope_suites_check_the_printed_bounds(monkeypatch):
 
 
 def test_sharpness_checks_catch_a_shifted_bound(monkeypatch):
-    """A bound moved by 1e-6 fails suites 3, 9 and 11 at their sharpness checks alone, with one trial."""
+    """A bound moved by 1e-6 fails suites 3, 9 and 11 at their sharpness checks alone, with one trial.
+
+    Suite 10 checks its lower extremal near the boundary against the same printed lower growth bound.
+    """
     _move_bounds(monkeypatch, 1e-6, 1e-6)
-    for theorem in ("3", "9", "11"):
+    for theorem in ("3", "9", "10", "11"):
         report = run_suite(theorem, trials=1, seed=0)
         assert report.verdict == "fail" and report.worst_margin < -5e-7
 
