@@ -12,7 +12,6 @@ verification suites check members and extremals against these same bounds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,17 +185,23 @@ def p_series_of(f: SchlichtSeries, beta: float) -> TruncatedSeries:
 
 
 def member_rows(p_iter: np.ndarray, betas) -> np.ndarray:
-    """Stacked member_from_p: rows z (beta + (1 - beta) p) from iterated unit-constant rows, one beta per row."""
-    c = np.zeros((p_iter.shape[0], p_iter.shape[1] + 1), dtype=np.complex128)
-    c[:, 1] = 1.0
-    c[:, 2:] = (1.0 - np.asarray(betas))[:, None] * p_iter[:, 1:]
+    """Stacked member_from_p: rows z (beta + (1 - beta) p) from iterated unit-constant rows p along the last axis.
+
+    The betas broadcast against the rows' leading axes, so one row can take many betas.  Complex rows give
+    complex members and real rows real ones, with the same bits as their real parts.
+    """
+    scale = 1.0 - np.asarray(betas)
+    rows = np.broadcast_shapes(p_iter.shape[:-1], scale.shape)
+    c = np.zeros((*rows, p_iter.shape[-1] + 1), dtype=np.result_type(p_iter, 0.0))
+    c[..., 1] = 1.0
+    np.multiply(scale[..., None], p_iter[..., 1:], out=c[..., 2:])  # a temporary stack would fault in fresh pages
     return c
 
 
 def member_from_p(spec: ClassSpec, p_iter: TruncatedSeries) -> SchlichtSeries:
     """Normalized series z (beta + (1 - beta) p) from an already-iterated unit-constant series."""
     require_unit_constant(p_iter)
-    return SchlichtSeries(member_rows(p_iter.coeffs[None], [spec.beta])[0])
+    return SchlichtSeries(member_rows(p_iter.coeffs, spec.beta))
 
 
 def membership_in_B(f: SchlichtSeries, spec: ClassSpec) -> MembershipResult:
@@ -457,6 +462,8 @@ def bounds_rows(specs, radii) -> list:
 
 def write_bounds_csv(rows, stream) -> None:
     """Write bound rows as CSV with the fixed column order; None becomes empty."""
+    import csv  # this writer is its only user, so importing classes does not load it
+
     writer = csv.DictWriter(stream, fieldnames=BOUNDS_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:

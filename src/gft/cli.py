@@ -60,8 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     extremal.add_argument("--family", choices=("iterate", "upper", "lower"), default="iterate")
     extremal.add_argument("--sigma", type=float, required=True)
     extremal.add_argument("--n", type=int, required=True)
-    extremal.add_argument("--beta", type=float, default=0.0)
-    extremal.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    # each family reads one of these two flags; the other is rejected, not ignored
+    extremal.add_argument("--beta", type=float, default=None, help="class level of upper and lower (default 0)")
+    extremal.add_argument("--sign", type=int, choices=(1, -1), default=None, help="sign of iterate (default 1)")
     extremal.add_argument("--order", type=int, default=None)
     extremal.add_argument("--out", default=None)
 
@@ -167,9 +168,13 @@ def _cmd_extremal(args) -> int:
     if args.order is not None and args.order < minimum:
         raise ValueError(f"--order must be >= {minimum} for --family {args.family}, got {args.order}")
     if args.family == "iterate":
-        series = extremal_iterate(OperatorParams(args.sigma, args.n), args.order, args.sign)
+        if args.beta is not None:
+            raise ValueError("--beta does not apply to --family iterate")
+        series = extremal_iterate(OperatorParams(args.sigma, args.n), args.order, args.sign or 1)
     else:
-        spec = ClassSpec(OperatorParams(args.sigma, args.n), args.beta)
+        if args.sign is not None:
+            raise ValueError(f"--sign does not apply to --family {args.family}")
+        spec = ClassSpec(OperatorParams(args.sigma, args.n), 0.0 if args.beta is None else args.beta)
         maker = extremal_B_upper if args.family == "upper" else extremal_B_lower
         series = maker(spec, args.order)
     _emit(to_json(series), args.out)

@@ -118,11 +118,15 @@ def extremal_iterate(params: OperatorParams, order: int | None = None, sign: int
 
     Coefficients are 2 * multiplier(sigma, n, k) * sign**k, so sign=+1 gives the
     maximal-real-part direction on the positive axis and sign=-1 the minimal one.
+    For sign=-1 the odd coefficients are negated, which is the same double as
+    the product with (-1)**k, and every imaginary part is +0.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = default_order() if order is None else int(order)
-    mults = multiplier_row(params.sigma, params.n, n)
-    k = np.arange(1, n + 1)
-    c = np.concatenate([[1.0 + 0.0j], 2.0 * mults * (float(sign) ** k)])
+    c = np.empty(n + 1, dtype=np.complex128)
+    c[0] = 1.0
+    c[1:] = 2.0 * multiplier_row(params.sigma, params.n, n)
+    if sign == -1:
+        c.real[1::2] *= -1.0
     return TruncatedSeries(c)

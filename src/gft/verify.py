@@ -8,12 +8,14 @@ ANGULAR_SAMPLES), and margins already include the truncation-tail
 allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
 not a sampling artifact.  The envelope suites 3, 9 and 11 share one path:
 one (lower, upper) table per entry and radius of the untruncated bounds that
-`gft bounds` prints, which the two axis extremals must attain at x = +r,
-each summed against one table of r**k.  The table is built one (sigma, n)
-pair at a time, as bounds_rows builds it: the pair's series comes from one
-call over all radii and is mapped for each beta, and the pair's two iterates
-are built once and give every beta's extremal members, bit for bit as built
-on their own.  A truncated member stays below the exact upper bound with no
+`gft bounds` prints, which the two axis extremals must attain at x = +r.
+The table is built one (sigma, n) pair at a time, as bounds_rows builds it:
+the pair's series comes from one call over all radii and is mapped for each
+beta, and its two extremal iterates are built once, as real rows, which
+suites 9 and 11 map for all its betas by one member_rows call: the real
+parts of the extremals built alone, bit for bit.  One product of the pair's
+(betas, 2, K) stack with the table of r**k gives its axis values at every
+radius.  A truncated member stays below the exact upper bound with no
 allowance, and may undershoot the exact lower bound by at most its own
 dropped tail.  Suites 3 and 9 read the tail's coefficient bound off the last
 column of their multiplier tables, suite 11 off the depth n - 1 table of its
@@ -33,8 +35,8 @@ iterations once, one multiplier row per lattice entry (a row of ones for
 n = 0), each distinct (sigma, n) row built once and gathered by index, and
 scales each block's rows by them; suite 11 has one such table per depth m,
 row min(m, n), and its recurrence ties the closed-form iterates at
-consecutive depths.  Suite 10 takes its entries one (sigma, n) pair at a
-time, as the envelope suites do.
+consecutive depths.  Suites 7 and 10 take their entries one (sigma, n)
+pair at a time too, and map one real iterate per pair for each beta.
 Memory therefore does not depend on the trial count, and since every row
 gets the same elementwise operations as a member built on its own, reports
 are byte-identical to evaluating one member at a time.
@@ -59,7 +61,6 @@ from .classes import (
     _shift,
     circle_values,
     default_lattice,
-    extremal_B_upper,
     grid_tails,
     member_rows,
     multiplier_series,
@@ -153,6 +154,14 @@ def _pairs(lattice, pred):
     return sorted({(spec.sigma, spec.n) for spec in lattice if pred(spec)})
 
 
+def _by_pair(entries) -> dict:
+    """The indices of the entries of each (sigma, n), keyed by its OperatorParams in order of first appearance."""
+    groups: dict = {}
+    for i, entry in enumerate(entries):
+        groups.setdefault(entry.params, []).append(i)
+    return groups
+
+
 def _blocks(trials: int, size: int, seed, suite: int, width: int):
     """(trial indices, entry index per trial, their rows of uniforms) for each block of _BLOCK trials.
 
@@ -205,36 +214,38 @@ def _sharp_envelopes(out, entries, depth: int, factor, extremals) -> np.ndarray:
     The table has shape (2, len(entries), len(RADII)) and is checked for sharpness.  Entries are taken one
     (sigma, n) pair at a time, as in bounds_rows: one _radial_series call per pair, over all radii, mapped
     for each entry by _radial_bounds, so the bounds are those `gft bounds` prints, bit for bit.
-    extremals(specs) yields, for each spec of one pair, the rows (lows, ups) that must attain lower and
-    upper at x = +r, to SHARPNESS_TOL, so a pair's shared rows are built once and dropped before the next
-    pair.  Each row is summed against one r**k table by one dot product per circle, bit-identical to
-    summing it on its own.
+    extremals(params, specs) gives the pair's real coefficient rows, shape (len(specs), 2, K) with
+    K <= SHARP_ORDER + 1: for each spec, the rows that must attain lower and upper at x = +r, to
+    SHARPNESS_TOL.  One product with the r**k table sums all of them at every radius, and one minimum adds
+    the pair's margins, one per entry, side and radius.
     """
     radii = np.array(RADII)
     env = np.empty((2, len(entries), len(RADII)))
     powers = radii[:, None] ** np.arange(SHARP_ORDER + 1)
-    pairs: dict = {}
-    for i, entry in enumerate(entries):
-        pairs.setdefault(entry.params, []).append(i)
-    for group in pairs.values():
-        params = entries[group[0]].params
+    for params, group in _by_pair(entries).items():
+        specs = [entries[i] for i in group]
         series = _radial_series(params.sigma, params.n + depth, radii)
-        for i, rows in zip(group, extremals([entries[i] for i in group])):
-            env[0, i], env[1, i] = _radial_bounds(entries[i], series, factor(entries[i], radii))
-            axis = np.array([[row @ circle[: row.size] for circle in powers] for row in rows]).real
-            out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, i])))
+        for i, spec in zip(group, specs):
+            env[0, i], env[1, i] = _radial_bounds(spec, series, factor(spec, radii))
+        rows = extremals(params, specs)
+        axis = rows @ powers[:, : rows.shape[-1]].T
+        out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, group].transpose(1, 0, 2))))
     return env
 
 
-def _B_extremals(specs):
-    """For each spec, the coefficient rows (lower, upper) of its extremal members, cut at SHARP_ORDER.
+def _iterates(params, order: int) -> np.ndarray:
+    """The real coefficients of the (lower, upper) extremal iterates of one (sigma, n): shape (2, order + 1)."""
+    return np.array([extremal_iterate(params, order, sign).coeffs.real for sign in (-1, 1)])
 
-    The specs share one (sigma, n), whose two iterates are built once; each spec's rows are
-    extremal_B_lower and extremal_B_upper at SHARP_ORDER, bit for bit.
+
+def _B_extremals(params, specs) -> np.ndarray:
+    """The real rows (lower, upper) of each spec's extremal members, cut at SHARP_ORDER: (len(specs), 2, K).
+
+    The specs share one (sigma, n), whose two iterates are built once, and one member_rows call maps them
+    for every beta; each spec's rows are the real parts of extremal_B_lower and extremal_B_upper at
+    SHARP_ORDER, bit for bit.
     """
-    iterates = np.array([extremal_iterate(specs[0].params, SHARP_ORDER - 1, sign).coeffs for sign in (-1, 1)])
-    for spec in specs:
-        yield member_rows(iterates, [spec.beta, spec.beta])
+    return member_rows(_iterates(params, SHARP_ORDER - 1), np.array([[spec.beta] for spec in specs]))
 
 
 def _envelope_margins(out, low, high, env, tails) -> None:
@@ -289,7 +300,7 @@ def _suite_3(lattice, trials, seed, out):
         [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs],
         0,
         lambda spec, r: 1.0,
-        lambda specs: ([extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs for sign in (-1, 1)] for spec in specs),
+        lambda params, specs: np.broadcast_to(_iterates(params, SHARP_ORDER), (len(specs), 2, SHARP_ORDER + 1)),
     )
     order = default_order()
     mults = _mults(pairs, order)
@@ -370,9 +381,11 @@ def _suite_7(lattice, trials, seed, out):
     order = default_order()
     mults, betas = _member_tables(lattice, order - 1)
     bounds = 2.0 * (1.0 - betas)[:, None] * mults
-    for spec, bound in zip(lattice, bounds):
-        ext = extremal_B_upper(spec, order)
-        out.add(COEFF_TOL - float(np.max(np.abs(np.abs(ext.coeffs[2:]) - bound))))
+    # each pair's upper iterate gives the extremal_B_upper rows of all its betas, bit for bit
+    for params, group in _by_pair(lattice).items():
+        upper = extremal_iterate(params, order - 1, 1).coeffs.real
+        ext = member_rows(upper, betas[group])
+        out.add(COEFF_TOL - np.max(np.abs(np.abs(ext[:, 2:]) - bounds[group])))
     for _, idx, u in _blocks(trials, len(lattice), seed, 7, _DRAWS):
         f = random_members(u, mults[idx], betas[idx])
         out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
@@ -422,16 +435,14 @@ def _suite_10(lattice, trials, seed, out):
         return
     out.note("deterministic per lattice entry; trials parameter not used")
     r, order = 0.999, 8192
-    pairs: dict = {}
-    for spec in entries:
-        pairs.setdefault(spec.params, []).append(spec)
-    for params, specs in pairs.items():
+    for params, group in _by_pair(entries).items():
         covering = multiplier_series(params.sigma, params.n, -1.0)
         series = _radial_series(params.sigma, params.n, r)
-        lower = extremal_iterate(params, order - 1, -1).coeffs
+        lower = extremal_iterate(params, order - 1, -1).coeffs.real  # real members: half the bytes, the same values
         # one member at a time: a stack of order-8192 rows would pass the allocator's threshold and fault its pages in
-        for spec in specs:
-            f = member_rows(lower[None], [spec.beta])[0]
+        for i in group:
+            spec = entries[i]
+            f = member_rows(lower, spec.beta)
             low = np.abs(evaluate_circle(f, r, ANGULAR_SAMPLES)).min()
             out.add(5e-3 - abs(low - float(_shift(spec.beta, covering))))
             # the extremal's last coefficient, 2 (1 - beta) multiplier(sigma, n, order - 1), bounds the dropped ones
@@ -442,7 +453,7 @@ def _suite_10(lattice, trials, seed, out):
 def _derivative_combo(shift, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of (sigma - n) f / z + f' for shift = sigma - n: coefficient j is (sigma - n + 1 + j) a_{j+1}.
 
-    coeffs is one member's coefficients, or rows of them with one shift per row.
+    coeffs is one member's coefficients or a stack of rows, and shift one value for all or one per row.
     """
     j = np.arange(0, coeffs.shape[-1] - 1)
     return (np.asarray(shift)[..., None] + 1.0 + j) * coeffs[..., 1:]
@@ -472,7 +483,7 @@ def _suite_11(lattice, trials, seed, out):
         lattice,
         -1,  # distortion_bounds: (sigma - n + 1) (1 + 2 (1 - beta) S_{n - 1}(-+r))
         lambda spec, r: spec.sigma - (spec.n - 1),
-        lambda specs: (_derivative_combo(s.sigma - s.n, rows) for s, rows in zip(specs, _B_extremals(specs))),
+        lambda params, specs: _derivative_combo(params.sigma - params.n, _B_extremals(params, specs)),
     )
     order = default_order()
     ns, sigmas, betas = (np.array([getattr(s, key) for s in lattice]) for key in ("n", "sigma", "beta"))

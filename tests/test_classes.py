@@ -29,6 +29,7 @@ from gft.classes import (
     inflate_to_non_member,
     is_in_B,
     member_from_p,
+    member_rows,
     membership_in_B,
     membership_in_B_direct,
     membership_in_P,
@@ -45,7 +46,7 @@ from gft.classes import (
     verdicts,
     write_bounds_csv,
 )
-from gft.kernels import OperatorParams, multiplier, multiplier_row
+from gft.kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
 from gft.operators import iterate_closed
 from gft.series import SchlichtSeries, TruncatedSeries, evaluate, herglotz_expand, herglotz_rows
 from gft.verify import _BLOCK, _class_margins, default_lattice, run_suite
@@ -180,6 +181,18 @@ def test_extremal_member_coefficients():
     low = extremal_B_lower(spec, order=16)
     assert np.allclose(np.abs(low.coeffs[2:]), 2.0 / k, rtol=1e-15)
     assert np.all(np.sign(low.coeffs[2:].real) == (-1.0) ** (k - 1))
+
+
+def test_member_rows_maps_real_iterates_for_many_betas_at_once():
+    """Two real iterates and a column of betas give a (betas, 2, K) stack of the extremals' real parts, bit for bit."""
+    params, betas = OperatorParams(3.5, 2), (0.0, 0.25, 0.9)
+    iterates = np.array([extremal_iterate(params, 40, sign).coeffs.real for sign in (-1, 1)])
+    stack = member_rows(iterates, np.array(betas)[:, None])
+    assert stack.shape == (3, 2, 42) and stack.dtype == np.float64
+    for beta, rows in zip(betas, stack):
+        for row, extremal in zip(rows, (extremal_B_lower, extremal_B_upper)):
+            coeffs = extremal(ClassSpec(params, beta), 41).coeffs
+            assert row.tobytes() == coeffs.real.tobytes() and not coeffs.imag.any()
 
 
 def test_growth_oracle_logarithmic_values():

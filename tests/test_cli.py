@@ -140,6 +140,17 @@ def test_extremal_families(capsys):
     assert np.allclose(from_json(out).coeffs, [0, 1, -0.5, 1 / 3, -0.25])
 
 
+def test_extremal_readme_example_and_flag_defaults(capsys):
+    """The README's upper example runs, --beta defaults to 0 and --sign to 1."""
+    code, shown, _ = run_cli(capsys, "extremal", "--family", "upper", "--sigma", "1", "--n", "1", "--beta", "0",
+                             "--order", "8")
+    assert code == 0
+    assert run_cli(capsys, "extremal", "--family", "upper", "--sigma", "1", "--n", "1", "--order", "8")[1] == shown
+    code, plain, _ = run_cli(capsys, "extremal", "--sigma", "1", "--n", "1", "--order", "3")
+    assert code == 0
+    assert plain == run_cli(capsys, "extremal", "--sigma", "1", "--n", "1", "--order", "3", "--sign", "1")[1]
+
+
 def test_extremal_with_huge_depth_finishes():
     """A depth far past the order costs no more than the order: the row is a product over k."""
     argv = ["extremal", "--family", "iterate", "--sigma", "1e9", "--n", "100000000", "--order", "8"]
@@ -376,6 +387,12 @@ def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
         (["extremal", "--sigma", "1", "--n", "1", "--order", "0"],
          "gft: error: --order must be >= 1 for --family iterate"),
         (["verify", "--theorem", "7", "--seed", "-1"], "gft: error: --seed must be >= 0"),
+        (["extremal", "--family", "iterate", "--sigma", "1", "--n", "1", "--beta", "5", "--order", "3"],
+         "gft: error: --beta does not apply to --family iterate"),
+        (["extremal", "--family", "upper", "--sigma", "1", "--n", "1", "--sign", "-1"],
+         "gft: error: --sign does not apply to --family upper"),
+        (["extremal", "--family", "lower", "--sigma", "1", "--n", "1", "--sign", "1", "--beta", "0.5"],
+         "gft: error: --sign does not apply to --family lower"),
     ],
 )
 def test_usage_errors_are_one_line(capsys, argv, message):

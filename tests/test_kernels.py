@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gft.kernels import (
     OperatorParams,
@@ -136,3 +138,19 @@ def test_extremal_iterate_coefficients():
         assert minus.coeffs[k].real == pytest.approx(expect * (-1.0) ** k, rel=1e-15)
     with pytest.raises(ValueError):
         extremal_iterate(params, order=8, sign=0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", [1, 2, 63, 3208, 8191])
+@given(
+    shift=st.floats(1e-3, 1e4),
+    n=st.one_of(st.integers(0, 200), st.integers(8192, 10**6)),  # the second range is past every order
+)
+@settings(max_examples=20, deadline=None)
+@example(shift=1.0, n=64)  # a depth one past order 63
+def test_extremal_iterate_keeps_the_bytes_of_the_signed_power(order, sign, shift, n):
+    """Negated odd coefficients are the bytes of 2 multiplier(sigma, n, k) sign**k, imaginary parts included."""
+    params = OperatorParams(shift + (n - 1.0), n)
+    k = np.arange(1, order + 1)
+    power = np.concatenate([[1.0 + 0.0j], 2.0 * multiplier_row(params.sigma, n, order) * float(sign) ** k])
+    assert extremal_iterate(params, order, sign).coeffs.tobytes() == power.tobytes()

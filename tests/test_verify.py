@@ -252,6 +252,70 @@ def test_membership_suites_name_the_radii_they_cannot_fail_at(monkeypatch):
     assert not any(note.startswith("truncation allowance") for note in tight.notes)
 
 
+@pytest.mark.parametrize("theorem, beta", [("3", 0.0), ("9", 0.5), ("11", 0.5)])
+def test_sharpness_checks_read_each_entry_on_its_own(monkeypatch, theorem, beta):
+    """One entry's lower bound moved by 1e-6 fails its suite by that much, with one trial that tests another entry.
+
+    Suite 3's entries are its (sigma, n) pairs at beta 0, so there the pair (2, 1) is moved.
+    """
+    moved, exact = ClassSpec(OperatorParams(2.0, 1), beta), verify._radial_bounds
+
+    def move_one(spec, series, factor):
+        lower, upper = exact(spec, series, factor)
+        return (lower + 1e-6 if spec == moved else lower), upper
+
+    monkeypatch.setattr(verify, "_radial_bounds", move_one)
+    report = run_suite(theorem, trials=1, seed=0)
+    assert report.verdict == "fail"
+    assert report.worst_margin == pytest.approx(SHARPNESS_TOL - 1e-6, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("theorem", ["3", "9", "11"])
+def test_sharp_envelopes_match_each_entry_summed_on_its_own(monkeypatch, theorem):
+    """On a shuffled lattice that repeats (sigma, n) pairs, the batched sharpness margin is the per-entry one.
+
+    Each entry's rows are built on their own, as extremal_iterate or extremal_B_lower and extremal_B_upper at
+    SHARP_ORDER, and summed exactly against r**k by math.fsum; the bounds are classes._envelope's.
+    """
+    lattice = [
+        ClassSpec(OperatorParams(sigma, n), beta)
+        for sigma, n, beta in [(3.5, 2, 0.9), (0.5, 0, 0.0), (3.5, 2, 0.0), (1.0, 1, 0.25), (0.5, 0, 0.5)]
+    ]
+    batched, sharp = [], verify._sharp_envelopes
+
+    def record(out, *args):
+        alone = verify._Margins()
+        env = sharp(alone, *args)
+        batched.append(alone.worst)
+        out.add(alone.worst)
+        return env
+
+    monkeypatch.setattr(verify, "_sharp_envelopes", record)
+    run_suite(theorem, lattice=lattice, trials=1)
+    radii = np.array(RADII)
+    powers = radii[:, None] ** np.arange(SHARP_ORDER + 1)
+    if theorem == "3":
+        specs = [ClassSpec(params) for params in dict.fromkeys(spec.params for spec in lattice)]
+    else:
+        specs = lattice
+    worst, largest = math.inf, 1.0
+    for spec in specs:
+        if theorem == "3":
+            rows = [extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs.real for sign in (-1, 1)]
+            env = classes._envelope(spec, spec.n, radii, 1.0)
+        else:
+            rows = [f(spec, SHARP_ORDER).coeffs.real for f in (classes.extremal_B_lower, extremal_B_upper)]
+            env = classes.growth_bounds(spec, radii) if theorem == "9" else classes.distortion_bounds(spec, radii)
+        if theorem == "11":
+            rows = [verify._derivative_combo(spec.sigma - spec.n, row) for row in rows]
+        for row, bound in zip(rows, env):
+            axis = np.array([math.fsum(row * circle[: row.size]) for circle in powers])
+            worst = min(worst, np.min(SHARPNESS_TOL - np.abs(axis - bound)))
+            largest = max(largest, np.max(np.abs(bound)))
+    assert len(batched) == 1
+    assert abs(batched[0] - worst) <= 1e-15 * largest
+
+
 def test_a_nan_margin_fails_the_suite(monkeypatch):
     """A check that yields NaN counts as a failure, not as a check that never ran."""
     monkeypatch.setattr(verify, "_radial_bounds", lambda spec, series, factor: (math.nan, math.nan))
