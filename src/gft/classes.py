@@ -6,8 +6,10 @@ a truncated member can dip below the threshold near the boundary purely
 because of the dropped tail, so the boolean tests fail only when the margin
 is negative by more than tail + GRID_TOLERANCE.  The growth, distortion and
 covering bounds are affine images of one untruncated series,
-multiplier_series, so they carry no truncation order and no tail pad; the
-verification suites check members and extremals against these same bounds.
+multiplier_series, so they carry no truncation order and no tail pad.  The
+radial ones are built in one place, envelope_table, one series per (sigma,
+n) pair over all radii: `gft bounds` prints that table, and the
+verification suites check members and extremals against it.
 """
 
 from __future__ import annotations
@@ -351,43 +353,48 @@ def _shift(beta: float, s):
     return 1.0 + 2.0 * (1.0 - beta) * s
 
 
-def _radial_series(sigma: float, n: int, r) -> tuple:
-    """(radii, S_n(x) at x = -r and x = +r along a leading axis), from one multiplier_series call.
+def by_pair(specs) -> dict:
+    """The indices of the specs of each (sigma, n), keyed by its OperatorParams in order of first appearance."""
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.params, []).append(i)
+    return groups
 
-    r is one radius or an array of radii; each value is bit-identical to the call for its radius alone.
+
+def envelope_table(specs, depth: int, r, factor) -> np.ndarray:
+    """factor (1 + 2 (1 - beta) S_{n + depth}(x)) at x = -r and x = +r for each spec: the shape of every radial bound.
+
+    The table has shape (2, len(specs), *r.shape), lower then upper, and factor broadcasts against
+    (len(specs), *r.shape).  Every bound is an affine map of a series that depends on (sigma, n) alone, so
+    each pair's series comes from one multiplier_series call over all radii and is mapped for each of its
+    specs; each value is bit-identical to the call for its spec and radius alone.  An overflow names the
+    first overflowing spec and its first overflowing radius.
     """
     radii = np.asarray(r, dtype=np.float64)
     if not np.all((radii > 0.0) & (radii < 1.0)):
         raise ValueError("radius must lie strictly between 0 and 1")
-    return radii, multiplier_series(sigma, n, np.stack([-radii, radii]))
-
-
-def _radial_bounds(spec: ClassSpec, series: tuple, factor) -> tuple:
-    """factor _shift(beta, S) at x = -r and x = +r, from _radial_series output: two floats, or two arrays.
-
-    An overflow names the spec and its first overflowing radius.
-    """
-    radii, s = series
-    lower, upper = factor * _shift(spec.beta, s)
-    overflow = ~np.isfinite(upper)
+    series = np.empty((2, len(specs), *radii.shape))
+    for params, group in by_pair(specs).items():
+        series[:, group] = multiplier_series(params.sigma, params.n + depth, np.stack([-radii, radii]))[:, None]
+    betas = np.array([spec.beta for spec in specs]).reshape(-1, *(1,) * radii.ndim)
+    table = factor * _shift(betas, series)
+    overflow = ~np.isfinite(table[1])
     if np.any(overflow):
-        raise ValueError(f"a bound overflows at sigma={spec.sigma}, n={spec.n}, r={radii[overflow].flat[0]}")
-    return (float(lower), float(upper)) if radii.ndim == 0 else (lower, upper)
+        i, *at = np.argwhere(overflow)[0]
+        raise ValueError(f"a bound overflows at sigma={specs[i].sigma}, n={specs[i].n}, r={radii[tuple(at)]}")
+    return table
 
 
 def _envelope(spec: ClassSpec, n: int, r, factor) -> tuple:
-    """factor (1 + 2 (1 - beta) S_n(x)) at x = -r and x = +r: the shape of every radial bound.
-
-    r is one radius, giving two floats, or an array of radii, giving two arrays of its shape, all from
-    one multiplier_series call.
-    """
-    return _radial_bounds(spec, _radial_series(spec.sigma, n, r), factor)
+    """envelope_table's bounds (lower, upper) of one spec, through S_n: two floats for one radius, or two arrays."""
+    lower, upper = envelope_table([spec], n - spec.n, r, factor)[:, 0]
+    return (float(lower), float(upper)) if np.ndim(r) == 0 else (lower, upper)
 
 
 def growth_bounds(spec: ClassSpec, r) -> tuple:
     """Sharp modulus envelope (lower, upper) for members at |z| = r: r (1 + 2 (1 - beta) S_n(-+r)).
 
-    r may be an array of radii, as in _envelope.
+    r may be an array of radii, as in envelope_table.
     """
     return _envelope(spec, spec.n, r, r)
 
@@ -416,7 +423,7 @@ def distortion_bounds(spec: ClassSpec, r) -> tuple:
     n >= 1 (sharp, attained by the alternating extremal); for n = 0 it is
     the value the alternating extremal attains but not a floor, since there
     is no shallower iterate whose real-part bound would enforce it.
-    r may be an array of radii, as in _envelope.
+    r may be an array of radii, as in envelope_table.
     """
     return _envelope(spec, spec.n - 1, r, spec.sigma - (spec.n - 1))
 
@@ -437,24 +444,21 @@ BOUNDS_COLUMNS = (
 def bounds_rows(specs, radii) -> list:
     """Closed-form bound table, one row per (spec, radius); covering blank for n = 0.
 
-    Every bound is an affine map of a series that depends on (sigma, n) alone, so each pair's three
-    series are computed once, over all radii, and mapped for each of its betas, as covering_constant,
-    distortion_bounds and growth_bounds map them.
+    The m and growth columns are two envelope_table calls, as distortion_bounds and growth_bounds map them,
+    and each (sigma, n) pair's covering series is computed once and mapped for each of its betas, as
+    covering_constant maps it.
     """
     radii = np.array(radii, dtype=np.float64)
-    pairs: dict = {}
+    lam = np.array([spec.sigma - (spec.n - 1) for spec in specs])[:, None]
+    m, growth = envelope_table(specs, -1, radii, lam), envelope_table(specs, 0, radii, radii)
+    coverings: dict = {}
     rows = []
-    for spec in specs:
-        if spec.params not in pairs:
-            pairs[spec.params] = (
-                multiplier_series(spec.sigma, spec.n, -1.0) if spec.n >= 1 else None,
-                _radial_series(spec.sigma, spec.n - 1, radii),
-                _radial_series(spec.sigma, spec.n, radii),
-            )
-        covering, distortion, growth = pairs[spec.params]
+    for i, spec in enumerate(specs):
+        if spec.params not in coverings:
+            coverings[spec.params] = multiplier_series(spec.sigma, spec.n, -1.0) if spec.n >= 1 else None
+        covering = coverings[spec.params]
         cov = None if covering is None else float(_shift(spec.beta, covering))
-        m_bounds = _radial_bounds(spec, distortion, spec.sigma - (spec.n - 1))
-        columns = [radii, *m_bounds, *_radial_bounds(spec, growth, radii)]
+        columns = [radii, *m[:, i], *growth[:, i]]
         for values in zip(*(column.tolist() for column in columns)):
             rows.append(dict(zip(BOUNDS_COLUMNS, (spec.sigma, spec.n, spec.beta, *values, cov))))
     return rows

@@ -116,6 +116,7 @@ def iterate_closed(params: OperatorParams, p: TruncatedSeries) -> TruncatedSerie
 
 def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
     """Inverse of iterate_closed: divide coefficient k by multiplier(sigma, n, k)."""
+    require_unit_constant(q)
     if params.n == 0:
         return q
     # a subnormal multiplier has no finite quotient; TruncatedSeries rejects the result

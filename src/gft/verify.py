@@ -7,13 +7,13 @@ fails it.  Every circle check samples the fixed grid of classes (RADII,
 ANGULAR_SAMPLES), and margins already include the truncation-tail
 allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
 not a sampling artifact.  The envelope suites 3, 9 and 11 share one path:
-one (lower, upper) table per entry and radius of the untruncated bounds that
-`gft bounds` prints, which the two axis extremals must attain at x = +r.
-The table is built one (sigma, n) pair at a time, as bounds_rows builds it:
-the pair's series comes from one call over all radii and is mapped for each
-beta, and its two extremal iterates are built once, as real rows, which
-suites 9 and 11 map for all its betas by one member_rows call: the real
-parts of the extremals built alone, bit for bit.  One product of the pair's
+the (lower, upper) table of the untruncated bounds per entry and radius,
+built once, in classes, by envelope_table, the table `gft bounds` prints, and
+checked here only for sharpness: the two axis extremals must attain it at
+x = +r.  The extremals are taken one (sigma, n) pair at a time: the pair's
+two extremal iterates are built once, as real rows, which suites 9 and 11
+map for all its betas by one member_rows call: the real parts of the
+extremals built alone, bit for bit.  One product of the pair's
 (betas, 2, K) stack with the table of r**k gives its axis values at every
 radius.  A truncated member stays below the exact upper bound with no
 allowance, and may undershoot the exact lower bound by at most its own
@@ -56,11 +56,11 @@ from .classes import (
     GRID_TOLERANCE,
     RADII,
     ClassSpec,
-    _radial_bounds,
-    _radial_series,
     _shift,
+    by_pair,
     circle_values,
     default_lattice,
+    envelope_table,
     grid_tails,
     member_rows,
     multiplier_series,
@@ -146,20 +146,8 @@ class _Margins:
             self.notes.append(text)
 
 
-def _entries(lattice, pred):
-    return [spec for spec in lattice if pred(spec)]
-
-
 def _pairs(lattice, pred):
     return sorted({(spec.sigma, spec.n) for spec in lattice if pred(spec)})
-
-
-def _by_pair(entries) -> dict:
-    """The indices of the entries of each (sigma, n), keyed by its OperatorParams in order of first appearance."""
-    groups: dict = {}
-    for i, entry in enumerate(entries):
-        groups.setdefault(entry.params, []).append(i)
-    return groups
 
 
 def _blocks(trials: int, size: int, seed, suite: int, width: int):
@@ -172,14 +160,6 @@ def _blocks(trials: int, size: int, seed, suite: int, width: int):
     for start in range(0, trials, _BLOCK):
         ts = range(start, min(start + _BLOCK, trials))
         yield ts, np.array([t % size for t in ts]), rng.random((len(ts), width))
-
-
-def _factors(image, start: int) -> np.ndarray:
-    """The factors a diagonal operator multiplies coefficients start.. by, read off its image of all ones there.
-
-    (1 + 0i) x is x exactly, so these are the operator's own factors, bit for bit.
-    """
-    return image.coeffs[start:].real
 
 
 def _mults(pairs, kmax: int) -> np.ndarray:
@@ -208,29 +188,20 @@ def _class_margins(members: np.ndarray, betas: np.ndarray, mults: np.ndarray) ->
     return _iterated_P_margins(p_rows(members, betas), mults)
 
 
-def _sharp_envelopes(out, entries, depth: int, factor, extremals) -> np.ndarray:
-    """The bounds (lower, upper) = factor(entry, r) (1 + 2 (1 - beta) S_{n + depth}(-+r)) at every r in RADII.
+def _sharp_envelopes(out, entries, env, extremals) -> None:
+    """Check that the bounds env, an envelope_table of the entries at RADII, are attained on the axis.
 
-    The table has shape (2, len(entries), len(RADII)) and is checked for sharpness.  Entries are taken one
-    (sigma, n) pair at a time, as in bounds_rows: one _radial_series call per pair, over all radii, mapped
-    for each entry by _radial_bounds, so the bounds are those `gft bounds` prints, bit for bit.
-    extremals(params, specs) gives the pair's real coefficient rows, shape (len(specs), 2, K) with
-    K <= SHARP_ORDER + 1: for each spec, the rows that must attain lower and upper at x = +r, to
-    SHARPNESS_TOL.  One product with the r**k table sums all of them at every radius, and one minimum adds
-    the pair's margins, one per entry, side and radius.
+    The table is the one `gft bounds` prints, built once in classes; this only checks its sharpness, one
+    (sigma, n) pair at a time.  extremals(params, specs) gives the pair's real coefficient rows, shape
+    (len(specs), 2, K) with K <= SHARP_ORDER + 1: for each spec, the rows that must attain lower and upper
+    at x = +r, to SHARPNESS_TOL.  One product with the r**k table sums all of them at every radius, and one
+    minimum adds the pair's margins, one per entry, side and radius.
     """
-    radii = np.array(RADII)
-    env = np.empty((2, len(entries), len(RADII)))
-    powers = radii[:, None] ** np.arange(SHARP_ORDER + 1)
-    for params, group in _by_pair(entries).items():
-        specs = [entries[i] for i in group]
-        series = _radial_series(params.sigma, params.n + depth, radii)
-        for i, spec in zip(group, specs):
-            env[0, i], env[1, i] = _radial_bounds(spec, series, factor(spec, radii))
-        rows = extremals(params, specs)
+    powers = np.array(RADII)[:, None] ** np.arange(SHARP_ORDER + 1)
+    for params, group in by_pair(entries).items():
+        rows = extremals(params, [entries[i] for i in group])
         axis = rows @ powers[:, : rows.shape[-1]].T
         out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, group].transpose(1, 0, 2))))
-    return env
 
 
 def _iterates(params, order: int) -> np.ndarray:
@@ -264,7 +235,8 @@ def _suite_1(lattice, trials, seed, out):
     gammas = (0.0, 0.3, 0.7, 1.2, 2.0)
     order = default_order()
     ones = TruncatedSeries(np.ones(order + 1))
-    steps = np.array([_factors(iterate_step_closed(sigma, n, ones), 1) for sigma, n in pairs])
+    # an operator's factors read off its image of all ones: (1 + 0i) x is x exactly, so these are its own, bit for bit
+    steps = np.array([iterate_step_closed(sigma, n, ones).coeffs[1:].real for sigma, n in pairs])
     for ts, idx, u in _blocks(trials, len(pairs), seed, 1, _DRAWS + 1):
         q = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
         scale = 0.05 + 0.95 * u[:, _DRAWS]  # uniform(0.05, 1.0), as numpy computes it
@@ -295,11 +267,12 @@ def _suite_2(lattice, trials, seed, out):
 def _suite_3(lattice, trials, seed, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
     pairs = _pairs(lattice, lambda s: True)
-    env = _sharp_envelopes(
+    entries = [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs]
+    env = envelope_table(entries, 0, RADII, 1.0)
+    _sharp_envelopes(
         out,
-        [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs],
-        0,
-        lambda spec, r: 1.0,
+        entries,
+        env,
         lambda params, specs: np.broadcast_to(_iterates(params, SHARP_ORDER), (len(specs), 2, SHARP_ORDER + 1)),
     )
     order = default_order()
@@ -331,7 +304,7 @@ def _suite_4(lattice, trials, seed, out):
 
 def _suite_5(lattice, trials, seed, out):
     """Members of the deeper class pass the shallower class test."""
-    entries = _entries(lattice, lambda s: s.sigma - s.n > 0)
+    entries = [spec for spec in lattice if spec.sigma - spec.n > 0]
     if not entries:
         out.note("no lattice entries with sigma - n > 0")
         return
@@ -361,7 +334,7 @@ def _suite_6(lattice, trials, seed, out):
             "entries with sigma > n excluded: members there can have vanishing "
             "derivative inside the disk, so injectivity is not guaranteed"
         )
-    entries = _entries(lattice, lambda s: s.n >= 1 and s.sigma <= s.n)
+    entries = [spec for spec in lattice if spec.n >= 1 and spec.sigma <= spec.n]
     if not entries:
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
@@ -382,7 +355,7 @@ def _suite_7(lattice, trials, seed, out):
     mults, betas = _member_tables(lattice, order - 1)
     bounds = 2.0 * (1.0 - betas)[:, None] * mults
     # each pair's upper iterate gives the extremal_B_upper rows of all its betas, bit for bit
-    for params, group in _by_pair(lattice).items():
+    for params, group in by_pair(lattice).items():
         upper = extremal_iterate(params, order - 1, 1).coeffs.real
         ext = member_rows(upper, betas[group])
         out.add(COEFF_TOL - np.max(np.abs(np.abs(ext[:, 2:]) - bounds[group])))
@@ -393,13 +366,13 @@ def _suite_7(lattice, trials, seed, out):
 
 def _suite_8(lattice, trials, seed, out):
     """The weighted integral mean with c + 1 = sigma - n maps the class into itself."""
-    entries = _entries(lattice, lambda s: s.sigma - s.n > 0)
+    entries = [spec for spec in lattice if spec.sigma - spec.n > 0]
     if not entries:
         out.note("no lattice entries with sigma - n > 0")
         return
     order = default_order()
     ones = SchlichtSeries(np.r_[0.0, np.ones(order)])
-    means = np.array([_factors(bernardi(spec.sigma - spec.n - 1.0, ones), 2) for spec in entries])
+    means = np.array([bernardi(spec.sigma - spec.n - 1.0, ones).coeffs[2:].real for spec in entries])
     mults, betas = _member_tables(entries, order - 1)
     for _, idx, u in _blocks(trials, len(entries), seed, 8, _DRAWS):
         f = random_members(u, mults[idx], betas[idx])
@@ -409,8 +382,8 @@ def _suite_8(lattice, trials, seed, out):
 
 def _suite_9(lattice, trials, seed, out):
     """Growth envelope for members, attained on the axis by the two extremals."""
-    # growth_bounds: r (1 + 2 (1 - beta) S_n(-+r))
-    env = _sharp_envelopes(out, lattice, 0, lambda spec, r: r, _B_extremals)
+    env = envelope_table(lattice, 0, RADII, RADII)  # growth_bounds: r (1 + 2 (1 - beta) S_n(-+r))
+    _sharp_envelopes(out, lattice, env, _B_extremals)
     order = default_order()
     mults, betas = _member_tables(lattice, order - 1)
     tails = np.array(RADII) * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order - 1)
@@ -423,21 +396,21 @@ def _suite_9(lattice, trials, seed, out):
 def _suite_10(lattice, trials, seed, out):
     """The lower extremal's minimum modulus near the boundary matches the covered-disk radius.
 
-    It is attained on the axis, so it equals the exact lower growth bound up to the dropped tail.  Entries
-    are taken one (sigma, n) pair at a time: the pair's covering series, radial series and lower iterate
-    are built once, and each beta's value, bound and extremal member are mapped from them, bit for bit as
-    covering_constant, growth_bounds and extremal_B_lower give them.
+    It is attained on the axis, so it equals the exact lower growth bound up to the dropped tail, read from
+    one envelope_table.  Entries are taken one (sigma, n) pair at a time: the pair's covering series and
+    lower iterate are built once, and each beta's value and extremal member are mapped from them, bit for
+    bit as covering_constant and extremal_B_lower give them.
     """
     if any(spec.n == 0 for spec in lattice):
         out.note("n = 0 entries skipped: the covering series diverges there")
-    entries = _entries(lattice, lambda s: s.n >= 1)
+    entries = [spec for spec in lattice if spec.n >= 1]
     if not entries:
         return
     out.note("deterministic per lattice entry; trials parameter not used")
     r, order = 0.999, 8192
-    for params, group in _by_pair(entries).items():
+    lows = envelope_table(entries, 0, r, r)[0]  # growth_bounds' lower bound
+    for params, group in by_pair(entries).items():
         covering = multiplier_series(params.sigma, params.n, -1.0)
-        series = _radial_series(params.sigma, params.n, r)
         lower = extremal_iterate(params, order - 1, -1).coeffs.real  # real members: half the bytes, the same values
         # one member at a time: a stack of order-8192 rows would pass the allocator's threshold and fault its pages in
         for i in group:
@@ -447,7 +420,7 @@ def _suite_10(lattice, trials, seed, out):
             out.add(5e-3 - abs(low - float(_shift(spec.beta, covering))))
             # the extremal's last coefficient, 2 (1 - beta) multiplier(sigma, n, order - 1), bounds the dropped ones
             tail = r * tail_bound(abs(f[-1]), order - 1, r)
-            out.add(SHARPNESS_TOL + tail - abs(low - _radial_bounds(spec, series, r)[0]))
+            out.add(SHARPNESS_TOL + tail - abs(low - lows[i]))
 
 
 def _derivative_combo(shift, coeffs: np.ndarray) -> np.ndarray:
@@ -478,15 +451,16 @@ def _suite_11(lattice, trials, seed, out):
             "n = 0 entries: lower envelope not enforced (no shallower iterate "
             "to supply the real-part floor; members can undershoot the formula)"
         )
-    env = _sharp_envelopes(
+    ns, sigmas, betas = (np.array([getattr(s, key) for s in lattice]) for key in ("n", "sigma", "beta"))
+    # distortion_bounds: (sigma - (n - 1)) (1 + 2 (1 - beta) S_{n - 1}(-+r))
+    env = envelope_table(lattice, -1, RADII, (sigmas - (ns - 1))[:, None])
+    _sharp_envelopes(
         out,
         lattice,
-        -1,  # distortion_bounds: (sigma - n + 1) (1 + 2 (1 - beta) S_{n - 1}(-+r))
-        lambda spec, r: spec.sigma - (spec.n - 1),
+        env,
         lambda params, specs: _derivative_combo(params.sigma - params.n, _B_extremals(params, specs)),
     )
     order = default_order()
-    ns, sigmas, betas = (np.array([getattr(s, key) for s in lattice]) for key in ("n", "sigma", "beta"))
     # levels[m] holds each entry's closed-form iterate factors at depth min(m, n); the deepest is its member's iterate
     levels = np.array([_mults([(s.sigma, min(m, s.n)) for s in lattice], order - 1) for m in range(ns.max() + 1)])
     # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k)
@@ -529,7 +503,7 @@ def _suite_remark22(lattice, trials, seed, out):
         return
     order = default_order()
     ones = TruncatedSeries(np.ones(order + 1))
-    single = np.array([_factors(salagean_iterate(sigma, 1, ones), 1) for sigma in sigmas])
+    single = np.array([salagean_iterate(sigma, 1, ones).coeffs[1:].real for sigma in sigmas])
     mults = _mults([(sigma, 1) for sigma in sigmas], order)
     for _, idx, u in _blocks(trials, len(sigmas), seed, 22, _DRAWS):
         p = herglotz_rows(*random_mixtures(u), order)

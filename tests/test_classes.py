@@ -23,6 +23,7 @@ from gft.classes import (
     circle_points,
     covering_constant,
     distortion_bounds,
+    envelope_table,
     extremal_B_lower,
     extremal_B_upper,
     growth_bounds,
@@ -280,6 +281,55 @@ def test_bounds_table_makes_one_quadrature_call_per_bound_and_spec(monkeypatch):
     assert len(rows) == len(specs) * len(RADII)
     pairs = {(spec.sigma, spec.n) for spec in specs}
     assert len(calls) == 2 * len(pairs) + sum(n >= 1 for _, n in pairs) == 29
+
+
+_PAIRS = [(sigma, n) for sigma in (0.5, 1.0, 2.0, 3.5) for n in (0, 1, 2, 3) if sigma - (n - 1) > 0.0]
+
+
+@st.composite
+def _radii(draw):
+    """One radius, a row of three or a 2 x 2 block, each in (0, 1)."""
+    shape = draw(st.sampled_from(((), (3,), (2, 2))))
+    values = draw(st.lists(st.floats(1e-3, 0.999), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values).reshape(shape)
+
+
+@given(
+    entries=st.lists(st.tuples(st.sampled_from(_PAIRS), st.sampled_from((0.0, 0.25, 0.5, 0.9))), max_size=8),
+    r=_radii(),
+)
+@settings(max_examples=40, deadline=None)
+@example(
+    entries=[((3.5, 2), 0.9), ((0.5, 0), 0.0), ((3.5, 2), 0.0), ((1.0, 1), 0.25), ((0.5, 0), 0.5)], r=np.array(RADII)
+)
+def test_envelope_table_is_bit_identical_to_the_per_spec_bounds(entries, r):
+    """Over shuffled lattices that repeat (sigma, n) pairs, each column of the table is its spec's bounds alone.
+
+    The growth table (depth 0, factor r) and the distortion table (depth -1, factor sigma - (n - 1)) match
+    growth_bounds and distortion_bounds, the affine map of one multiplier_series call, and, over a row of
+    radii, the columns of bounds_rows; all by bytes.
+    """
+    specs = [ClassSpec(OperatorParams(sigma, n), beta) for (sigma, n), beta in entries]
+    lam = np.array([spec.sigma - (spec.n - 1) for spec in specs]).reshape(-1, *(1,) * r.ndim)
+    growth, m = envelope_table(specs, 0, r, r), envelope_table(specs, -1, r, lam)
+    assert growth.shape == m.shape == (2, len(specs), *r.shape)
+    x = np.stack([-r, r])
+    for i, spec in enumerate(specs):
+        for table, bounds, depth, factor in ((growth, growth_bounds, 0, r), (m, distortion_bounds, -1, lam[i])):
+            alone = factor * (1.0 + 2.0 * (1.0 - spec.beta) * multiplier_series(spec.sigma, spec.n + depth, x))
+            assert table[:, i].tobytes() == alone.tobytes() == np.array(bounds(spec, r)).tobytes()
+    if r.ndim == 1:
+        columns = {key: [row[key] for row in bounds_rows(specs, r)] for key in BOUNDS_COLUMNS[4:8]}
+        for key, values in zip(BOUNDS_COLUMNS[4:8], (*m, *growth)):
+            assert np.array(columns[key]).tobytes() == values.reshape(-1).tobytes()
+
+
+def test_envelope_table_and_bounds_rows_of_no_specs():
+    assert bounds_rows([], RADII) == []
+    assert envelope_table([], 0, RADII, np.array(RADII)).shape == (2, 0, 3)
+    assert envelope_table([], -1, RADII, np.zeros((0, 1))).shape == (2, 0, 3)
+    with pytest.raises(ValueError, match="radius must lie strictly between 0 and 1"):
+        envelope_table([], 0, (0.5, 1.0), 1.0)
 
 
 def _atanh_sqrt(x):

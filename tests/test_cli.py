@@ -338,7 +338,10 @@ def test_apply_fuzzed_flags_finish_cleanly(fuzz_inputs, op, sigma, n, c, source)
 @settings(max_examples=60, deadline=2000)
 @example(sigma="0.5", n="1", inverse=["--inverse"], source="huge unit")
 @example(sigma="1e-80", n="1", inverse=["--inverse"], source="member")
-@example(sigma="2.225073858507e-311", n="1", inverse=["--inverse"], source="member")  # complex 0 * inf once warned
+@example(sigma="2.225073858507e-311", n="1", inverse=["--inverse"], source="member")
+# a member's constant term is 0, so the two above stop at the unit-constant check; these reach the division
+@example(sigma="1e-80", n="1", inverse=["--inverse"], source="unit")
+@example(sigma="2.225073858507e-311", n="1", inverse=["--inverse"], source="unit")  # complex 0 * inf once warned
 def test_iterate_fuzzed_flags_finish_cleanly(fuzz_inputs, sigma, n, inverse, source):
     code, out = _run_fuzzed(["iterate", "--sigma", sigma, "--n", n, *inverse, "--in", fuzz_inputs[source]])
     assert code in (0, 2)
@@ -393,9 +396,18 @@ def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
          "gft: error: --sign does not apply to --family upper"),
         (["extremal", "--family", "lower", "--sigma", "1", "--n", "1", "--sign", "1", "--beta", "0.5"],
          "gft: error: --sign does not apply to --family lower"),
+        (["iterate", "--sigma", "2", "--n", "1", "--inverse", "--in", "non_unit.json"],
+         "gft: error: series must have constant term 1"),
+        (["bounds", "--sigma", "1e308", "--n", "1", "--beta", "0", "--radii", "0.5"],
+         "gft: error: a bound overflows at sigma=1e+308, n=1, r=0.5"),
     ],
 )
-def test_usage_errors_are_one_line(capsys, argv, message):
+def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    # the --in file a case names, in a fresh working directory
+    (tmp_path / "non_unit.json").write_text(
+        json.dumps({"order": 3, "coeffs": [[2.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]})
+    )
+    monkeypatch.chdir(tmp_path)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own errors exit from inside main; validation errors return

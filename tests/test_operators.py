@@ -177,6 +177,15 @@ def test_deiterate_inverts_iterate():
         assert np.max(np.abs(back.coeffs - p.coeffs)) <= 1e-12
 
 
+def test_deiterate_rejects_a_constant_term_other_than_one():
+    """The inverse checks its input as iterate_closed does, at every depth, n = 0 included."""
+    q = TruncatedSeries([2.0, 1.0, 0.5, 0.25])
+    for n in (0, 1, 2):
+        for op in (deiterate, iterate_closed):
+            with pytest.raises(ValueError, match="series must have constant term 1"):
+                op(OperatorParams(2.0, n), q)
+
+
 def test_recurrence_ties_adjacent_depths():
     for sigma, n in LATTICE:
         if n < 1:

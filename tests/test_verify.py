@@ -201,17 +201,17 @@ def test_member_with_dominant_depth_parameter_can_lose_injectivity():
 
 
 def _move_bounds(monkeypatch, lower_by, upper_by):
-    """Replace _radial_bounds, which maps each entry's series to the bounds that the suites and `gft bounds` read.
+    """Replace envelope_table, which builds the bounds that the suites and `gft bounds` read.
 
     Only verify's name is replaced, so the suites read moved bounds and classes keeps the exact ones.
     """
-    exact = verify._radial_bounds
+    exact = verify.envelope_table
 
     def moved(*args):
         lower, upper = exact(*args)
-        return lower + lower_by, upper + upper_by
+        return np.array([lower + lower_by, upper + upper_by])
 
-    monkeypatch.setattr(verify, "_radial_bounds", moved)
+    monkeypatch.setattr(verify, "envelope_table", moved)
 
 
 def test_envelope_suites_check_the_printed_bounds(monkeypatch):
@@ -258,13 +258,14 @@ def test_sharpness_checks_read_each_entry_on_its_own(monkeypatch, theorem, beta)
 
     Suite 3's entries are its (sigma, n) pairs at beta 0, so there the pair (2, 1) is moved.
     """
-    moved, exact = ClassSpec(OperatorParams(2.0, 1), beta), verify._radial_bounds
+    moved, exact = ClassSpec(OperatorParams(2.0, 1), beta), verify.envelope_table
 
-    def move_one(spec, series, factor):
-        lower, upper = exact(spec, series, factor)
-        return (lower + 1e-6 if spec == moved else lower), upper
+    def move_one(specs, depth, r, factor):
+        env = exact(specs, depth, r, factor)
+        env[0, [spec == moved for spec in specs]] += 1e-6
+        return env
 
-    monkeypatch.setattr(verify, "_radial_bounds", move_one)
+    monkeypatch.setattr(verify, "envelope_table", move_one)
     report = run_suite(theorem, trials=1, seed=0)
     assert report.verdict == "fail"
     assert report.worst_margin == pytest.approx(SHARPNESS_TOL - 1e-6, rel=0.0, abs=1e-9)
@@ -318,7 +319,9 @@ def test_sharp_envelopes_match_each_entry_summed_on_its_own(monkeypatch, theorem
 
 def test_a_nan_margin_fails_the_suite(monkeypatch):
     """A check that yields NaN counts as a failure, not as a check that never ran."""
-    monkeypatch.setattr(verify, "_radial_bounds", lambda spec, series, factor: (math.nan, math.nan))
+    monkeypatch.setattr(
+        verify, "envelope_table", lambda specs, depth, r, factor: np.full((2, len(specs), len(r)), math.nan)
+    )
     report = run_suite("9", trials=1)
     assert report.verdict == "fail" and math.isnan(report.worst_margin)
     assert "no checks ran for this lattice" not in report.notes
@@ -332,7 +335,9 @@ def test_a_nan_margin_fails_the_suite(monkeypatch):
 
 def test_a_minus_infinite_margin_fails_the_suite(monkeypatch):
     """A check that yields -inf counts as a failure, not as a check that never ran."""
-    monkeypatch.setattr(verify, "_radial_bounds", lambda spec, series, factor: (math.inf, math.inf))
+    monkeypatch.setattr(
+        verify, "envelope_table", lambda specs, depth, r, factor: np.full((2, len(specs), len(r)), math.inf)
+    )
     report = run_suite("9", trials=1)
     assert report.verdict == "fail" and report.worst_margin == -math.inf
     assert "no checks ran for this lattice" not in report.notes
