@@ -151,9 +151,9 @@ def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: co
 
 def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSeries:
     """Single-parameter iterated transform: c_k -> (alpha / (alpha + k))**n c_k."""
-    if alpha <= 0.0:
-        raise ValueError("require alpha > 0")
-    if int(n) != n or n < 0:
+    if not 0.0 < alpha < np.inf:  # written so that a NaN alpha fails too
+        raise ValueError("require a finite alpha > 0")
+    if not (0 <= n < np.inf and int(n) == n):
         raise ValueError("iteration count n must be a nonnegative integer")
     require_unit_constant(p)
     k = np.arange(1, p.order + 1)

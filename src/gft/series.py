@@ -96,9 +96,10 @@ class HerglotzMixture:
             raise ValueError("mixture needs at least one atom")
         pts = np.array([x for x, _ in atoms])
         wts = np.array([w for _, w in atoms])
-        if np.any(np.abs(np.abs(pts) - 1.0) > 1e-12):
+        # each check is written so that a NaN fails it
+        if not np.all(np.abs(np.abs(pts) - 1.0) <= 1e-12):
             raise ValueError("atom locations must lie on the unit circle")
-        if np.any(wts < 0.0) or abs(wts.sum() - 1.0) > 1e-12:
+        if not (np.all(wts >= 0.0) and abs(wts.sum() - 1.0) <= 1e-12):
             raise ValueError("atom weights must be nonnegative and sum to 1")
         object.__setattr__(self, "atoms", atoms)
 
@@ -276,7 +277,7 @@ def shift_to_beta(p: TruncatedSeries, beta: float) -> TruncatedSeries:
 
 def combine_convex(mu1: float, f, mu2: float, g) -> TruncatedSeries:
     """Coefficientwise convex combination mu1 * f + mu2 * g."""
-    if mu1 < 0.0 or mu2 < 0.0 or abs(mu1 + mu2 - 1.0) > 1e-12:
+    if not (mu1 >= 0.0 and mu2 >= 0.0 and abs(mu1 + mu2 - 1.0) <= 1e-12):  # a NaN weight fails too
         raise ValueError("weights must be nonnegative and sum to 1")
     n = min(f.order, g.order)
     return TruncatedSeries(mu1 * f.coeffs[: n + 1] + mu2 * g.coeffs[: n + 1])

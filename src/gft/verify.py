@@ -6,40 +6,41 @@ margin; a suite passes iff that margin is nonnegative, and a NaN margin
 fails it.  Every circle check samples the fixed grid of classes (RADII,
 ANGULAR_SAMPLES), and margins already include the truncation-tail
 allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
-not a sampling artifact.  The envelope suites 3, 9 and 11 share one path:
-the (lower, upper) table of the untruncated bounds per entry and radius,
-built once, in classes, by envelope_table, the table `gft bounds` prints, and
-checked here only for sharpness: the two axis extremals must attain it at
-x = +r.  The extremals are taken one (sigma, n) pair at a time: the pair's
-two extremal iterates are built once, as real rows, which suites 9 and 11
-map for all its betas by one member_rows call: the real parts of the
-extremals built alone, bit for bit.  One product of the pair's
-(betas, 2, K) stack with the table of r**k gives its axis values at every
-radius.  A truncated member stays below the exact upper bound with no
-allowance, and may undershoot the exact lower bound by at most its own
-dropped tail.  Suites 3 and 9 read the tail's coefficient bound off the last
-column of their multiplier tables, suite 11 off the depth n - 1 table of its
-levels; its tail is infinite at n = 0, where no lower envelope holds.
+not a sampling artifact.
+
+The envelope suites 3, 9 and 11 check members against envelope_table, the
+table `gft bounds` prints, and check its sharpness: the two axis extremals
+of each (sigma, n) pair, built once as real rows and mapped for all its betas
+by one member_rows call, must attain it at x = +r, summed at every radius by
+one product with the table of r**k.  A truncated member stays below the exact
+upper bound with no allowance, and may undershoot the exact lower bound by at
+most its own dropped tail, whose coefficient bound suites 3 and 9 read off the
+last column of their multiplier tables and suite 11 off its depth n - 1
+level; that tail is infinite at n = 0, where no lower envelope holds.
+
+The real-part suites 2, 4, 5, 6, 8 and 12 share one driver, _real_parts: it
+scales coefficient k >= 1 of each trial's mixture by its entry's diagonal and
+tests the real part on every circle, so no suite builds a member only to undo
+it.  Suites 2 and 5 take one step of depth, multiplier(sigma, n + 1, k) over
+multiplier(sigma, n, k), at orders N and N - 1; suite 8 the integral mean's
+factors (sigma - n) / (sigma - n + k), read off bernardi; suite 6 the
+coefficients of f', (1 - beta) (k + 1) multiplier(sigma, n, k), above beta.
+Suites 4 and 12 take a row of ones on mu p + (1 - mu) q, a mixture again, so
+only rounding can fail them, and their reports say so.
 
 Trial t of suite k (22 for remark22) reads row t of one table of uniforms,
 default_rng((seed, k)).random((trials, width)): classes._DRAWS columns per
 random mixture, for its atom count, angles and weights, then suite 1's
 scale, or suites 4 and 12's second mixture and weight mu.  Trial t alone is
 the one row drawn after advancing the generator by t * width.  Trials run
-in fixed blocks of _BLOCK: a block draws the table's next rows with one
-call, reads their mixtures at once, and expands, iterates and tests the
-members as one stack of coefficient rows, all of whose circle values come
-from one FFT: the real-part tests take one real FFT of half the length, the
-modulus checks one complex FFT.  A suite builds the factors of its
-iterations once, one multiplier row per lattice entry (a row of ones for
-n = 0), each distinct (sigma, n) row built once and gathered by index, and
-scales each block's rows by them; suite 11 has one such table per depth m,
-row min(m, n), and its recurrence ties the closed-form iterates at
-consecutive depths.  Suites 7 and 10 take their entries one (sigma, n)
-pair at a time too, and map one real iterate per pair for each beta.
-Memory therefore does not depend on the trial count, and since every row
-gets the same elementwise operations as a member built on its own, reports
-are byte-identical to evaluating one member at a time.
+in blocks of _BLOCK, drawn with one call and tested as one stack of
+coefficient rows whose circle values come from one FFT (a real FFT of half
+the length for the real-part tests).  Each suite builds its factors once,
+each distinct (sigma, n) multiplier row once (ones for n = 0), gathered by
+index; suite 11 has one table per depth m, row min(m, n), and its recurrence
+ties consecutive depths.  Memory does not depend on the trial count, and
+every row gets the same elementwise operations as a member built on its own,
+so reports are byte-identical to evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .classes import (
     grid_tails,
     member_rows,
     multiplier_series,
-    p_rows,
     random_members,
     random_mixtures,
     real_part_margins,
@@ -88,6 +88,11 @@ SHARPNESS_TOL = 1e-7
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 # Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
 _BLOCK = 16
+# The note of suites 4 and 12, whose sampled test only rounding can fail.
+_CONVEXITY_NOTE = (
+    "rounding check: a convex combination of two Herglotz mixtures is again one, so only rounding can fail the "
+    "sampled test"
+)
 
 
 @dataclass
@@ -173,19 +178,36 @@ def _mults(pairs, kmax: int) -> np.ndarray:
 
 
 def _member_tables(specs, kmax: int) -> tuple:
-    """(_mults of each spec's (sigma, n), betas): the rows random_members and the class test take."""
+    """(_mults of each spec's (sigma, n), betas): the tables random_members takes."""
     return _mults([(spec.sigma, spec.n) for spec in specs], kmax), np.array([spec.beta for spec in specs])
 
 
-def _iterated_P_margins(rows: np.ndarray, mults: np.ndarray) -> tuple:
-    """Stacked membership_in_iterated_P, in place: real-part margins of rows[:, 1:] / mults."""
-    rows[:, 1:] /= mults
-    return real_part_margins(rows, 0.0)
+def _depth_step(pairs, kmax: int) -> np.ndarray:
+    """The factors of one step of depth, n to n + 1, per (sigma, n) pair: _mults of (sigma, n + 1) over _mults."""
+    return _mults([(sigma, n + 1) for sigma, n in pairs], kmax) / _mults(pairs, kmax)
 
 
-def _class_margins(members: np.ndarray, betas: np.ndarray, mults: np.ndarray) -> tuple:
-    """Stacked membership_in_B: members -> (f / z - beta) / (1 - beta), then the iterated-family test."""
-    return _iterated_P_margins(p_rows(members, betas), mults)
+def _real_parts(out, suite, entries, trials, seed, diagonal, threshold=0.0, bound=2.0, pair=False) -> bool:
+    """The real-part test of suites 2, 4, 5, 6, 8 and 12: Re(1 + sum_k diagonal[i, k - 1] c_k z^k) > threshold[i].
+
+    Trial t expands the mixture read from its row of _blocks (with pair, two mixtures and the weight mu,
+    combined as mu p + (1 - mu) q), at order diagonal.shape[-1], scales coefficient k >= 1 by its entry's
+    diagonal and adds the margins of real_part_margins(rows, threshold, bound), one threshold and coefficient
+    bound per entry, or one for all.  Returns whether any trial was inconclusive.
+    """
+    order = diagonal.shape[-1]
+    threshold, bound = np.broadcast_to(threshold, len(entries)), np.broadcast_to(bound, len(entries))
+    inconclusive = False
+    for _, idx, u in _blocks(trials, len(entries), seed, suite, 2 * _DRAWS + 1 if pair else _DRAWS):
+        p = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
+        if pair:
+            mu = u[:, -1:]
+            p = mu * p + (1.0 - mu) * herglotz_rows(*random_mixtures(u[:, _DRAWS:-1]), order)
+        p[:, 1:] *= diagonal[idx]
+        observed, padded = real_part_margins(p, threshold[idx], bound[idx])
+        out.add_tests(observed, padded)
+        inconclusive |= "inconclusive" in verdicts(observed, padded)
+    return inconclusive
 
 
 def _sharp_envelopes(out, entries, env, extremals) -> None:
@@ -250,18 +272,12 @@ def _suite_1(lattice, trials, seed, out):
 
 
 def _suite_2(lattice, trials, seed, out):
-    """An (n+1)-fold iterate passes the n-level family test."""
+    """An (n+1)-fold iterate passes the n-level family test: one step of depth on a mixture."""
     pairs = _pairs(lattice, lambda s: s.n >= 1 and s.sigma - s.n > 0)
     if not pairs:
         out.note("no lattice entries with n >= 1 and sigma - n > 0")
         return
-    order = default_order()
-    deeper = _mults([(sigma, n + 1) for sigma, n in pairs], order)
-    mults = _mults(pairs, order)
-    for _, idx, u in _blocks(trials, len(pairs), seed, 2, _DRAWS):
-        p = herglotz_rows(*random_mixtures(u), order)
-        p[:, 1:] *= deeper[idx]
-        out.add_tests(*_iterated_P_margins(p, mults[idx]))
+    _real_parts(out, 2, pairs, trials, seed, _depth_step(pairs, default_order()))
 
 
 def _suite_3(lattice, trials, seed, out):
@@ -291,29 +307,18 @@ def _suite_4(lattice, trials, seed, out):
     if not pairs:
         out.note("no lattice entries with n >= 1")
         return
-    order = default_order()
-    mults = _mults(pairs, order)
-    for _, idx, u in _blocks(trials, len(pairs), seed, 4, 2 * _DRAWS + 1):
-        p = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
-        q = herglotz_rows(*random_mixtures(u[:, _DRAWS:-1]), order)
-        p[:, 1:] *= mults[idx]
-        q[:, 1:] *= mults[idx]
-        mu = u[:, -1:]
-        out.add_tests(*_iterated_P_margins(mu * p + (1.0 - mu) * q, mults[idx]))
+    out.note(_CONVEXITY_NOTE)
+    _real_parts(out, 4, pairs, trials, seed, np.ones((len(pairs), default_order())), pair=True)
 
 
 def _suite_5(lattice, trials, seed, out):
-    """Members of the deeper class pass the shallower class test."""
+    """Members of the deeper class pass the shallower class test: one step of depth, for every beta."""
     entries = [spec for spec in lattice if spec.sigma - spec.n > 0]
     if not entries:
         out.note("no lattice entries with sigma - n > 0")
         return
-    order = default_order()
-    deeper = _mults([(spec.sigma, spec.n + 1) for spec in entries], order - 1)
-    mults, betas = _member_tables(entries, order - 1)
-    for _, idx, u in _blocks(trials, len(entries), seed, 5, _DRAWS):
-        f = random_members(u, deeper[idx], betas[idx])
-        out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
+    step = _depth_step([(spec.sigma, spec.n) for spec in entries], default_order() - 1)
+    _real_parts(out, 5, entries, trials, seed, step)
 
 
 def _suite_6(lattice, trials, seed, out):
@@ -338,15 +343,12 @@ def _suite_6(lattice, trials, seed, out):
     if not entries:
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
-    mults, betas = _member_tables(entries, default_order() - 1)
-    for _, idx, u in _blocks(trials, len(entries), seed, 6, _DRAWS):
-        beta = betas[idx]
-        f = random_members(u, mults[idx], beta)
-        derivative = np.arange(1, f.shape[-1]) * f[:, 1:]  # differentiate, row by row
-        observed, padded = real_part_margins(derivative, beta, 2.0 * (1.0 - beta))
-        out.add_tests(observed, padded)
-        if "inconclusive" in verdicts(observed, padded):
-            out.note("inconclusive for some members: Re f' dips below beta by less than the truncation allowance")
+    order = default_order()
+    mults, betas = _member_tables(entries, order - 1)
+    # coefficient k of f' is (k + 1) a_{k+1} = (1 - beta) (k + 1) multiplier(sigma, n, k) c_k
+    derivative = (1.0 - betas)[:, None] * np.arange(2, order + 1) * mults
+    if _real_parts(out, 6, entries, trials, seed, derivative, betas, 2.0 * (1.0 - betas)):
+        out.note("inconclusive for some members: Re f' dips below beta by less than the truncation allowance")
 
 
 def _suite_7(lattice, trials, seed, out):
@@ -372,12 +374,9 @@ def _suite_8(lattice, trials, seed, out):
         return
     order = default_order()
     ones = SchlichtSeries(np.r_[0.0, np.ones(order)])
+    # the mean's own factors, read off its image of all ones, act on the p behind the member
     means = np.array([bernardi(spec.sigma - spec.n - 1.0, ones).coeffs[2:].real for spec in entries])
-    mults, betas = _member_tables(entries, order - 1)
-    for _, idx, u in _blocks(trials, len(entries), seed, 8, _DRAWS):
-        f = random_members(u, mults[idx], betas[idx])
-        f[:, 2:] *= means[idx]
-        out.add_tests(*_class_margins(f, betas[idx], mults[idx]))
+    _real_parts(out, 8, entries, trials, seed, means)
 
 
 def _suite_9(lattice, trials, seed, out):
@@ -486,12 +485,8 @@ def _suite_11(lattice, trials, seed, out):
 
 def _suite_12(lattice, trials, seed, out):
     """Convex combinations of members stay in the class."""
-    mults, betas = _member_tables(lattice, default_order() - 1)
-    for _, idx, u in _blocks(trials, len(lattice), seed, 12, 2 * _DRAWS + 1):
-        f = p_rows(random_members(u[:, :_DRAWS], mults[idx], betas[idx]), betas[idx])
-        h = p_rows(random_members(u[:, _DRAWS:-1], mults[idx], betas[idx]), betas[idx])
-        mu = u[:, -1:]
-        out.add_tests(*_iterated_P_margins(mu * f + (1.0 - mu) * h, mults[idx]))
+    out.note(_CONVEXITY_NOTE)
+    _real_parts(out, 12, lattice, trials, seed, np.ones((len(lattice), default_order() - 1)), pair=True)
 
 
 def _suite_remark22(lattice, trials, seed, out):
@@ -571,5 +566,6 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
 
 
 def run_all(lattice=None, trials: int = 200, seed: int = 0) -> list:
-    """Run every suite in id order."""
+    """Run every suite in id order, on one lattice, the default one built once when lattice is None."""
+    lattice = default_lattice() if lattice is None else tuple(lattice)
     return [run_suite(key, lattice, trials, seed) for key in SUITE_ORDER]

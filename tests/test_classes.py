@@ -37,6 +37,7 @@ from gft.classes import (
     membership_in_iterated_P,
     min_re_on_circle,
     multiplier_series,
+    p_rows,
     p_series_of,
     random_member_B,
     random_members,
@@ -50,7 +51,7 @@ from gft.classes import (
 from gft.kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
 from gft.operators import iterate_closed
 from gft.series import SchlichtSeries, TruncatedSeries, evaluate, herglotz_expand, herglotz_rows
-from gft.verify import _BLOCK, _class_margins, default_lattice, run_suite
+from gft.verify import _BLOCK, default_lattice, run_suite
 
 HALFPLANE_EXTREMAL = TruncatedSeries(np.concatenate([[1.0], np.full(64, 2.0)]))
 
@@ -494,7 +495,10 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
     for spec, seed, u_row, row in zip(specs, seeds, u, members):
         assert row.tobytes() == random_member_B(spec, seed).coeffs.tobytes()
         assert row.tobytes() == _one_member_at_a_time(spec, u_row, 64).tobytes()
-    observed, padded = _class_margins(members, betas, mults)
+    # the stacked class test: the p behind each member, divided by its multipliers, then the real-part test
+    p = p_rows(members, betas)
+    p[:, 1:] /= mults
+    observed, padded = real_part_margins(p, 0.0)
     for i, (spec, row) in enumerate(zip(specs, members)):
         alone = membership_in_B(SchlichtSeries(row), spec)
         assert alone.observed == tuple(observed[i]) and alone.padded == tuple(padded[i])

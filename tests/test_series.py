@@ -1,5 +1,7 @@
 """Series layer: construction contracts, Hadamard arithmetic, evaluation, JSON."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from gft.classes import ClassSpec, circle_points, extremal_B_lower
 from gft.kernels import OperatorParams
-from gft.operators import apply_L, bernardi
+from gft.operators import apply_L, bernardi, salagean_iterate
 from gft.series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -103,6 +105,31 @@ def test_mixture_validation():
         HerglotzMixture(((1.0 + 0.0j, -0.25), (-1.0 + 0.0j, 1.25)))
     with pytest.raises(ValueError):
         HerglotzMixture(((1.0 + 0.0j, 0.7),))  # weights must sum to 1
+
+
+_UNIT = TruncatedSeries(np.r_[1.0, np.full(8, 2.0)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HerglotzMixture(((complex(np.nan), 1.0),)), "atom locations must lie on the unit circle"),
+        (lambda: HerglotzMixture(((1.0, 0.5), (-1.0, np.nan))), "atom weights must be nonnegative and sum to 1"),
+        (lambda: combine_convex(np.nan, _UNIT, 1.0, _UNIT), "weights must be nonnegative and sum to 1"),
+        (lambda: salagean_iterate(np.nan, 1, _UNIT), "require a finite alpha > 0"),
+        (lambda: salagean_iterate(np.inf, 1, _UNIT), "require a finite alpha > 0"),
+        (lambda: salagean_iterate(1.0, np.nan, _UNIT), "iteration count n must be a nonnegative integer"),
+        (lambda: salagean_iterate(1.0, np.inf, _UNIT), "iteration count n must be a nonnegative integer"),
+    ],
+    ids=["atom-nan", "weight-nan", "mu-nan", "alpha-nan", "alpha-inf", "n-nan", "n-inf"],
+)
+def test_validators_reject_nan_and_inf(build, message):
+    """A NaN or infinite parameter fails its own check with its one-line message, before numpy can warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            build()
+    assert str(info.value) == message
 
 
 def test_convolve_with_all_ones_is_identity():

@@ -17,13 +17,15 @@ from gft.classes import (
     ClassSpec,
     extremal_B_upper,
     is_in_B,
+    membership_in_B,
     membership_in_iterated_P,
+    p_series_of,
     random_member_B,
     random_members,
     real_part_test,
 )
 from gft.kernels import OperatorParams, extremal_iterate, multiplier_row
-from gft.operators import iterate_closed, iterate_step_closed
+from gft.operators import bernardi, iterate_closed, iterate_step_closed
 from gft.series import (
     SchlichtSeries,
     TruncatedSeries,
@@ -473,33 +475,59 @@ def _suite_1_trial(spec, t, u):
     return real_part_test(q, gamma).observed
 
 
+def _suite_2_trial(spec, t, u):
+    p = iterate_closed(OperatorParams(spec.sigma, spec.n + 1), _mixture_p(u))
+    return membership_in_iterated_P(p, spec.params).observed
+
+
 def _suite_4_trial(spec, t, u):
     p, q = (iterate_closed(spec.params, _mixture_p(u[i : i + _DRAWS])) for i in (0, _DRAWS))
     return membership_in_iterated_P(combine_convex(u[-1], p, 1.0 - u[-1], q), spec.params).observed
 
 
-def _member_p(spec, u):
-    """The unit-constant series behind the class member read from one row of _DRAWS uniforms."""
+def _member(spec, u):
+    """The class member read from one row of _DRAWS uniforms."""
     mults = multiplier_row(spec.sigma, spec.n, default_order() - 1)[None]
-    f = SchlichtSeries(random_members(u[None], mults, [spec.beta])[0])
-    return classes.p_series_of(f, spec.beta)
+    return SchlichtSeries(random_members(u[None], mults, [spec.beta])[0])
+
+
+def _suite_5_trial(spec, t, u):
+    deeper = ClassSpec(OperatorParams(spec.sigma, spec.n + 1), spec.beta)
+    return membership_in_B(_member(deeper, u), spec).observed
+
+
+def _suite_6_trial(spec, t, u):
+    return real_part_test(differentiate(_member(spec, u)), spec.beta, 2.0 * (1.0 - spec.beta)).observed
+
+
+def _suite_8_trial(spec, t, u):
+    return membership_in_B(bernardi(spec.sigma - spec.n - 1.0, _member(spec, u)), spec).observed
 
 
 def _suite_12_trial(spec, t, u):
-    f, h = (_member_p(spec, u[i : i + _DRAWS]) for i in (0, _DRAWS))
+    f, h = (p_series_of(_member(spec, u[i : i + _DRAWS]), spec.beta) for i in (0, _DRAWS))
     return membership_in_iterated_P(combine_convex(u[-1], f, 1.0 - u[-1], h), spec.params).observed
 
 
 @pytest.mark.parametrize(
     "suite, width, trial",
-    [("1", _DRAWS + 1, _suite_1_trial), ("4", 2 * _DRAWS + 1, _suite_4_trial), ("12", 2 * _DRAWS + 1, _suite_12_trial)],
+    [
+        ("1", _DRAWS + 1, _suite_1_trial),
+        ("4", 2 * _DRAWS + 1, _suite_4_trial),
+        ("12", 2 * _DRAWS + 1, _suite_12_trial),
+        ("2", _DRAWS, _suite_2_trial),
+        ("5", _DRAWS, _suite_5_trial),
+        ("6", _DRAWS, _suite_6_trial),
+        ("8", _DRAWS, _suite_8_trial),
+    ],
 )
 def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
-    """Suites 1, 4 and 12 read each draw from the columns the verify docstring gives it.
+    """Suites 1, 2, 4, 5, 6, 8 and 12 read each draw from the columns the verify docstring gives it.
 
-    Suite 1: a mixture, then its scale; suites 4 and 12: two mixtures, then the weight mu.  The rows are
-    one base row and, per column, a copy that differs from it in that column alone, and every trial's
-    margins must equal a rebuild of that trial from its own row.
+    Suite 1: a mixture, then its scale; suites 4 and 12: two mixtures, then the weight mu; the others one
+    mixture.  The rows are one base row and, per column, a copy that differs from it in that column alone,
+    and every trial's margins must equal a rebuild of that trial from its own row, through the public
+    member and class tests.
     """
     rng = np.random.default_rng(int(suite))
     table = np.tile(rng.random(width), (width + 1, 1))
@@ -510,9 +538,25 @@ def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
         yield range(trials), np.arange(trials) % size, table
 
     monkeypatch.setattr(verify, "_blocks", one_block)
-    spec = ClassSpec(OperatorParams(2.0, 2), 0.25)
+    # suites 2, 5 and 8 exclude sigma - n = 0, which suite 6 tests
+    spec = ClassSpec(OperatorParams(3.5 if suite in ("2", "5", "8") else 2.0, 2), 0.25)
     out = _Recorder()
     getattr(verify, f"_suite_{suite}")((spec,), len(table), 0, out)
     assert len(out.observed) == len(table)
     for t, (u, observed) in enumerate(zip(table, out.observed)):
         assert np.allclose(observed, trial(spec, t, u), rtol=0.0, atol=1e-12), f"trial {t}"
+
+
+@pytest.mark.parametrize("theorem", ["2", "4", "5", "6", "8", "12"])
+def test_every_real_part_suite_fails_on_a_row_outside_P(monkeypatch, theorem):
+    """Mixture rows with c_1 = 1e3 have real part far below 0 on every circle; each suite of the driver fails."""
+
+    def outside(points, weights, order):
+        rows = herglotz_rows(points, weights, order)
+        rows[:, 1] = 1e3
+        return rows
+
+    monkeypatch.setattr(verify, "herglotz_rows", outside)
+    report = run_suite(theorem, trials=20, seed=0)
+    assert report.verdict == "fail"
+    assert report.worst_margin < -100.0
