@@ -157,7 +157,8 @@ def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSerie
         raise ValueError("iteration count n must be a nonnegative integer")
     require_unit_constant(p)
     k = np.arange(1, p.order + 1)
-    return _scaled(p, 1, (alpha / (alpha + k)) ** int(n))
+    # an exponent of 2**63 already takes every base below 1 to 0; a larger int would not convert to float
+    return _scaled(p, 1, (alpha / (alpha + k)) ** min(int(n), 2**63))
 
 
 def bernardi(c: float, f: SchlichtSeries) -> SchlichtSeries:

@@ -16,7 +16,9 @@ one product with the table of r**k.  A truncated member stays below the exact
 upper bound with no allowance, and may undershoot the exact lower bound by at
 most its own dropped tail, whose coefficient bound suites 3 and 9 read off the
 last column of their multiplier tables and suite 11 off its depth n - 1
-level; that tail is infinite at n = 0, where no lower envelope holds.
+row; that tail is infinite at n = 0, where no lower envelope holds.
+Suite 11's step recurrence and remark22's transform act on each coefficient
+alone, so each is checked once on its factor rows, not per trial.
 
 The real-part suites 2, 4, 5, 6, 8 and 12 share one driver, _real_parts: it
 scales coefficient k >= 1 of each trial's mixture by its entry's diagonal and
@@ -28,19 +30,18 @@ coefficients of f', (1 - beta) (k + 1) multiplier(sigma, n, k), above beta.
 Suites 4 and 12 take a row of ones on mu p + (1 - mu) q, a mixture again, so
 only rounding can fail them, and their reports say so.
 
-Trial t of suite k (22 for remark22) reads row t of one table of uniforms,
-default_rng((seed, k)).random((trials, width)): classes._DRAWS columns per
-random mixture, for its atom count, angles and weights, then suite 1's
-scale, or suites 4 and 12's second mixture and weight mu.  Trial t alone is
-the one row drawn after advancing the generator by t * width.  Trials run
-in blocks of _BLOCK, drawn with one call and tested as one stack of
-coefficient rows whose circle values come from one FFT (a real FFT of half
-the length for the real-part tests).  Each suite builds its factors once,
-each distinct (sigma, n) multiplier row once (ones for n = 0), gathered by
-index; suite 11 has one table per depth m, row min(m, n), and its recurrence
-ties consecutive depths.  Memory does not depend on the trial count, and
-every row gets the same elementwise operations as a member built on its own,
-so reports are byte-identical to evaluating one member at a time.
+Trial t of suite k reads row t of one table of uniforms, default_rng((seed,
+k)).random((trials, width)): classes._DRAWS columns per random mixture, for
+its atom count, angles and weights, then suite 1's scale, or suites 4 and
+12's second mixture and weight mu.  Trial t alone is the one row drawn after
+advancing the generator by t * width.  Trials run in blocks of _BLOCK, drawn
+with one call and tested as one stack of coefficient rows whose circle values
+come from one FFT (a real FFT of half the length for the real-part tests).
+Each suite builds its factors once, each distinct (sigma, n) multiplier row
+once (ones for n = 0), gathered by index.  Memory does not depend on the
+trial count, and every row gets the same elementwise operations as a member
+built on its own, so reports are byte-identical to evaluating one member at
+a time.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ SHARPNESS_TOL = 1e-7
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 # Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
 _BLOCK = 16
+# The note of suites 10 and remark22, which run no trials.
+_DETERMINISTIC_NOTE = "deterministic per lattice entry; trials parameter not used"
 # The note of suites 4 and 12, whose sampled test only rounding can fail.
 _CONVEXITY_NOTE = (
     "rounding check: a convex combination of two Herglotz mixtures is again one, so only rounding can fail the "
@@ -353,6 +356,7 @@ def _suite_6(lattice, trials, seed, out):
 
 def _suite_7(lattice, trials, seed, out):
     """Coefficient size bound, attained exactly by the upper extremal."""
+    out.note("rounding check: a mixture has |c_k| <= 2, so only rounding can fail the sampled member test")
     order = default_order()
     mults, betas = _member_tables(lattice, order - 1)
     bounds = 2.0 * (1.0 - betas)[:, None] * mults
@@ -405,7 +409,7 @@ def _suite_10(lattice, trials, seed, out):
     entries = [spec for spec in lattice if spec.n >= 1]
     if not entries:
         return
-    out.note("deterministic per lattice entry; trials parameter not used")
+    out.note(_DETERMINISTIC_NOTE)
     r, order = 0.999, 8192
     lows = envelope_table(entries, 0, r, r)[0]  # growth_bounds' lower bound
     for params, group in by_pair(entries).items():
@@ -432,11 +436,11 @@ def _derivative_combo(shift, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _suite_11(lattice, trials, seed, out):
-    """Step recurrence residual plus the envelope for (sigma - n) f / z + f'.
+    """Step recurrence plus the envelope for (sigma - n) f / z + f'.
 
-    Each trial's iterate is built once in closed form at every depth m = 0..n,
-    and the recurrence lam p_m + z p_m' = lam p_{m-1}, lam = sigma - (m - 1),
-    ties consecutive depths, so every step of every entry is checked.
+    The recurrence lam p_m + z p_m' = lam p_{m-1}, lam = sigma - (m - 1), acts
+    on each coefficient alone, so it is checked once per (sigma, n) and step
+    m = 1..n, on the factor rows of a mixture's largest coefficients, |c_k| = 2.
 
     The lower envelope is enforced only for n >= 1: it comes from the
     real-part floor of the one-level-shallower iterate, which exists only
@@ -460,25 +464,22 @@ def _suite_11(lattice, trials, seed, out):
         lambda params, specs: _derivative_combo(params.sigma - params.n, _B_extremals(params, specs)),
     )
     order = default_order()
-    # levels[m] holds each entry's closed-form iterate factors at depth min(m, n); the deepest is its member's iterate
-    levels = np.array([_mults([(s.sigma, min(m, s.n)) for s in lattice], order - 1) for m in range(ns.max() + 1)])
+    # each pair's factor rows at depths 0..n, built once: depth n iterates its members, depth n - 1 bounds their tail
+    depths = {}
+    for sigma, n in _pairs(lattice, lambda s: True):
+        rows = depths[sigma, n] = np.array([multiplier_row(sigma, m, order - 1) for m in range(n + 1)])
+        if n >= 1:
+            # steps m = 1..n: the rows [1, 2 multiplier(sigma, m, k)] and [1, 2 multiplier(sigma, m - 1, k)]
+            ends = np.insert(2.0 * rows, 0, 1.0, axis=1)
+            out.add(np.min(COEFF_TOL - recurrence_residuals(sigma - np.arange(n), ends[1:], ends[:-1])))
+    mults = np.array([depths[spec.sigma, spec.n][-1] for spec in lattice])
     # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k)
-    bound = np.where(ns >= 1, 2.0 * (1.0 - betas) * levels[ns - 1, np.arange(len(lattice)), -1], 0.0)
-    tails = (sigmas - ns + 1)[:, None] * grid_tails(bound, order - 1)
+    shallow = np.array([depths[spec.sigma, spec.n][spec.n - 1, -1] for spec in lattice])
+    tails = (sigmas - ns + 1)[:, None] * grid_tails(np.where(ns >= 1, 2.0 * (1.0 - betas) * shallow, 0.0), order - 1)
     # n = 0 has no floor; the infinite tail goes in after grid_tails, where inf * r**order would be NaN once r**order underflows
     tails[ns == 0] = math.inf
     for _, idx, u in _blocks(trials, len(lattice), seed, 11, _DRAWS):
-        p0 = herglotz_rows(*random_mixtures(u), order - 1)
-        # levels m - 1 and m of the rows with n >= m must satisfy the recurrence with lam = sigma - (m - 1)
-        prev = p0
-        for m in range(1, ns[idx].max() + 1):
-            cur = p0.copy()
-            cur[:, 1:] *= levels[m][idx]
-            deep = ns[idx] >= m
-            out.add(np.min(COEFF_TOL - recurrence_residuals(sigmas[idx][deep] - (m - 1), cur[deep], prev[deep])))
-            prev = cur
-        f = member_rows(prev, betas[idx])
-        combo = _derivative_combo(sigmas[idx] - ns[idx], f)
+        combo = _derivative_combo(sigmas[idx] - ns[idx], random_members(u, mults[idx], betas[idx]))
         modulus = np.abs(circle_values(combo))
         _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
@@ -490,22 +491,18 @@ def _suite_12(lattice, trials, seed, out):
 
 
 def _suite_remark22(lattice, trials, seed, out):
-    """One closed iteration step equals the single-parameter transform with alpha = sigma."""
+    """One closed iteration step equals the single-parameter transform with alpha = sigma, checked on their factors."""
     if any(spec.sigma <= 0.0 for spec in lattice):
         out.note("entries with sigma <= 0 skipped: the single-parameter transform needs alpha = sigma > 0")
     sigmas = sorted({spec.sigma for spec in lattice if spec.sigma > 0.0})
     if not sigmas:
         return
+    out.note(_DETERMINISTIC_NOTE)
     order = default_order()
     ones = TruncatedSeries(np.ones(order + 1))
     single = np.array([salagean_iterate(sigma, 1, ones).coeffs[1:].real for sigma in sigmas])
-    mults = _mults([(sigma, 1) for sigma in sigmas], order)
-    for _, idx, u in _blocks(trials, len(sigmas), seed, 22, _DRAWS):
-        p = herglotz_rows(*random_mixtures(u), order)
-        a = p.copy()
-        a[:, 1:] *= mults[idx]
-        p[:, 1:] *= single[idx]
-        out.add(np.min(COEFF_TOL - np.max(np.abs(a - p), axis=-1)))
+    # both act on each coefficient alone, and a mixture has |c_k| <= 2: twice the factors' difference bounds it
+    out.add(COEFF_TOL - 2.0 * np.max(np.abs(single - _mults([(sigma, 1) for sigma in sigmas], order))))
 
 
 SUITES = {

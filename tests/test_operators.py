@@ -256,6 +256,13 @@ def test_salagean_iterate_powers():
         salagean_iterate(1.0, -2, p)
 
 
+def test_salagean_iterate_takes_a_huge_count_to_its_limit():
+    """A count past every float, 10**400, gives the same finite series as 10**18: c_0 = 1 and zeros."""
+    p = TruncatedSeries(np.array([1.0, 2.0, -1.0, 2.0]))
+    for n in (10**18, 2**63, 10**400):
+        assert np.array_equal(salagean_iterate(1.0, n, p).coeffs, [1.0, 0.0, 0.0, 0.0])
+
+
 def test_single_depth_iterate_matches_salagean():
     p = herglotz_expand(random_mixture(np.random.default_rng(55)), order=32)
     for sigma in (0.5, 1.0, 3.5):

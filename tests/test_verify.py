@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gft import classes, verify
 from gft.classes import (
@@ -368,6 +370,58 @@ def test_suite_11_checks_every_step_of_every_entry(monkeypatch):
     monkeypatch.setattr(verify, "recurrence_residuals", lambda lam, *rows: lams.update(lam) or residuals(lam, *rows))
     assert run_suite("11", lattice=lattice, trials=2).verdict == "pass"
     assert lams == {2.0, 1.0, 3.5}
+
+
+def test_suite_11_checks_its_recurrence_once_however_many_trials(monkeypatch):
+    """The recurrence is checked on factor rows, once per (sigma, n) and step, not on every trial."""
+    residuals, calls = verify.recurrence_residuals, []
+    monkeypatch.setattr(verify, "recurrence_residuals", lambda *args: calls.append(args) or residuals(*args))
+    counts = []
+    for trials in (1, 200):
+        calls.clear()
+        run_suite("11", trials=trials)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("sigma", [3000.0, 1e4])
+def test_suite_11_passes_at_large_sigma_with_one_step(sigma):
+    """Trial residuals (lam + k) c_k - lam c'_k of size lam rounded past COEFF_TOL here; the factor rows do not."""
+    report = run_suite("11", lattice=(ClassSpec(OperatorParams(sigma, 1)),), trials=16, seed=0)
+    assert report.verdict == "pass"
+
+
+def test_remark22_fails_on_factors_off_by_a_billionth(monkeypatch):
+    transform = verify.salagean_iterate
+
+    def off(alpha, n, p):
+        return TruncatedSeries(transform(alpha, n, p).coeffs * (1.0 + 1e-9))
+
+    monkeypatch.setattr(verify, "salagean_iterate", off)
+    report = run_suite("remark22", trials=4)
+    assert report.verdict == "fail" and report.worst_margin < -1e-10
+
+
+def test_remark22_runs_no_trials():
+    """Its reports at 1 and 200 trials differ only in the trial count, and it says that it ignores them."""
+    one, many = (run_suite("remark22", trials=trials, seed=3).to_dict() for trials in (1, 200))
+    assert (one.pop("trials"), many.pop("trials")) == (1, 200)
+    assert one == many
+    assert "deterministic per lattice entry; trials parameter not used" in one["notes"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 29),
+    shift=st.floats(1e-4, 1e3),
+    beta=st.floats(0.0, 0.99),
+)
+def test_suites_11_and_remark22_pass_on_drawn_pairs(n, shift, beta):
+    """One (sigma, n, beta) with sigma - (n - 1) in [1e-4, 1e3] and n <= 29: both suites pass at 4 trials."""
+    lattice = (ClassSpec(OperatorParams(shift + (n - 1), n), beta),)
+    for theorem in ("11", "remark22"):
+        report = run_suite(theorem, lattice=lattice, trials=4, seed=0)
+        assert report.verdict == "pass", (theorem, report.worst_margin)
 
 
 def test_custom_lattice_restricts_the_report():
