@@ -9,7 +9,9 @@ covering bounds are affine images of one untruncated series,
 multiplier_series, so they carry no truncation order and no tail pad.  The
 radial ones are built in one place, envelope_table, one series per (sigma,
 n) pair over all radii: `gft bounds` prints that table, and the
-verification suites check members and extremals against it.
+verification suites check members and extremals against it.  Each class is
+a diagonal image of P, so every sampled row, a member's or a test's, is one
+mixture_rows call: a seeded Herglotz mixture scaled by a diagonal row.
 """
 
 from __future__ import annotations
@@ -250,16 +252,16 @@ def random_mixture(rng: np.random.Generator) -> HerglotzMixture:
     return HerglotzMixture(tuple(zip(points[0, live], weights[0, live])))
 
 
-def random_members(u: np.ndarray, mults: np.ndarray, betas) -> np.ndarray:
-    """Stacked random_member_B: row i is the member read from u[i], iterated by mults[i] and shifted by betas[i].
+def mixture_rows(u: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Row i is the mixture read from u[i], to order diagonal.shape[-1], with c_k scaled by diagonal[i, k - 1].
 
-    u holds rows of _DRAWS uniforms, and mults[i] is multiplier_row(sigma, n, order - 1) of row i's class, so
-    the rows have order mults.shape[-1] + 1.  Row i equals random_member_B(spec, seed) of that class, bit for
-    bit, when u[i] is default_rng(seed).random(_DRAWS).
+    u holds rows of _DRAWS uniforms and diagonal one row for each, or one row for all.  Every sampled check
+    builds its rows here: with multiplier_row(sigma, n, order - 1) of a class as diagonal[i], member_rows of
+    row i and beta is random_member_B(spec, seed), bit for bit, when u[i] is default_rng(seed).random(_DRAWS).
     """
-    p = herglotz_rows(*random_mixtures(u), mults.shape[-1])
-    p[:, 1:] *= mults
-    return member_rows(p, betas)
+    p = herglotz_rows(*random_mixtures(u), diagonal.shape[-1])
+    p[:, 1:] *= diagonal
+    return p
 
 
 def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
@@ -267,9 +269,8 @@ def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> Schlicht
     n = default_order() if order is None else int(order)
     if n < 2:
         raise ValueError(f"members need order >= 2, got {n}")
-    mults = multiplier_row(spec.sigma, spec.n, n - 1)[None]
     u = np.random.default_rng(seed).random((1, _DRAWS))
-    return SchlichtSeries(random_members(u, mults, [spec.beta])[0])
+    return SchlichtSeries(member_rows(mixture_rows(u, multiplier_row(spec.sigma, spec.n, n - 1)), spec.beta)[0])
 
 
 def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:

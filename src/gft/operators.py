@@ -150,15 +150,21 @@ def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: co
 
 
 def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSeries:
-    """Single-parameter iterated transform: c_k -> (alpha / (alpha + k))**n c_k."""
+    """Single-parameter iterated transform: c_k -> (alpha / (alpha + k))**n c_k, as exp(-n log1p(k / alpha)).
+
+    log1p keeps k / alpha where the base alpha / (alpha + k) rounds to 1, as it does at a huge alpha.
+    """
     if not 0.0 < alpha < np.inf:  # written so that a NaN alpha fails too
         raise ValueError("require a finite alpha > 0")
     if not (0 <= n < np.inf and int(n) == n):
         raise ValueError("iteration count n must be a nonnegative integer")
     require_unit_constant(p)
+    if n == 0:
+        return p
     k = np.arange(1, p.order + 1)
-    # an exponent of 2**63 already takes every base below 1 to 0; a larger int would not convert to float
-    return _scaled(p, 1, (alpha / (alpha + k)) ** min(int(n), 2**63))
+    # a subnormal alpha takes k / alpha to inf and the factor to 0; n = 2**63 takes every factor below 1 to 0
+    with np.errstate(over="ignore"):
+        return _scaled(p, 1, np.exp(-float(min(int(n), 2**63)) * np.log1p(k / alpha)))
 
 
 def bernardi(c: float, f: SchlichtSeries) -> SchlichtSeries:

@@ -20,15 +20,18 @@ row; that tail is infinite at n = 0, where no lower envelope holds.
 Suite 11's step recurrence and remark22's transform act on each coefficient
 alone, so each is checked once on its factor rows, not per trial.
 
-The real-part suites 2, 4, 5, 6, 8 and 12 share one driver, _real_parts: it
-scales coefficient k >= 1 of each trial's mixture by its entry's diagonal and
-tests the real part on every circle, so no suite builds a member only to undo
-it.  Suites 2 and 5 take one step of depth, multiplier(sigma, n + 1, k) over
-multiplier(sigma, n, k), at orders N and N - 1; suite 8 the integral mean's
-factors (sigma - n) / (sigma - n + k), read off bernardi; suite 6 the
-coefficients of f', (1 - beta) (k + 1) multiplier(sigma, n, k), above beta.
-Suites 4 and 12 take a row of ones on mu p + (1 - mu) q, a mixture again, so
-only rounding can fail them, and their reports say so.
+Every trial row is one classes.mixture_rows call, the trial's mixture with
+coefficient k >= 1 scaled by a diagonal: in suites 3, 7, 9 and 11 the entry's
+multiplier row (member_rows then adds beta in 7, 9 and 11), in suite 1 the
+trial's (1 - gamma) scale before its step's factors.  The real-part suites 2,
+4, 5, 6, 8 and 12 share one driver, _real_parts, which tests the real part on
+every circle, so no suite builds a member only to undo it.  Suites 2 and 5
+take one step of depth, multiplier(sigma, n + 1, k) over multiplier(sigma, n,
+k), at orders N and N - 1; suite 8 the integral mean's factors (sigma - n) /
+(sigma - n + k), read off bernardi; suite 6 the coefficients of f', (1 - beta)
+(k + 1) multiplier(sigma, n, k), above beta.  Suites 4 and 12 take a row of
+ones on each of p and q, so mu p + (1 - mu) q is a mixture again: only
+rounding can fail them, and their reports say so.
 
 Trial t of suite k reads row t of one table of uniforms, default_rng((seed,
 k)).random((trials, width)): classes._DRAWS columns per random mixture, for
@@ -65,22 +68,14 @@ from .classes import (
     envelope_table,
     grid_tails,
     member_rows,
+    mixture_rows,
     multiplier_series,
-    random_members,
-    random_mixtures,
     real_part_margins,
     verdicts,
 )
 from .kernels import OperatorParams, extremal_iterate, multiplier_row
 from .operators import bernardi, iterate_step_closed, recurrence_residuals, salagean_iterate
-from .series import (
-    SchlichtSeries,
-    TruncatedSeries,
-    default_order,
-    evaluate_circle,
-    herglotz_rows,
-    tail_bound,
-)
+from .series import SchlichtSeries, TruncatedSeries, default_order, evaluate_circle, tail_bound
 
 COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
@@ -181,7 +176,7 @@ def _mults(pairs, kmax: int) -> np.ndarray:
 
 
 def _member_tables(specs, kmax: int) -> tuple:
-    """(_mults of each spec's (sigma, n), betas): the tables random_members takes."""
+    """(_mults of each spec's (sigma, n), betas): the diagonals mixture_rows takes and the betas member_rows takes."""
     return _mults([(spec.sigma, spec.n) for spec in specs], kmax), np.array([spec.beta for spec in specs])
 
 
@@ -193,20 +188,18 @@ def _depth_step(pairs, kmax: int) -> np.ndarray:
 def _real_parts(out, suite, entries, trials, seed, diagonal, threshold=0.0, bound=2.0, pair=False) -> bool:
     """The real-part test of suites 2, 4, 5, 6, 8 and 12: Re(1 + sum_k diagonal[i, k - 1] c_k z^k) > threshold[i].
 
-    Trial t expands the mixture read from its row of _blocks (with pair, two mixtures and the weight mu,
-    combined as mu p + (1 - mu) q), at order diagonal.shape[-1], scales coefficient k >= 1 by its entry's
-    diagonal and adds the margins of real_part_margins(rows, threshold, bound), one threshold and coefficient
-    bound per entry, or one for all.  Returns whether any trial was inconclusive.
+    Trial t reads the mixture of its row of _blocks through mixture_rows with its entry's diagonal (with pair,
+    two mixtures and the weight mu, each scaled, then combined as mu p + (1 - mu) q) and adds the margins of
+    real_part_margins(rows, threshold, bound), one threshold and coefficient bound per entry, or one for all.
+    Returns whether any trial was inconclusive.
     """
-    order = diagonal.shape[-1]
     threshold, bound = np.broadcast_to(threshold, len(entries)), np.broadcast_to(bound, len(entries))
     inconclusive = False
     for _, idx, u in _blocks(trials, len(entries), seed, suite, 2 * _DRAWS + 1 if pair else _DRAWS):
-        p = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
+        p = mixture_rows(u[:, :_DRAWS], diagonal[idx])
         if pair:
             mu = u[:, -1:]
-            p = mu * p + (1.0 - mu) * herglotz_rows(*random_mixtures(u[:, _DRAWS:-1]), order)
-        p[:, 1:] *= diagonal[idx]
+            p = mu * p + (1.0 - mu) * mixture_rows(u[:, _DRAWS:-1], diagonal[idx])
         observed, padded = real_part_margins(p, threshold[idx], bound[idx])
         out.add_tests(observed, padded)
         inconclusive |= "inconclusive" in verdicts(observed, padded)
@@ -263,10 +256,10 @@ def _suite_1(lattice, trials, seed, out):
     # an operator's factors read off its image of all ones: (1 + 0i) x is x exactly, so these are its own, bit for bit
     steps = np.array([iterate_step_closed(sigma, n, ones).coeffs[1:].real for sigma, n in pairs])
     for ts, idx, u in _blocks(trials, len(pairs), seed, 1, _DRAWS + 1):
-        q = herglotz_rows(*random_mixtures(u[:, :_DRAWS]), order)
         scale = 0.05 + 0.95 * u[:, _DRAWS]  # uniform(0.05, 1.0), as numpy computes it
         gamma = np.array([gammas[t % len(gammas)] for t in ts])
-        q[:, 1:] *= ((1.0 - gamma) * scale)[:, None]
+        # the trial's factor first, then the step's, as two products: one folded diagonal would round differently
+        q = mixture_rows(u[:, :_DRAWS], np.broadcast_to(((1.0 - gamma) * scale)[:, None], (len(ts), order)))
         q[:, 1:] *= steps[idx]
         # Re q < gamma is Re(-q) > -gamma
         flip = gamma >= 1.0
@@ -298,9 +291,7 @@ def _suite_3(lattice, trials, seed, out):
     mults = _mults(pairs, order)
     tails = grid_tails(2.0 * mults[:, -1], order)
     for _, idx, u in _blocks(trials, len(pairs), seed, 3, _DRAWS):
-        p = herglotz_rows(*random_mixtures(u), order)
-        p[:, 1:] *= mults[idx]
-        values = circle_values(p)
+        values = circle_values(mixture_rows(u, mults[idx]))
         _envelope_margins(out, values.real.min(axis=-1), np.abs(values).max(axis=-1), env[:, idx], tails[idx])
 
 
@@ -333,7 +324,7 @@ def _suite_6(lattice, trials, seed, out):
     so Re f' > beta and the coefficients of f' are at most 2 (1 - beta).  For
     sigma > n that argument breaks down and members genuinely lose
     injectivity (e.g. at (sigma, n, beta) = (2, 1, 0) a member exists with
-    f'(z) = 0 at |z| = 0.756, and a zero of f' inside the disk certifies
+    f'(z) = 0 at |z| = 0.766, and a zero of f' inside the disk certifies
     that f is not univalent there), so those entries are excluded with a
     note rather than reported as failures.
     """
@@ -366,7 +357,7 @@ def _suite_7(lattice, trials, seed, out):
         ext = member_rows(upper, betas[group])
         out.add(COEFF_TOL - np.max(np.abs(np.abs(ext[:, 2:]) - bounds[group])))
     for _, idx, u in _blocks(trials, len(lattice), seed, 7, _DRAWS):
-        f = random_members(u, mults[idx], betas[idx])
+        f = member_rows(mixture_rows(u, mults[idx]), betas[idx])
         out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
 
 
@@ -391,7 +382,7 @@ def _suite_9(lattice, trials, seed, out):
     mults, betas = _member_tables(lattice, order - 1)
     tails = np.array(RADII) * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order - 1)
     for _, idx, u in _blocks(trials, len(lattice), seed, 9, _DRAWS):
-        f = random_members(u, mults[idx], betas[idx])
+        f = member_rows(mixture_rows(u, mults[idx]), betas[idx])
         modulus = np.abs(circle_values(f))
         _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 
@@ -479,7 +470,7 @@ def _suite_11(lattice, trials, seed, out):
     # n = 0 has no floor; the infinite tail goes in after grid_tails, where inf * r**order would be NaN once r**order underflows
     tails[ns == 0] = math.inf
     for _, idx, u in _blocks(trials, len(lattice), seed, 11, _DRAWS):
-        combo = _derivative_combo(sigmas[idx] - ns[idx], random_members(u, mults[idx], betas[idx]))
+        combo = _derivative_combo(sigmas[idx] - ns[idx], member_rows(mixture_rows(u, mults[idx]), betas[idx]))
         modulus = np.abs(circle_values(combo))
         _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
 

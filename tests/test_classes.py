@@ -36,11 +36,11 @@ from gft.classes import (
     membership_in_P,
     membership_in_iterated_P,
     min_re_on_circle,
+    mixture_rows,
     multiplier_series,
     p_rows,
     p_series_of,
     random_member_B,
-    random_members,
     random_mixture,
     random_mixtures,
     real_part_margins,
@@ -50,7 +50,14 @@ from gft.classes import (
 )
 from gft.kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
 from gft.operators import iterate_closed
-from gft.series import SchlichtSeries, TruncatedSeries, evaluate, herglotz_expand, herglotz_rows
+from gft.series import (
+    SchlichtSeries,
+    TruncatedSeries,
+    evaluate,
+    evaluate_circle_real,
+    herglotz_expand,
+    herglotz_rows,
+)
 from gft.verify import _BLOCK, default_lattice, run_suite
 
 HALFPLANE_EXTREMAL = TruncatedSeries(np.concatenate([[1.0], np.full(64, 2.0)]))
@@ -429,6 +436,54 @@ def test_multiplier_series_shape_and_validation():
         multiplier_series(1.0, -2, 0.5)
 
 
+def _theta_scan(terms, r):
+    """Re(1 + 2 sum_k d_k r**k e^(ik theta)) at theta = 2 pi j / 720, d = sum of w m(sigma, n, .) over (w, sigma, n).
+
+    The order K has r**K < 1e-17, and theta = pi is sample 360.
+    """
+    order = math.ceil(math.log(1e-17) / math.log(r))
+    d = sum(w * multiplier_row(sigma, n, order) for w, sigma, n in terms)
+    return evaluate_circle_real(np.r_[1.0, 2.0 * d], r, 720)
+
+
+@given(
+    weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    ns=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    log_shifts=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    r=st.floats(0.05, 0.95),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_nonnegative_combination_of_multiplier_rows_is_least_at_theta_pi(weights, ns, log_shifts, r):
+    """The theta = pi rule: with every weight >= 0, the scan's minimum is its theta = pi value, 1 + 2 sum w S(-r).
+
+    Each m(sigma, n, k) is a moment E[T**k] of some T in [0, 1], and Re(t e^(i theta) / (1 - t e^(i theta))) grows
+    with cos(theta) for t in [0, 1), so every nonnegative combination is least at theta = pi.
+    """
+    terms = [(w, n - 1.0 + 10.0**e, n) for w, n, e in zip(weights, ns, log_shifts)]
+    values = _theta_scan(terms, r)
+    at_pi = values[360]
+    tol = 1e-12 * max(1.0, abs(at_pi))
+    assert at_pi - values.min() <= tol
+    closed = 1.0 + 2.0 * sum(w * multiplier_series(sigma, n, -r) for w, sigma, n in terms)
+    assert abs(at_pi - closed) <= tol
+
+
+def test_the_theta_pi_rule_fails_for_suite_6s_diagonal_at_3_5_2():
+    """(1 - lam) m(3.5, 2, .) + lam m(3.5, 1, .) with lam = 2.5 has a negative weight.
+
+    At r = 0.99 its scan is least near theta = 0.528 pi, below the theta = pi value; at r = 0.9 the least value
+    is still at theta = pi.
+    """
+    terms = [(1.0 - 2.5, 3.5, 2), (2.5, 3.5, 1)]
+    values = _theta_scan(terms, 0.99)
+    j = int(np.argmin(values))
+    assert min(j, 720 - j) == 190  # theta = 190 / 360 pi, or its mirror image
+    assert values[j] == pytest.approx(-0.13334, abs=1e-5)
+    assert values[360] == pytest.approx(-0.11683, abs=1e-5)
+    values = _theta_scan(terms, 0.9)
+    assert values.min() == values[360] == pytest.approx(-0.063857, abs=1e-6)
+
+
 def test_bounds_table_and_csv():
     specs = [ClassSpec(OperatorParams(1.0, 1)), ClassSpec(OperatorParams(1.0, 0), 0.25)]
     rows = bounds_rows(specs, (0.5, 0.9))
@@ -491,7 +546,7 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
     u = np.array([np.random.default_rng(seed).random(_DRAWS) for seed in seeds])
     mults = np.array([multiplier_row(spec.sigma, spec.n, 63) for spec in specs])
     betas = np.array([spec.beta for spec in specs])
-    members = random_members(u, mults, betas)
+    members = member_rows(mixture_rows(u, mults), betas)
     for spec, seed, u_row, row in zip(specs, seeds, u, members):
         assert row.tobytes() == random_member_B(spec, seed).coeffs.tobytes()
         assert row.tobytes() == _one_member_at_a_time(spec, u_row, 64).tobytes()

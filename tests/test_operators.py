@@ -1,6 +1,7 @@
 """Raising/lowering operators, the radial iteration, and its quadrature oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ DIAGONAL_ACTIONS = {
     "iterate_closed": (lambda p: iterate_closed(DEPTH, p), 1, multiplier_row(3.5, 2, 64), np.multiply),
     "deiterate": (lambda p: deiterate(DEPTH, p), 1, multiplier_row(3.5, 2, 64), np.divide),
     "iterate_step_closed": (lambda p: iterate_step_closed(3.5, 2, p), 1, 2.5 / (2.5 + K1), np.multiply),
-    "salagean_iterate": (lambda p: salagean_iterate(1.5, 3, p), 1, (1.5 / (1.5 + K1)) ** 3, np.multiply),
+    "salagean_iterate": (lambda p: salagean_iterate(1.5, 3, p), 1, np.exp(-3.0 * np.log1p(K1 / 1.5)), np.multiply),
     "shift_to_beta": (lambda p: shift_to_beta(p, 0.25), 1, 1.0 - 0.25, np.multiply),
 }
 
@@ -261,6 +262,23 @@ def test_salagean_iterate_takes_a_huge_count_to_its_limit():
     p = TruncatedSeries(np.array([1.0, 2.0, -1.0, 2.0]))
     for n in (10**18, 2**63, 10**400):
         assert np.array_equal(salagean_iterate(1.0, n, p).coeffs, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_salagean_iterate_keeps_a_factor_its_rounded_base_loses():
+    """At alpha = 1e20 the base alpha / (alpha + k) rounds to 1, but 10**18 steps take c_1 to exp(-0.01) c_1.
+
+    A subnormal alpha overflows k / alpha: one step takes every coefficient to 0, and no step leaves p as it is.
+    """
+    p = TruncatedSeries(np.array([1.0, 2.0, -1.0, 2.0]))
+    k = np.arange(1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = salagean_iterate(1e20, 10**18, p)
+        tiny = salagean_iterate(5e-324, 1, p), salagean_iterate(5e-324, 0, p)
+    assert np.allclose(q.coeffs[1:], p.coeffs[1:] * np.exp(-1e18 * np.log1p(k / 1e20)), rtol=1e-15, atol=0.0)
+    assert q.coeffs[1] == pytest.approx(2.0 * math.exp(-0.01), rel=1e-15)
+    assert np.array_equal(tiny[0].coeffs, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(tiny[1].coeffs, p.coeffs)
 
 
 def test_single_depth_iterate_matches_salagean():

@@ -19,11 +19,12 @@ from gft.classes import (
     ClassSpec,
     extremal_B_upper,
     is_in_B,
+    member_rows,
     membership_in_B,
     membership_in_iterated_P,
+    mixture_rows,
     p_series_of,
     random_member_B,
-    random_members,
     real_part_test,
 )
 from gft.kernels import OperatorParams, extremal_iterate, multiplier_row
@@ -145,7 +146,11 @@ def test_remark22_skips_entries_with_sigma_at_most_zero():
     assert any("sigma <= 0 skipped" in note for note in report.notes)
     assert any("no checks ran" in note for note in report.notes)
     mixed = run_suite("remark22", lattice=(shallow, ClassSpec(OperatorParams(1.0, 1))), trials=4)
-    assert mixed.verdict == "pass" and mixed.worst_margin == 1e-12
+    # exp(-log1p(k)) and 1 / (1 + k) differ in the last bits, so the margin is 1e-12 less twice that difference
+    k = np.arange(1, default_order() + 1)
+    drift = np.max(np.abs(np.exp(-np.log1p(k)) - multiplier_row(1.0, 1, default_order())))
+    assert drift < 1e-16
+    assert mixed.verdict == "pass" and mixed.worst_margin == 1e-12 - 2.0 * drift
     assert any("sigma <= 0 skipped" in note for note in mixed.notes)
     assert not any("no checks ran" in note for note in mixed.notes)
 
@@ -542,7 +547,7 @@ def _suite_4_trial(spec, t, u):
 def _member(spec, u):
     """The class member read from one row of _DRAWS uniforms."""
     mults = multiplier_row(spec.sigma, spec.n, default_order() - 1)[None]
-    return SchlichtSeries(random_members(u[None], mults, [spec.beta])[0])
+    return SchlichtSeries(member_rows(mixture_rows(u[None], mults), [spec.beta])[0])
 
 
 def _suite_5_trial(spec, t, u):
@@ -610,7 +615,7 @@ def test_every_real_part_suite_fails_on_a_row_outside_P(monkeypatch, theorem):
         rows[:, 1] = 1e3
         return rows
 
-    monkeypatch.setattr(verify, "herglotz_rows", outside)
+    monkeypatch.setattr(classes, "herglotz_rows", outside)
     report = run_suite(theorem, trials=20, seed=0)
     assert report.verdict == "fail"
     assert report.worst_margin < -100.0
