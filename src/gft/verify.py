@@ -8,30 +8,37 @@ ANGULAR_SAMPLES), and margins already include the truncation-tail
 allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
 not a sampling artifact.
 
-The envelope suites 3, 9 and 11 check members against envelope_table, the
-table `gft bounds` prints, and check its sharpness: the two axis extremals
-of each (sigma, n) pair, built once as real rows and mapped for all its betas
-by one member_rows call, must attain it at x = +r, summed at every radius by
-one product with the table of r**k.  A truncated member stays below the exact
-upper bound with no allowance, and may undershoot the exact lower bound by at
-most its own dropped tail, whose coefficient bound suites 3 and 9 read off the
-last column of their multiplier tables and suite 11 off its depth n - 1
-row; that tail is infinite at n = 0, where no lower envelope holds.
-Suite 11's step recurrence and remark22's transform act on each coefficient
-alone, so each is checked once on its factor rows, not per trial.
+The envelope suites 3, 9 and 11 share one driver, _envelopes.  Each tests
+w = beta + (1 - beta) p, with p a mixture scaled by multiplier(sigma, n +
+depth, k), against factor (1 + 2 (1 - beta) S_{n + depth}(-+r)), read from
+envelope_table, the table `gft bounds` prints: suite 3 its (sigma, n) pairs
+at beta = 0, depth 0 and factor 1; suite 9 depth 0 and factor r, as |f| =
+r |w| on |z| = r; suite 11 depth -1 and factor lam = sigma - (n - 1), as the
+step recurrence turns (sigma - n) f / z + f' into lam (beta + (1 - beta)
+p_{n-1}).  The driver checks the table's sharpness too: the two axis
+extremals of each (sigma, n) pair, built once as real rows from one
+multiplier_row to SHARP_ORDER and mapped for all its betas by one
+member_rows call, must attain it at x = +r, summed at every radius by one
+product with the table of r**k.  A truncated row stays below the exact upper
+bound with no allowance, and may undershoot the exact lower bound by at most
+its own dropped tail, whose coefficient bound is the last column of its
+multiplier table; that tail is infinite where n + depth < 0, in suite 11 at
+n = 0, where no lower envelope holds.  Suite 11's step recurrence and
+remark22's transform act on each coefficient alone, so each is checked once
+on its factor rows, not per trial.
 
 Every trial row is one classes.mixture_rows call, the trial's mixture with
 coefficient k >= 1 scaled by a diagonal: in suites 3, 7, 9 and 11 the entry's
-multiplier row (member_rows then adds beta in 7, 9 and 11), in suite 1 the
-trial's (1 - gamma) scale before its step's factors.  The real-part suites 2,
-4, 5, 6, 8 and 12 share one driver, _real_parts, which tests the real part on
-every circle, so no suite builds a member only to undo it.  Suites 2 and 5
-take one step of depth, multiplier(sigma, n + 1, k) over multiplier(sigma, n,
-k), at orders N and N - 1; suite 8 the integral mean's factors (sigma - n) /
-(sigma - n + k), read off bernardi; suite 6 the coefficients of f', (1 - beta)
-(k + 1) multiplier(sigma, n, k), above beta.  Suites 4 and 12 take a row of
-ones on each of p and q, so mu p + (1 - mu) q is a mixture again: only
-rounding can fail them, and their reports say so.
+multiplier row, at depth n - 1 in suite 11, before member_rows adds beta; in
+suite 1 the trial's (1 - gamma) scale before its step's factors.  The
+real-part suites 2, 4, 5, 6, 8 and 12 share one driver, _real_parts, which
+tests the real part on every circle, so no suite builds a member only to
+undo it.  Suites 2 and 5 take one step of depth, multiplier(sigma, n + 1, k)
+over multiplier(sigma, n, k), at orders N and N - 1; suite 8 the integral
+mean's factors (sigma - n) / (sigma - n + k), read off bernardi; suite 6 the
+coefficients of f', (1 - beta) (k + 1) multiplier(sigma, n, k), above beta.
+Suites 4 and 12 take a row of ones on each of p and q, so mu p + (1 - mu) q
+is a mixture again: only rounding can fail them, and their reports say so.
 
 Trial t of suite k reads row t of one table of uniforms, default_rng((seed,
 k)).random((trials, width)): classes._DRAWS columns per random mixture, for
@@ -80,7 +87,7 @@ from .series import SchlichtSeries, TruncatedSeries, default_order, evaluate_cir
 COEFF_TOL = 1e-12
 SHARPNESS_TOL = 1e-7
 # Order past which r**k < 1e-14 at every grid radius.  Extremals cut there drop an axis tail below SHARPNESS_TOL:
-# at r = 0.99 about 2.0e-12 in suites 3 and 9, and 6.6e-9 in suite 11, whose coefficients grow like k.
+# at r = 0.99 about 2.0e-12 in suites 3 and 9, and 6.5e-9 in suite 11, whose lam w grows like k.
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 # Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
 _BLOCK = 16
@@ -175,11 +182,6 @@ def _mults(pairs, kmax: int) -> np.ndarray:
     return np.array([multiplier_row(sigma, n, kmax) for sigma, n in index])[picks]
 
 
-def _member_tables(specs, kmax: int) -> tuple:
-    """(_mults of each spec's (sigma, n), betas): the diagonals mixture_rows takes and the betas member_rows takes."""
-    return _mults([(spec.sigma, spec.n) for spec in specs], kmax), np.array([spec.beta for spec in specs])
-
-
 def _depth_step(pairs, kmax: int) -> np.ndarray:
     """The factors of one step of depth, n to n + 1, per (sigma, n) pair: _mults of (sigma, n + 1) over _mults."""
     return _mults([(sigma, n + 1) for sigma, n in pairs], kmax) / _mults(pairs, kmax)
@@ -206,42 +208,49 @@ def _real_parts(out, suite, entries, trials, seed, diagonal, threshold=0.0, boun
     return inconclusive
 
 
-def _sharp_envelopes(out, entries, env, extremals) -> None:
+def _sharp_envelopes(out, entries, env, depth, factor) -> None:
     """Check that the bounds env, an envelope_table of the entries at RADII, are attained on the axis.
 
     The table is the one `gft bounds` prints, built once in classes; this only checks its sharpness, one
-    (sigma, n) pair at a time.  extremals(params, specs) gives the pair's real coefficient rows, shape
-    (len(specs), 2, K) with K <= SHARP_ORDER + 1: for each spec, the rows that must attain lower and upper
-    at x = +r, to SHARPNESS_TOL.  One product with the r**k table sums all of them at every radius, and one
+    (sigma, n) pair at a time.  The pair's two axis rows, 1 + 2 sum_k multiplier(sigma, n + depth, k) (-+z)^k
+    for k <= SHARP_ORDER, come from one multiplier_row, and one member_rows call maps them for all its betas,
+    column 0 dropped.  Their sums at x = +r times factor, one row per entry against RADII, must attain lower
+    and upper to SHARPNESS_TOL.  One product with the r**k table sums every row at every radius, and one
     minimum adds the pair's margins, one per entry, side and radius.
     """
     powers = np.array(RADII)[:, None] ** np.arange(SHARP_ORDER + 1)
     for params, group in by_pair(entries).items():
-        rows = extremals(params, [entries[i] for i in group])
-        axis = rows @ powers[:, : rows.shape[-1]].T
+        upper = np.r_[1.0, 2.0 * multiplier_row(params.sigma, params.n + depth, SHARP_ORDER)]
+        lower = upper.copy()
+        lower[1::2] *= -1.0
+        rows = member_rows(np.array([lower, upper]), np.array([[entries[i].beta] for i in group]))[..., 1:]
+        axis = factor[group][:, None] * (rows @ powers.T)
         out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, group].transpose(1, 0, 2))))
 
 
-def _iterates(params, order: int) -> np.ndarray:
-    """The real coefficients of the (lower, upper) extremal iterates of one (sigma, n): shape (2, order + 1)."""
-    return np.array([extremal_iterate(params, order, sign).coeffs.real for sign in (-1, 1)])
+def _envelopes(out, suite, entries, trials, seed, depth, factor, order, part=np.abs) -> None:
+    """The envelope test of suites 3, 9 and 11: factor w within factor (1 + 2 (1 - beta) S_{n + depth}(-+r)).
 
-
-def _B_extremals(params, specs) -> np.ndarray:
-    """The real rows (lower, upper) of each spec's extremal members, cut at SHARP_ORDER: (len(specs), 2, K).
-
-    The specs share one (sigma, n), whose two iterates are built once, and one member_rows call maps them
-    for every beta; each spec's rows are the real parts of extremal_B_lower and extremal_B_upper at
-    SHARP_ORDER, bit for bit.
+    w = beta + (1 - beta) p, with p the trial's mixture scaled by multiplier(sigma, n + depth, k) for
+    k <= order: member_rows' row of the entry at depth n + depth, column 0 dropped.  The bounds are
+    envelope_table's, and _sharp_envelopes checks that they are attained; factor broadcasts against
+    (entries, RADII).  On every circle factor max |w| must stay below upper, and factor min part(w) above
+    lower less the dropped tail, factor grid_tails of its coefficient bound 2 (1 - beta) multiplier(sigma,
+    n + depth, order).  Where n + depth < 0 no lower envelope holds, and the tail is infinite.
     """
-    return member_rows(_iterates(params, SHARP_ORDER - 1), np.array([[spec.beta] for spec in specs]))
-
-
-def _envelope_margins(out, low, high, env, tails) -> None:
-    """Add a block's margins: circle maxima high below upper, minima low above lower less the member tail."""
+    env = envelope_table(entries, depth, RADII, factor)
+    factor = np.broadcast_to(factor, (len(entries), len(RADII)))
+    _sharp_envelopes(out, entries, env, depth, factor)
+    mults = _mults([(spec.sigma, spec.n + depth) for spec in entries], order)
+    betas = np.array([spec.beta for spec in entries])
+    tails = factor * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order)
+    # set after grid_tails, where inf * r**order would be NaN once r**order underflows
+    tails[np.array([spec.n + depth < 0 for spec in entries])] = math.inf
     lower, upper = env
-    out.add(np.min(upper + GRID_TOLERANCE - high))
-    out.add(np.min(low - lower + tails + GRID_TOLERANCE))
+    for _, idx, u in _blocks(trials, len(entries), seed, suite, _DRAWS):
+        values = circle_values(member_rows(mixture_rows(u, mults[idx]), betas[idx])[:, 1:])
+        out.add(np.min(upper[idx] + GRID_TOLERANCE - factor[idx] * np.abs(values).max(axis=-1)))
+        out.add(np.min(factor[idx] * part(values).min(axis=-1) - lower[idx] + tails[idx] + GRID_TOLERANCE))
 
 
 def _suite_1(lattice, trials, seed, out):
@@ -278,21 +287,8 @@ def _suite_2(lattice, trials, seed, out):
 
 def _suite_3(lattice, trials, seed, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
-    pairs = _pairs(lattice, lambda s: True)
-    entries = [ClassSpec(OperatorParams(sigma, n)) for sigma, n in pairs]
-    env = envelope_table(entries, 0, RADII, 1.0)
-    _sharp_envelopes(
-        out,
-        entries,
-        env,
-        lambda params, specs: np.broadcast_to(_iterates(params, SHARP_ORDER), (len(specs), 2, SHARP_ORDER + 1)),
-    )
-    order = default_order()
-    mults = _mults(pairs, order)
-    tails = grid_tails(2.0 * mults[:, -1], order)
-    for _, idx, u in _blocks(trials, len(pairs), seed, 3, _DRAWS):
-        values = circle_values(mixture_rows(u, mults[idx]))
-        _envelope_margins(out, values.real.min(axis=-1), np.abs(values).max(axis=-1), env[:, idx], tails[idx])
+    entries = [ClassSpec(OperatorParams(sigma, n)) for sigma, n in _pairs(lattice, lambda s: True)]
+    _envelopes(out, 3, entries, trials, seed, 0, 1.0, default_order(), np.real)
 
 
 def _suite_4(lattice, trials, seed, out):
@@ -338,7 +334,8 @@ def _suite_6(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
     order = default_order()
-    mults, betas = _member_tables(entries, order - 1)
+    mults = _mults([(spec.sigma, spec.n) for spec in entries], order - 1)
+    betas = np.array([spec.beta for spec in entries])
     # coefficient k of f' is (k + 1) a_{k+1} = (1 - beta) (k + 1) multiplier(sigma, n, k) c_k
     derivative = (1.0 - betas)[:, None] * np.arange(2, order + 1) * mults
     if _real_parts(out, 6, entries, trials, seed, derivative, betas, 2.0 * (1.0 - betas)):
@@ -349,7 +346,8 @@ def _suite_7(lattice, trials, seed, out):
     """Coefficient size bound, attained exactly by the upper extremal."""
     out.note("rounding check: a mixture has |c_k| <= 2, so only rounding can fail the sampled member test")
     order = default_order()
-    mults, betas = _member_tables(lattice, order - 1)
+    mults = _mults([(spec.sigma, spec.n) for spec in lattice], order - 1)
+    betas = np.array([spec.beta for spec in lattice])
     bounds = 2.0 * (1.0 - betas)[:, None] * mults
     # each pair's upper iterate gives the extremal_B_upper rows of all its betas, bit for bit
     for params, group in by_pair(lattice).items():
@@ -376,15 +374,8 @@ def _suite_8(lattice, trials, seed, out):
 
 def _suite_9(lattice, trials, seed, out):
     """Growth envelope for members, attained on the axis by the two extremals."""
-    env = envelope_table(lattice, 0, RADII, RADII)  # growth_bounds: r (1 + 2 (1 - beta) S_n(-+r))
-    _sharp_envelopes(out, lattice, env, _B_extremals)
-    order = default_order()
-    mults, betas = _member_tables(lattice, order - 1)
-    tails = np.array(RADII) * grid_tails(2.0 * (1.0 - betas) * mults[:, -1], order - 1)
-    for _, idx, u in _blocks(trials, len(lattice), seed, 9, _DRAWS):
-        f = member_rows(mixture_rows(u, mults[idx]), betas[idx])
-        modulus = np.abs(circle_values(f))
-        _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
+    # growth_bounds: r (1 + 2 (1 - beta) S_n(-+r)), and |f| = r |f / z| on |z| = r
+    _envelopes(out, 9, lattice, trials, seed, 0, RADII, default_order() - 1)
 
 
 def _suite_10(lattice, trials, seed, out):
@@ -417,21 +408,14 @@ def _suite_10(lattice, trials, seed, out):
             out.add(SHARPNESS_TOL + tail - abs(low - lows[i]))
 
 
-def _derivative_combo(shift, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of (sigma - n) f / z + f' for shift = sigma - n: coefficient j is (sigma - n + 1 + j) a_{j+1}.
-
-    coeffs is one member's coefficients or a stack of rows, and shift one value for all or one per row.
-    """
-    j = np.arange(0, coeffs.shape[-1] - 1)
-    return (np.asarray(shift)[..., None] + 1.0 + j) * coeffs[..., 1:]
-
-
 def _suite_11(lattice, trials, seed, out):
     """Step recurrence plus the envelope for (sigma - n) f / z + f'.
 
     The recurrence lam p_m + z p_m' = lam p_{m-1}, lam = sigma - (m - 1), acts
     on each coefficient alone, so it is checked once per (sigma, n) and step
     m = 1..n, on the factor rows of a mixture's largest coefficients, |c_k| = 2.
+    At m = n it turns (sigma - n) f / z + f' into lam (beta + (1 - beta)
+    p_{n-1}), so the envelope is checked on the member rows of depth n - 1.
 
     The lower envelope is enforced only for n >= 1: it comes from the
     real-part floor of the one-level-shallower iterate, which exists only
@@ -445,34 +429,14 @@ def _suite_11(lattice, trials, seed, out):
             "n = 0 entries: lower envelope not enforced (no shallower iterate "
             "to supply the real-part floor; members can undershoot the formula)"
         )
-    ns, sigmas, betas = (np.array([getattr(s, key) for s in lattice]) for key in ("n", "sigma", "beta"))
-    # distortion_bounds: (sigma - (n - 1)) (1 + 2 (1 - beta) S_{n - 1}(-+r))
-    env = envelope_table(lattice, -1, RADII, (sigmas - (ns - 1))[:, None])
-    _sharp_envelopes(
-        out,
-        lattice,
-        env,
-        lambda params, specs: _derivative_combo(params.sigma - params.n, _B_extremals(params, specs)),
-    )
     order = default_order()
-    # each pair's factor rows at depths 0..n, built once: depth n iterates its members, depth n - 1 bounds their tail
-    depths = {}
-    for sigma, n in _pairs(lattice, lambda s: True):
-        rows = depths[sigma, n] = np.array([multiplier_row(sigma, m, order - 1) for m in range(n + 1)])
-        if n >= 1:
-            # steps m = 1..n: the rows [1, 2 multiplier(sigma, m, k)] and [1, 2 multiplier(sigma, m - 1, k)]
-            ends = np.insert(2.0 * rows, 0, 1.0, axis=1)
-            out.add(np.min(COEFF_TOL - recurrence_residuals(sigma - np.arange(n), ends[1:], ends[:-1])))
-    mults = np.array([depths[spec.sigma, spec.n][-1] for spec in lattice])
-    # combination coefficients are at most (sigma - n + 1) 2 (1 - beta) multiplier(sigma, n - 1, k)
-    shallow = np.array([depths[spec.sigma, spec.n][spec.n - 1, -1] for spec in lattice])
-    tails = (sigmas - ns + 1)[:, None] * grid_tails(np.where(ns >= 1, 2.0 * (1.0 - betas) * shallow, 0.0), order - 1)
-    # n = 0 has no floor; the infinite tail goes in after grid_tails, where inf * r**order would be NaN once r**order underflows
-    tails[ns == 0] = math.inf
-    for _, idx, u in _blocks(trials, len(lattice), seed, 11, _DRAWS):
-        combo = _derivative_combo(sigmas[idx] - ns[idx], member_rows(mixture_rows(u, mults[idx]), betas[idx]))
-        modulus = np.abs(circle_values(combo))
-        _envelope_margins(out, modulus.min(axis=-1), modulus.max(axis=-1), env[:, idx], tails[idx])
+    for sigma, n in _pairs(lattice, lambda s: s.n >= 1):
+        # steps m = 1..n: the rows [1, 2 multiplier(sigma, m, k)] and [1, 2 multiplier(sigma, m - 1, k)]
+        ends = np.insert(2.0 * np.array([multiplier_row(sigma, m, order - 1) for m in range(n + 1)]), 0, 1.0, axis=1)
+        out.add(np.min(COEFF_TOL - recurrence_residuals(sigma - np.arange(n), ends[1:], ends[:-1])))
+    # distortion_bounds: lam (1 + 2 (1 - beta) S_{n - 1}(-+r)), lam = sigma - (n - 1)
+    lams = np.array([[spec.sigma - (spec.n - 1)] for spec in lattice])
+    _envelopes(out, 11, lattice, trials, seed, -1, lams, order - 1)
 
 
 def _suite_12(lattice, trials, seed, out):

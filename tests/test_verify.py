@@ -84,9 +84,11 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
 def test_extremals_cut_at_the_sharp_order_drop_less_than_the_sharpness_tolerance():
     """The axis tail that the sharpness checks of suites 3, 9 and 11 leave out, worst over the default lattice.
 
-    It is summed from upper extremals three times longer, whose coefficients bound the lower extremals' moduli.
-    The tail is largest at r = 0.99: about 2.0e-12 for the iterates and members, and 6.6e-9 for suite 11's
-    combination, whose coefficients grow like k.  A SHARPNESS_TOL below these needs the tail added first.
+    Each check sums its row w = f / z to k = SHARP_ORDER, times its factor: 1, r, or lam = sigma - n + 1 for
+    suite 11's combination (sigma - n) f / z + f', whose coefficient j is (lam + j) a_{j+1}.  The tails are
+    summed from upper extremals three times longer, whose coefficients bound the lower extremals' moduli.
+    They are largest at r = 0.99: about 1.97e-12 for the iterates, 1.95e-12 for the members, and 6.52e-9 for
+    the combination, whose coefficients grow like k.  A SHARPNESS_TOL below these needs the tail added first.
     """
     r, order = max(RADII), 3 * SHARP_ORDER
     powers = r ** np.arange(order + 1)
@@ -94,11 +96,12 @@ def test_extremals_cut_at_the_sharp_order_drop_less_than_the_sharpness_tolerance
     for spec in default_lattice():
         iterates.append(extremal_iterate(spec.params, order).coeffs.real[SHARP_ORDER + 1 :] @ powers[SHARP_ORDER + 1 :])
         f = extremal_B_upper(spec, order).coeffs.real
-        members.append(f[SHARP_ORDER + 1 :] @ powers[SHARP_ORDER + 1 :])
-        combos.append(verify._derivative_combo(spec.sigma - spec.n, f)[SHARP_ORDER:] @ powers[SHARP_ORDER:order])
-    assert max(iterates) == pytest.approx(2.0e-12, rel=0.02)
-    assert max(members) == pytest.approx(2.0e-12, rel=0.02)
-    assert max(combos) == pytest.approx(6.6e-9, rel=0.02)
+        members.append(f[SHARP_ORDER + 2 :] @ powers[SHARP_ORDER + 2 :])
+        combo = (spec.sigma - spec.n + 1.0 + np.arange(order)) * f[1:]
+        combos.append(combo[SHARP_ORDER + 1 :] @ powers[SHARP_ORDER + 1 : order])
+    assert max(iterates) == pytest.approx(1.97e-12, rel=0.02)
+    assert max(members) == pytest.approx(1.95e-12, rel=0.02)
+    assert max(combos) == pytest.approx(6.52e-9, rel=0.02)
     assert max(iterates + members + combos) < SHARPNESS_TOL
 
 
@@ -284,8 +287,10 @@ def test_sharpness_checks_read_each_entry_on_its_own(monkeypatch, theorem, beta)
 def test_sharp_envelopes_match_each_entry_summed_on_its_own(monkeypatch, theorem):
     """On a shuffled lattice that repeats (sigma, n) pairs, the batched sharpness margin is the per-entry one.
 
-    Each entry's rows are built on their own, as extremal_iterate or extremal_B_lower and extremal_B_upper at
-    SHARP_ORDER, and summed exactly against r**k by math.fsum; the bounds are classes._envelope's.
+    Each entry's rows are built on their own, as extremal_iterate at SHARP_ORDER or extremal_B_lower and
+    extremal_B_upper at SHARP_ORDER + 1, and summed exactly against r**k by math.fsum; suite 11's rows are the
+    members' combinations (sigma - n) f / z + f', coefficient j = (sigma - n + 1 + j) a_{j+1}.  The bounds are
+    classes._envelope's.
     """
     lattice = [
         ClassSpec(OperatorParams(sigma, n), beta)
@@ -303,7 +308,7 @@ def test_sharp_envelopes_match_each_entry_summed_on_its_own(monkeypatch, theorem
     monkeypatch.setattr(verify, "_sharp_envelopes", record)
     run_suite(theorem, lattice=lattice, trials=1)
     radii = np.array(RADII)
-    powers = radii[:, None] ** np.arange(SHARP_ORDER + 1)
+    powers = radii[:, None] ** np.arange(SHARP_ORDER + 2)
     if theorem == "3":
         specs = [ClassSpec(params) for params in dict.fromkeys(spec.params for spec in lattice)]
     else:
@@ -314,10 +319,10 @@ def test_sharp_envelopes_match_each_entry_summed_on_its_own(monkeypatch, theorem
             rows = [extremal_iterate(spec.params, SHARP_ORDER, sign).coeffs.real for sign in (-1, 1)]
             env = classes._envelope(spec, spec.n, radii, 1.0)
         else:
-            rows = [f(spec, SHARP_ORDER).coeffs.real for f in (classes.extremal_B_lower, extremal_B_upper)]
+            rows = [f(spec, SHARP_ORDER + 1).coeffs.real for f in (classes.extremal_B_lower, extremal_B_upper)]
             env = classes.growth_bounds(spec, radii) if theorem == "9" else classes.distortion_bounds(spec, radii)
         if theorem == "11":
-            rows = [verify._derivative_combo(spec.sigma - spec.n, row) for row in rows]
+            rows = [(spec.sigma - spec.n + 1.0 + np.arange(SHARP_ORDER + 1)) * row[1:] for row in rows]
         for row, bound in zip(rows, env):
             axis = np.array([math.fsum(row * circle[: row.size]) for circle in powers])
             worst = min(worst, np.min(SHARPNESS_TOL - np.abs(axis - bound)))
@@ -604,6 +609,40 @@ def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
     assert len(out.observed) == len(table)
     for t, (u, observed) in enumerate(zip(table, out.observed)):
         assert np.allclose(observed, trial(spec, t, u), rtol=0.0, atol=1e-12), f"trial {t}"
+
+
+@pytest.mark.parametrize("sigma, n, beta", [(2.0, 2, 0.25), (0.5, 0, 0.5), (3.5, 1, 0.0)])
+@pytest.mark.parametrize("suite", ["3", "9", "11"])
+def test_envelope_suites_test_the_rows_of_their_own_draws(monkeypatch, suite, sigma, n, beta):
+    """Suites 3, 9 and 11 evaluate, for each draw, the row its envelope bounds, rebuilt from that draw alone.
+
+    Suite 3: the iterate of the mixture, bit for bit; suite 9: the member's f / z, bit for bit; suite 11:
+    rows that, times lam = sigma - n + 1, give the member's (sigma - n) f / z + f', whose coefficient j is
+    (lam + j) a_{j+1}, to 1e-13 relative.  The rows of uniforms are those of test_each_draw_reads_its_own_columns.
+    """
+    rng = np.random.default_rng(int(suite))
+    table = np.tile(rng.random(_DRAWS), (_DRAWS + 1, 1))
+    table[np.arange(1, _DRAWS + 1), np.arange(_DRAWS)] = rng.random(_DRAWS)
+
+    def one_block(trials, size, seed, suite_id, columns):
+        assert (trials, columns) == table.shape
+        yield range(trials), np.arange(trials) % size, table
+
+    values, rows = verify.circle_values, []
+    monkeypatch.setattr(verify, "_blocks", one_block)
+    monkeypatch.setattr(verify, "circle_values", lambda block: rows.extend(block) or values(block))
+    spec = ClassSpec(OperatorParams(sigma, n), beta)
+    getattr(verify, f"_suite_{suite}")((spec,), len(table), 0, verify._Margins())
+    assert len(rows) == len(table)
+    for t, (u, row) in enumerate(zip(table, rows)):
+        if suite == "3":
+            assert row.tobytes() == iterate_closed(spec.params, _mixture_p(u)).coeffs.tobytes(), f"trial {t}"
+        elif suite == "9":
+            assert row.tobytes() == _member(spec, u).coeffs[1:].tobytes(), f"trial {t}"
+        else:
+            lam = sigma - n + 1.0
+            combo = (lam + np.arange(row.size)) * _member(spec, u).coeffs[1:]
+            np.testing.assert_allclose(lam * row, combo, rtol=1e-13, atol=0.0, err_msg=f"trial {t}")
 
 
 @pytest.mark.parametrize("theorem", ["2", "4", "5", "6", "8", "12"])
