@@ -447,7 +447,8 @@ def bounds_rows(specs, radii) -> list:
 
     The m and growth columns are two envelope_table calls, as distortion_bounds and growth_bounds map them,
     and each (sigma, n) pair's covering series is computed once and mapped for each of its betas, as
-    covering_constant maps it.
+    covering_constant maps it.  At n = 0 m_lower is only the alternating extremal's value, not a floor for
+    the class: some members undercut it (ROADMAP item 10).
     """
     radii = np.array(radii, dtype=np.float64)
     lam = np.array([spec.sigma - (spec.n - 1) for spec in specs])[:, None]

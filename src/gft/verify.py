@@ -11,13 +11,14 @@ not a sampling artifact.
 The envelope suites 3, 9 and 11 share one driver, _envelopes.  Each tests
 w = beta + (1 - beta) p, with p a mixture scaled by multiplier(sigma, n +
 depth, k), against factor (1 + 2 (1 - beta) S_{n + depth}(-+r)), read from
-envelope_table, the table `gft bounds` prints: suite 3 its (sigma, n) pairs
-at beta = 0, depth 0 and factor 1; suite 9 depth 0 and factor r, as |f| =
-r |w| on |z| = r; suite 11 depth -1 and factor lam = sigma - (n - 1), as the
-step recurrence turns (sigma - n) f / z + f' into lam (beta + (1 - beta)
-p_{n-1}).  The driver checks the table's sharpness too: the two axis
-extremals of each (sigma, n) pair, built once as real rows from one
-multiplier_row to SHARP_ORDER and mapped for all its betas by one
+envelope_table, the table `gft bounds` prints: factor |w| below the upper
+bound, and factor Re w, least at theta = pi, above the lower.  Suite 3 takes
+its (sigma, n) pairs at beta = 0, depth 0 and factor 1; suite 9 depth 0 and
+factor r, as |f| = r |w| on |z| = r; suite 11 depth -1 and factor lam =
+sigma - (n - 1), as the step recurrence turns (sigma - n) f / z + f' into
+lam (beta + (1 - beta) p_{n-1}).  The driver checks the table's sharpness
+too: the two axis extremals of each (sigma, n) pair, built once as real rows
+from one multiplier_row to SHARP_ORDER and mapped for all its betas by one
 member_rows call, must attain it at x = +r, summed at every radius by one
 product with the table of r**k.  A truncated row stays below the exact upper
 bound with no allowance, and may undershoot the exact lower bound by at most
@@ -29,29 +30,29 @@ on its factor rows, not per trial.
 
 Every trial row is one classes.mixture_rows call, the trial's mixture with
 coefficient k >= 1 scaled by a diagonal: in suites 3, 7, 9 and 11 the entry's
-multiplier row, at depth n - 1 in suite 11, before member_rows adds beta; in
-suite 1 the trial's (1 - gamma) scale before its step's factors.  The
-real-part suites 2, 4, 5, 6, 8 and 12 share one driver, _real_parts, which
-tests the real part on every circle, so no suite builds a member only to
-undo it.  Suites 2 and 5 take one step of depth, multiplier(sigma, n + 1, k)
-over multiplier(sigma, n, k), at orders N and N - 1; suite 8 the integral
-mean's factors (sigma - n) / (sigma - n + k), read off bernardi; suite 6 the
-coefficients of f', (1 - beta) (k + 1) multiplier(sigma, n, k), above beta.
-Suites 4 and 12 take a row of ones on each of p and q, so mu p + (1 - mu) q
-is a mixture again: only rounding can fail them, and their reports say so.
+multiplier row, at depth n - 1 in suite 11, before member_rows adds beta.
+The real-part suites 1, 2, 4, 5, 6, 8 and 12 test one statement through one
+driver, _real_parts: a diagonal d maps P into P, Re(1 + sum_k d_k c_k z^k) >
+0 with coefficient bound 2, so no suite builds a member only to undo it.
+Suite 1 takes the integration step's factors, read off iterate_step_closed;
+suites 2 and 5 one step of depth, multiplier(sigma, n + 1, k) over
+multiplier(sigma, n, k), at orders N and N - 1; suite 8 the integral mean's
+factors (sigma - n) / (sigma - n + k), read off bernardi; suite 6 those of
+(f' - beta) / (1 - beta), (k + 1) multiplier(sigma, n, k).  Suites 4 and 12
+take a row of ones on each of p and q, so mu p + (1 - mu) q is a mixture
+again: only rounding can fail them, and their reports say so.
 
 Trial t of suite k reads row t of one table of uniforms, default_rng((seed,
 k)).random((trials, width)): classes._DRAWS columns per random mixture, for
-its atom count, angles and weights, then suite 1's scale, or suites 4 and
-12's second mixture and weight mu.  Trial t alone is the one row drawn after
-advancing the generator by t * width.  Trials run in blocks of _BLOCK, drawn
-with one call and tested as one stack of coefficient rows whose circle values
-come from one FFT (a real FFT of half the length for the real-part tests).
-Each suite builds its factors once, each distinct (sigma, n) multiplier row
-once (ones for n = 0), gathered by index.  Memory does not depend on the
-trial count, and every row gets the same elementwise operations as a member
-built on its own, so reports are byte-identical to evaluating one member at
-a time.
+its atom count, angles and weights, then suites 4 and 12's second mixture
+and weight mu.  Trial t alone is the one row drawn after advancing the
+generator by t * width.  Trials run in blocks of _BLOCK, drawn with one call
+and tested as one stack of coefficient rows whose circle values come from
+one FFT (a real FFT of half the length for the real-part tests).  Each suite
+builds its factors once, each distinct (sigma, n) multiplier row once (ones
+for n = 0), gathered by index.  Memory does not depend on the trial count,
+and every row gets the same elementwise operations as a member built on its
+own, so reports are byte-identical to evaluating one member at a time.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _pairs(lattice, pred):
 
 
 def _blocks(trials: int, size: int, seed, suite: int, width: int):
-    """(trial indices, entry index per trial, their rows of uniforms) for each block of _BLOCK trials.
+    """(entry index per trial, their rows of uniforms) for each block of _BLOCK trials.
 
     Trial t tests entry t % size, as every suite cycles through its entries, and reads row t of the table
     default_rng((seed, suite)).random((trials, width)): each block draws the table's next rows.
@@ -169,7 +170,7 @@ def _blocks(trials: int, size: int, seed, suite: int, width: int):
     rng = np.random.default_rng((seed, suite))
     for start in range(0, trials, _BLOCK):
         ts = range(start, min(start + _BLOCK, trials))
-        yield ts, np.array([t % size for t in ts]), rng.random((len(ts), width))
+        yield np.array([t % size for t in ts]), rng.random((len(ts), width))
 
 
 def _mults(pairs, kmax: int) -> np.ndarray:
@@ -187,22 +188,21 @@ def _depth_step(pairs, kmax: int) -> np.ndarray:
     return _mults([(sigma, n + 1) for sigma, n in pairs], kmax) / _mults(pairs, kmax)
 
 
-def _real_parts(out, suite, entries, trials, seed, diagonal, threshold=0.0, bound=2.0, pair=False) -> bool:
-    """The real-part test of suites 2, 4, 5, 6, 8 and 12: Re(1 + sum_k diagonal[i, k - 1] c_k z^k) > threshold[i].
+def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> bool:
+    """The real-part test of suites 1, 2, 4, 5, 6, 8 and 12: the entry's diagonal maps P into P.
 
     Trial t reads the mixture of its row of _blocks through mixture_rows with its entry's diagonal (with pair,
-    two mixtures and the weight mu, each scaled, then combined as mu p + (1 - mu) q) and adds the margins of
-    real_part_margins(rows, threshold, bound), one threshold and coefficient bound per entry, or one for all.
-    Returns whether any trial was inconclusive.
+    two mixtures and the weight mu, each scaled, then combined as mu p + (1 - mu) q), in P wherever the
+    diagonal maps P into P, and adds the margins of real_part_margins(rows, 0.0): Re(1 + sum_k diagonal[i,
+    k - 1] c_k z^k) > 0, with coefficient bound 2.  Returns whether any trial was inconclusive.
     """
-    threshold, bound = np.broadcast_to(threshold, len(entries)), np.broadcast_to(bound, len(entries))
     inconclusive = False
-    for _, idx, u in _blocks(trials, len(entries), seed, suite, 2 * _DRAWS + 1 if pair else _DRAWS):
+    for idx, u in _blocks(trials, len(entries), seed, suite, 2 * _DRAWS + 1 if pair else _DRAWS):
         p = mixture_rows(u[:, :_DRAWS], diagonal[idx])
         if pair:
             mu = u[:, -1:]
             p = mu * p + (1.0 - mu) * mixture_rows(u[:, _DRAWS:-1], diagonal[idx])
-        observed, padded = real_part_margins(p, threshold[idx], bound[idx])
+        observed, padded = real_part_margins(p, 0.0)
         out.add_tests(observed, padded)
         inconclusive |= "inconclusive" in verdicts(observed, padded)
     return inconclusive
@@ -228,15 +228,15 @@ def _sharp_envelopes(out, entries, env, depth, factor) -> None:
         out.add(np.min(SHARPNESS_TOL - np.abs(axis - env[:, group].transpose(1, 0, 2))))
 
 
-def _envelopes(out, suite, entries, trials, seed, depth, factor, order, part=np.abs) -> None:
+def _envelopes(out, suite, entries, trials, seed, depth, factor, order) -> None:
     """The envelope test of suites 3, 9 and 11: factor w within factor (1 + 2 (1 - beta) S_{n + depth}(-+r)).
 
     w = beta + (1 - beta) p, with p the trial's mixture scaled by multiplier(sigma, n + depth, k) for
     k <= order: member_rows' row of the entry at depth n + depth, column 0 dropped.  The bounds are
-    envelope_table's, and _sharp_envelopes checks that they are attained; factor broadcasts against
-    (entries, RADII).  On every circle factor max |w| must stay below upper, and factor min part(w) above
-    lower less the dropped tail, factor grid_tails of its coefficient bound 2 (1 - beta) multiplier(sigma,
-    n + depth, order).  Where n + depth < 0 no lower envelope holds, and the tail is infinite.
+    envelope_table's, and _sharp_envelopes checks that they are attained; factor broadcasts against (entries,
+    RADII).  On every circle factor max |w| must stay below upper, and factor min Re w (a floor of |w| too)
+    above lower less the dropped tail, factor grid_tails of 2 (1 - beta) multiplier(sigma, n + depth, order),
+    infinite where n + depth < 0, as no lower envelope holds there.
     """
     env = envelope_table(entries, depth, RADII, factor)
     factor = np.broadcast_to(factor, (len(entries), len(RADII)))
@@ -247,33 +247,26 @@ def _envelopes(out, suite, entries, trials, seed, depth, factor, order, part=np.
     # set after grid_tails, where inf * r**order would be NaN once r**order underflows
     tails[np.array([spec.n + depth < 0 for spec in entries])] = math.inf
     lower, upper = env
-    for _, idx, u in _blocks(trials, len(entries), seed, suite, _DRAWS):
+    for idx, u in _blocks(trials, len(entries), seed, suite, _DRAWS):
         values = circle_values(member_rows(mixture_rows(u, mults[idx]), betas[idx])[:, 1:])
         out.add(np.min(upper[idx] + GRID_TOLERANCE - factor[idx] * np.abs(values).max(axis=-1)))
-        out.add(np.min(factor[idx] * part(values).min(axis=-1) - lower[idx] + tails[idx] + GRID_TOLERANCE))
+        out.add(np.min(factor[idx] * values.real.min(axis=-1) - lower[idx] + tails[idx] + GRID_TOLERANCE))
 
 
 def _suite_1(lattice, trials, seed, out):
-    """One integration step keeps a test function on its side of Re = gamma."""
+    """One integration step keeps a test function on its side of Re = gamma: the step S maps P into P.
+
+    S fixes constants, so it takes q = 1 + (1 - gamma) s (p - 1) to 1 + (1 - gamma) s (S p - 1), on q's side of
+    gamma exactly when Re S p > 1 - 1 / s, which Re S p > 0 implies for every gamma and every s <= 1.
+    """
     pairs = _pairs(lattice, lambda s: s.n >= 1)
     if not pairs:
         out.note("no lattice entries with n >= 1")
         return
-    gammas = (0.0, 0.3, 0.7, 1.2, 2.0)
-    order = default_order()
-    ones = TruncatedSeries(np.ones(order + 1))
+    ones = TruncatedSeries(np.ones(default_order() + 1))
     # an operator's factors read off its image of all ones: (1 + 0i) x is x exactly, so these are its own, bit for bit
     steps = np.array([iterate_step_closed(sigma, n, ones).coeffs[1:].real for sigma, n in pairs])
-    for ts, idx, u in _blocks(trials, len(pairs), seed, 1, _DRAWS + 1):
-        scale = 0.05 + 0.95 * u[:, _DRAWS]  # uniform(0.05, 1.0), as numpy computes it
-        gamma = np.array([gammas[t % len(gammas)] for t in ts])
-        # the trial's factor first, then the step's, as two products: one folded diagonal would round differently
-        q = mixture_rows(u[:, :_DRAWS], np.broadcast_to(((1.0 - gamma) * scale)[:, None], (len(ts), order)))
-        q[:, 1:] *= steps[idx]
-        # Re q < gamma is Re(-q) > -gamma
-        flip = gamma >= 1.0
-        q[flip] *= -1.0
-        out.add_tests(*real_part_margins(q, np.where(flip, -gamma, gamma), 2.0 * np.abs(1.0 - gamma) * scale))
+    _real_parts(out, 1, pairs, trials, seed, steps)
 
 
 def _suite_2(lattice, trials, seed, out):
@@ -288,7 +281,7 @@ def _suite_2(lattice, trials, seed, out):
 def _suite_3(lattice, trials, seed, out):
     """Modulus/real-part envelopes for iterates, sharp at the axis extremals."""
     entries = [ClassSpec(OperatorParams(sigma, n)) for sigma, n in _pairs(lattice, lambda s: True)]
-    _envelopes(out, 3, entries, trials, seed, 0, 1.0, default_order(), np.real)
+    _envelopes(out, 3, entries, trials, seed, 0, 1.0, default_order())
 
 
 def _suite_4(lattice, trials, seed, out):
@@ -314,15 +307,12 @@ def _suite_5(lattice, trials, seed, out):
 def _suite_6(lattice, trials, seed, out):
     """Random members have bounded turning, Re f' > beta, hence are univalent.
 
-    Only entries with n - 1 < sigma <= n are tested: there lam = sigma - n + 1
-    lies in (0, 1] and f' = beta + (1 - beta) ((1 - lam) p_n + lam p_{n-1}) is
-    a convex combination of the positive-real-part iterates p_n and p_{n-1},
-    so Re f' > beta and the coefficients of f' are at most 2 (1 - beta).  For
-    sigma > n that argument breaks down and members genuinely lose
-    injectivity (e.g. at (sigma, n, beta) = (2, 1, 0) a member exists with
-    f'(z) = 0 at |z| = 0.766, and a zero of f' inside the disk certifies
-    that f is not univalent there), so those entries are excluded with a
-    note rather than reported as failures.
+    Only entries with n - 1 < sigma <= n are tested: there lam = sigma - n + 1 lies in (0, 1], and
+    (f' - beta) / (1 - beta) = (1 - lam) p_n + lam p_{n-1}, a convex combination of iterates in P, has real part
+    > 0, which is Re f' > beta; its coefficient k is (k + 1) multiplier(sigma, n, k) c_k, with no beta.  For
+    sigma > n that argument breaks down and members genuinely lose injectivity (e.g. at (sigma, n, beta) =
+    (2, 1, 0) a member exists with f'(z) = 0 at |z| = 0.766, and a zero of f' inside the disk certifies that f
+    is not univalent there), so those entries are excluded with a note rather than reported as failures.
     """
     if any(spec.n >= 1 and spec.sigma > spec.n for spec in lattice):
         out.note(
@@ -334,11 +324,8 @@ def _suite_6(lattice, trials, seed, out):
         out.note("no lattice entries with n >= 1 and sigma <= n")
         return
     order = default_order()
-    mults = _mults([(spec.sigma, spec.n) for spec in entries], order - 1)
-    betas = np.array([spec.beta for spec in entries])
-    # coefficient k of f' is (k + 1) a_{k+1} = (1 - beta) (k + 1) multiplier(sigma, n, k) c_k
-    derivative = (1.0 - betas)[:, None] * np.arange(2, order + 1) * mults
-    if _real_parts(out, 6, entries, trials, seed, derivative, betas, 2.0 * (1.0 - betas)):
+    derivative = np.arange(2, order + 1) * _mults([(spec.sigma, spec.n) for spec in entries], order - 1)
+    if _real_parts(out, 6, entries, trials, seed, derivative):
         out.note("inconclusive for some members: Re f' dips below beta by less than the truncation allowance")
 
 
@@ -354,7 +341,7 @@ def _suite_7(lattice, trials, seed, out):
         upper = extremal_iterate(params, order - 1, 1).coeffs.real
         ext = member_rows(upper, betas[group])
         out.add(COEFF_TOL - np.max(np.abs(np.abs(ext[:, 2:]) - bounds[group])))
-    for _, idx, u in _blocks(trials, len(lattice), seed, 7, _DRAWS):
+    for idx, u in _blocks(trials, len(lattice), seed, 7, _DRAWS):
         f = member_rows(mixture_rows(u, mults[idx]), betas[idx])
         out.add(np.min(bounds[idx] + COEFF_TOL - np.abs(f[:, 2:])))
 

@@ -24,12 +24,13 @@ from gft.operators import (
 from gft.series import (
     SchlichtSeries,
     TruncatedSeries,
+    default_order,
     differentiate,
     evaluate,
     herglotz_expand,
     shift_to_beta,
 )
-from gft.classes import random_mixture
+from gft.classes import RADII, random_mixture, real_part_test
 
 LATTICE = [
     (sigma, n)
@@ -168,6 +169,22 @@ def test_step_validation():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite sigma"):
             iterate_step_closed(sigma, 1, p)
+
+
+def test_one_step_keeps_a_test_function_on_its_side_of_re_gamma():
+    """The step lemma in its gamma form: for p in P and s in (0, 1], q = 1 + (1 - gamma) s (p - 1) lies on one
+    side of Re = gamma, and so does its one-step image.  Its coefficients are at most 2 |1 - gamma| s."""
+    for i, (sigma, n) in enumerate(pair for pair in LATTICE if pair[1] >= 1):
+        for j, gamma in enumerate((0.0, 0.3, 0.7, 1.2, 2.0)):
+            for k, scale in enumerate((0.05, 0.5, 1.0)):
+                p = herglotz_expand(random_mixture(np.random.default_rng((i, j, k))), default_order())
+                image = iterate_step_closed(sigma, n, TruncatedSeries(np.r_[1.0, (1.0 - gamma) * scale * p.coeffs[1:]]))
+                # Re image < gamma is Re(-image) > -gamma
+                side = -1.0 if gamma >= 1.0 else 1.0
+                bound = 2.0 * abs(1.0 - gamma) * scale
+                result = real_part_test(TruncatedSeries(side * image.coeffs), side * gamma, bound)
+                assert result.verdict != "fail", (sigma, n, gamma, scale)
+                assert result.observed[RADII.index(0.5)] > 0.0, (sigma, n, gamma, scale)
 
 
 def test_deiterate_inverts_iterate():

@@ -252,9 +252,9 @@ def test_membership_suites_name_the_radii_they_cannot_fail_at(monkeypatch):
     # 2 * 0.99**65 / 0.01 for the order-64 series, plus the grid tolerance
     assert "r = 0.99 (at least 104.1)" in loose[0]
     assert "r = 0.9 " not in loose[0] and "r = 0.5 " not in loose[0]
-    # suite 1's step images have coefficients up to 2 |1 - gamma| scale, so r = 0.99 is loose there too
+    # suite 1 tests its step's factors on mixtures in P, with the same coefficient bound 2 at the same order
     step = [note for note in run_suite("1").notes if note.startswith("truncation allowance of 1 or more")]
-    assert len(step) == 1 and "r = 0.99 (at least 1.085)" in step[0]
+    assert len(step) == 1 and "r = 0.99 (at least 104.1)" in step[0]
     # suite 7 runs no real-part test, so it gives no slack to report
     assert not any(note.startswith("truncation allowance") for note in run_suite("7", trials=4).notes)
     for module in (classes, verify):
@@ -426,10 +426,11 @@ def test_remark22_runs_no_trials():
     shift=st.floats(1e-4, 1e3),
     beta=st.floats(0.0, 0.99),
 )
-def test_suites_11_and_remark22_pass_on_drawn_pairs(n, shift, beta):
-    """One (sigma, n, beta) with sigma - (n - 1) in [1e-4, 1e3] and n <= 29: both suites pass at 4 trials."""
+def test_step_turning_and_envelope_suites_pass_on_drawn_pairs(n, shift, beta):
+    """One (sigma, n, beta) with sigma - (n - 1) in [1e-4, 1e3] and n <= 29: suites 1, 6, 9, 11 and remark22
+    pass at 4 trials."""
     lattice = (ClassSpec(OperatorParams(shift + (n - 1), n), beta),)
-    for theorem in ("11", "remark22"):
+    for theorem in ("1", "6", "9", "11", "remark22"):
         report = run_suite(theorem, lattice=lattice, trials=4, seed=0)
         assert report.verdict == "pass", (theorem, report.worst_margin)
 
@@ -467,11 +468,9 @@ def test_blocks_read_the_rows_of_one_seeded_table(width):
     """
     trials, seed, suite = 2 * _BLOCK + 5, (7, 2**64 + 1), 4
     blocks = list(verify._blocks(trials, 3, seed, suite, width))
-    starts = range(0, trials, _BLOCK)
-    assert [list(ts) for ts, _, _ in blocks] == [list(range(s, min(s + _BLOCK, trials))) for s in starts]
-    assert np.concatenate([idx for _, idx, _ in blocks]).tolist() == [t % 3 for t in range(trials)]
+    assert np.concatenate([idx for idx, _ in blocks]).tolist() == [t % 3 for t in range(trials)]
     table = np.random.default_rng((seed, suite)).random((trials, width))
-    assert np.concatenate([u for _, _, u in blocks]).tobytes() == table.tobytes()
+    assert np.concatenate([u for _, u in blocks]).tobytes() == table.tobytes()
     for t in (0, _BLOCK + 1, trials - 1):
         rng = np.random.default_rng((seed, suite))
         rng.bit_generator.advance(t * width)
@@ -488,7 +487,7 @@ def test_reports_keep_the_streams_of_numpy_seeded_generators(monkeypatch, seed):
         for t in range(trials):
             rng = np.random.default_rng((seed, suite))
             rng.bit_generator.advance(t * width)
-            yield range(t, t + 1), np.array([t % size]), rng.random((1, width))
+            yield np.array([t % size]), rng.random((1, width))
 
     monkeypatch.setattr(verify, "_blocks", one_row_at_a_time)
     for key, report in fast.items():
@@ -530,13 +529,7 @@ def _mixture_p(u):
 
 
 def _suite_1_trial(spec, t, u):
-    gamma = (0.0, 0.3, 0.7, 1.2, 2.0)[t % 5]
-    scale = 0.05 + 0.95 * u[_DRAWS]
-    p = _mixture_p(u[:_DRAWS])
-    q = iterate_step_closed(spec.sigma, spec.n, TruncatedSeries(np.r_[1.0, (1.0 - gamma) * scale * p.coeffs[1:]]))
-    if gamma >= 1.0:
-        return real_part_test(TruncatedSeries(-q.coeffs), -gamma).observed
-    return real_part_test(q, gamma).observed
+    return real_part_test(iterate_step_closed(spec.sigma, spec.n, _mixture_p(u)), 0.0).observed
 
 
 def _suite_2_trial(spec, t, u):
@@ -561,7 +554,9 @@ def _suite_5_trial(spec, t, u):
 
 
 def _suite_6_trial(spec, t, u):
-    return real_part_test(differentiate(_member(spec, u)), spec.beta, 2.0 * (1.0 - spec.beta)).observed
+    # Re f' - beta in the units of (f' - beta) / (1 - beta)
+    turning = real_part_test(differentiate(_member(spec, u)), spec.beta, 2.0 * (1.0 - spec.beta))
+    return np.array(turning.observed) / (1.0 - spec.beta)
 
 
 def _suite_8_trial(spec, t, u):
@@ -576,7 +571,7 @@ def _suite_12_trial(spec, t, u):
 @pytest.mark.parametrize(
     "suite, width, trial",
     [
-        ("1", _DRAWS + 1, _suite_1_trial),
+        ("1", _DRAWS, _suite_1_trial),
         ("4", 2 * _DRAWS + 1, _suite_4_trial),
         ("12", 2 * _DRAWS + 1, _suite_12_trial),
         ("2", _DRAWS, _suite_2_trial),
@@ -588,10 +583,9 @@ def _suite_12_trial(spec, t, u):
 def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
     """Suites 1, 2, 4, 5, 6, 8 and 12 read each draw from the columns the verify docstring gives it.
 
-    Suite 1: a mixture, then its scale; suites 4 and 12: two mixtures, then the weight mu; the others one
-    mixture.  The rows are one base row and, per column, a copy that differs from it in that column alone,
-    and every trial's margins must equal a rebuild of that trial from its own row, through the public
-    member and class tests.
+    Suites 4 and 12: two mixtures, then the weight mu; the others one mixture.  The rows are one base row
+    and, per column, a copy that differs from it in that column alone, and every trial's margins must equal a
+    rebuild of that trial from its own row, through the public member and class tests.
     """
     rng = np.random.default_rng(int(suite))
     table = np.tile(rng.random(width), (width + 1, 1))
@@ -599,7 +593,7 @@ def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
 
     def one_block(trials, size, seed, suite_id, columns):
         assert (trials, columns) == table.shape
-        yield range(trials), np.arange(trials) % size, table
+        yield np.arange(trials) % size, table
 
     monkeypatch.setattr(verify, "_blocks", one_block)
     # suites 2, 5 and 8 exclude sigma - n = 0, which suite 6 tests
@@ -626,7 +620,7 @@ def test_envelope_suites_test_the_rows_of_their_own_draws(monkeypatch, suite, si
 
     def one_block(trials, size, seed, suite_id, columns):
         assert (trials, columns) == table.shape
-        yield range(trials), np.arange(trials) % size, table
+        yield np.arange(trials) % size, table
 
     values, rows = verify.circle_values, []
     monkeypatch.setattr(verify, "_blocks", one_block)
@@ -645,7 +639,19 @@ def test_envelope_suites_test_the_rows_of_their_own_draws(monkeypatch, suite, si
             np.testing.assert_allclose(lam * row, combo, rtol=1e-13, atol=0.0, err_msg=f"trial {t}")
 
 
-@pytest.mark.parametrize("theorem", ["2", "4", "5", "6", "8", "12"])
+@pytest.mark.parametrize("theorem, sigma", [("5", 3.5), ("6", 2.0)])
+def test_beta_drops_out_of_the_inclusion_and_turning_suites(theorem, sigma):
+    """Suites 5 and 6 test diagonals that take no beta, so on one entry (sigma, 2, beta) every beta gives the same
+    worst margin and notes."""
+    reports = [
+        run_suite(theorem, lattice=(ClassSpec(OperatorParams(sigma, 2), beta),), trials=20, seed=0)
+        for beta in (0.0, 0.5, 0.9)
+    ]
+    assert reports[0].verdict == "pass" and reports[0].worst_margin > 0.0
+    assert len({(report.worst_margin, tuple(report.notes)) for report in reports}) == 1
+
+
+@pytest.mark.parametrize("theorem", ["1", "2", "4", "5", "6", "8", "12"])
 def test_every_real_part_suite_fails_on_a_row_outside_P(monkeypatch, theorem):
     """Mixture rows with c_1 = 1e3 have real part far below 0 on every circle; each suite of the driver fails."""
 
