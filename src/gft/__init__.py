@@ -4,6 +4,8 @@ Submodules load on first use (PEP 562): each public name below is read from
 its home module the first time it is accessed, and then kept here, so
 `import gft` compiles and runs none of them.  `gft.verify`, `gft.classes`
 and the other submodules load the same way, on first attribute access.
+_Frozen, the base of every value type, lives here, so each layer shares it
+without loading another.
 """
 
 import importlib
@@ -12,12 +14,10 @@ __version__ = "0.1.0"
 
 # Home module of every public name.
 _HOMES = {
+    "bounds": ("ClassSpec", "bounds_rows", "default_lattice", "write_bounds_csv"),
     "classes": (
-        "ClassSpec",
         "MembershipResult",
-        "bounds_rows",
         "covering_constant",
-        "default_lattice",
         "distortion_bounds",
         "extremal_B_lower",
         "extremal_B_upper",
@@ -30,7 +30,6 @@ _HOMES = {
         "membership_in_iterated_P",
         "min_re_on_circle",
         "random_member_B",
-        "write_bounds_csv",
     ),
     "kernels": (
         "OperatorParams",
@@ -70,9 +69,21 @@ _HOMES = {
     "verify": ("VerificationReport", "run_all", "run_suite"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = ("classes", "cli", "kernels", "operators", "series", "verify")
+_SUBMODULES = ("bounds", "classes", "cli", "kernels", "operators", "series", "verify")
 
 __all__ = sorted(_HOME)
+
+
+class _Frozen:
+    """Base of gft's value types: each __init__ sets its __slots__ once, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def __getattr__(name):

@@ -7,7 +7,8 @@ CSV), verify (run a theorem suite).  Exit codes: 0 success, 1 suite failure,
 2 usage or validation error.
 
 Each subcommand imports the parts of gft it uses when it runs, so `gft
-bounds` never loads the verification suites.
+bounds` loads only gft.bounds and gft.kernels, and never the series,
+operator, class-test or verification code.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     extremal.add_argument("--out", default=None)
 
     bounds = sub.add_parser("bounds", help="closed-form bound table as CSV")
-    # the defaults are the lattice and radii of classes, filled in by _cmd_bounds
+    # the defaults are the lattice and radii of gft.bounds, filled in by _cmd_bounds
     for flag in ("--sigma", "--n", "--beta", "--radii"):
         bounds.add_argument(flag, default=None, help="comma-separated values")
     bounds.add_argument("--out", default=None)
@@ -182,7 +183,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .classes import (
+    from .bounds import (
         DEFAULT_BETAS,
         DEFAULT_NS,
         DEFAULT_SIGMAS,

@@ -3,31 +3,38 @@
 The whole operator calculus reduces to one family of positive factors:
 multiplier(sigma, n, k) is the damping applied to the k-th coefficient by
 n nested radial integrations, and the kernels below are the series whose
-Hadamard products realize the same action.
+Hadamard products realize the same action.  The three functions that
+build a series here, the two kernels and extremal_iterate, import gft.series
+when they run, so the bounds layer, which needs only the multipliers and
+_quadrature_nodes, never loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from .series import TruncatedSeries, default_order
+from . import _Frozen
 
 
-@dataclass(frozen=True)
-class OperatorParams:
-    """Parameter pair (sigma, n) with n a nonnegative integer and sigma - (n - 1) > 0."""
+class OperatorParams(_Frozen):
+    """Parameter pair (sigma, n) with n a nonnegative integer and sigma - (n - 1) > 0; equal pairs are equal keys."""
 
-    sigma: float
-    n: int
+    __slots__ = ("sigma", "n")
 
-    def __post_init__(self) -> None:
-        if not float(self.n).is_integer() or self.n < 0:
+    def __init__(self, sigma: float, n: int) -> None:
+        if not float(n).is_integer() or n < 0:
             raise ValueError("n must be a nonnegative integer")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "n", int(n))
         _check_multiplier_params(self.sigma, self.n)
+
+    def __eq__(self, other):
+        return (self.sigma, self.n) == (other.sigma, other.n) if type(other) is OperatorParams else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sigma, self.n))
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -89,8 +96,40 @@ def _check_multiplier_params(sigma: float, n: int) -> None:
         raise ValueError(f"require sigma - (n - 1) > 0, got sigma={sigma}, n={n}")
 
 
+@functools.cache
+def _quadrature_nodes() -> tuple:
+    """Composite Gauss-Legendre-12 nodes t, their complements 1 - t, weights on [0, 1], and log t.
+
+    The panels on [0, 1/2] are [2**-(j + 2), 2**-(j + 1)] for j < 64, the
+    last reaching 0, and those on [1/2, 1] are their mirror images: they
+    shrink geometrically (ratio 1/2) toward both endpoints so that endpoint
+    factors t**a and (1 - t)**a with a > -1 are resolved to near machine
+    accuracy; a uniform split cannot reach 1e-8 once a < 0.  t on the left
+    half and 1 - t on the right half are halved Gauss nodes, so the distance
+    to the nearer endpoint is exact, and log t is taken from whichever of t
+    and 1 - t is exact.  2 x 64 x 12 nodes, built once and shared, so all
+    four arrays are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(12)
+    hi = 0.5 ** np.arange(64)
+    lo = np.append(hi[1:], 0.0)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    u = (mid[:, None] + half[:, None] * x).ravel() / 2.0
+    wu = (half[:, None] * w).ravel() / 2.0
+    t, s = np.concatenate([u, 1.0 - u]), np.concatenate([1.0 - u, u])
+    # np.where discards the log of 0 it also forms where 1 - t rounds to 1
+    with np.errstate(divide="ignore"):
+        log_t = np.where(t < s, np.log(t), np.log1p(-s))
+    out = t, s, np.concatenate([wu, wu]), log_t
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
     """Kernel z / (1 - z)**lam with lam = sigma - (n - 1); coefficient k + 1 is (lam)_k / k!."""
+    from .series import TruncatedSeries, default_order
+
     n = default_order() if order is None else int(order)
     if n < 1:
         raise ValueError(f"kernel order must be >= 1, got {n}")
@@ -105,6 +144,8 @@ def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSer
 
 def tau_inv_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
     """Hadamard inverse of the kernel: reciprocal coefficients for k >= 1, zero constant."""
+    from .series import TruncatedSeries
+
     t = tau_coeffs(params, order)
     c = np.zeros_like(t.coeffs)
     # a kernel coefficient that is subnormal or 0 has no finite reciprocal; TruncatedSeries rejects the result
@@ -121,6 +162,8 @@ def extremal_iterate(params: OperatorParams, order: int | None = None, sign: int
     For sign=-1 the odd coefficients are negated, which is the same double as
     the product with (-1)**k, and every imaginary part is +0.
     """
+    from .series import TruncatedSeries, default_order
+
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = default_order() if order is None else int(order)

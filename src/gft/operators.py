@@ -10,11 +10,9 @@ index over.  An independent quadrature route cross-checks the iteration.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .kernels import OperatorParams, multiplier_row, tau_coeffs, tau_inv_coeffs
+from .kernels import OperatorParams, _quadrature_nodes, multiplier_row, tau_coeffs, tau_inv_coeffs
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
@@ -23,36 +21,6 @@ from .series import (
     evaluate_grid,
     require_unit_constant,
 )
-
-
-@functools.cache
-def _quadrature_nodes() -> tuple:
-    """Composite Gauss-Legendre-12 nodes t, their complements 1 - t, weights on [0, 1], and log t.
-
-    The panels on [0, 1/2] are [2**-(j + 2), 2**-(j + 1)] for j < 64, the
-    last reaching 0, and those on [1/2, 1] are their mirror images: they
-    shrink geometrically (ratio 1/2) toward both endpoints so that endpoint
-    factors t**a and (1 - t)**a with a > -1 are resolved to near machine
-    accuracy; a uniform split cannot reach 1e-8 once a < 0.  t on the left
-    half and 1 - t on the right half are halved Gauss nodes, so the distance
-    to the nearer endpoint is exact, and log t is taken from whichever of t
-    and 1 - t is exact.  2 x 64 x 12 nodes, built once and shared, so all
-    four arrays are read-only.
-    """
-    x, w = np.polynomial.legendre.leggauss(12)
-    hi = 0.5 ** np.arange(64)
-    lo = np.append(hi[1:], 0.0)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    u = (mid[:, None] + half[:, None] * x).ravel() / 2.0
-    wu = (half[:, None] * w).ravel() / 2.0
-    t, s = np.concatenate([u, 1.0 - u]), np.concatenate([1.0 - u, u])
-    # np.where discards the log of 0 it also forms where 1 - t rounds to 1
-    with np.errstate(divide="ignore"):
-        log_t = np.where(t < s, np.log(t), np.log1p(-s))
-    out = t, s, np.concatenate([wu, wu]), log_t
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
 def apply_L(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:

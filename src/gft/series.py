@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import _Frozen
 
 ENV_DEFAULT_ORDER = "GFT_DEFAULT_ORDER"
 
@@ -42,14 +43,13 @@ def tail_bound(coeff_bound: float, order: int, r: float) -> float:
     return coeff_bound * r ** (order + 1) / (1.0 - r)
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series cut at order N >= 1."""
+class TruncatedSeries(_Frozen):
+    """Coefficients c_0..c_N of a power series cut at order N >= 1; equal only to itself."""
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.complex128)
+    def __init__(self, coeffs) -> None:
+        c = np.array(coeffs, dtype=np.complex128)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("a truncated series needs at least c_0 and c_1")
         if not np.all(np.isfinite(c)):
@@ -68,19 +68,19 @@ class TruncatedSeries:
         return type(self)(self.coeffs[: order + 1])
 
 
-@dataclass(frozen=True, eq=False)
 class SchlichtSeries(TruncatedSeries):
     """A truncated series normalized to z + a_2 z^2 + ...: the series checks, then c_0 = 0 and c_1 = 1 exactly."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, coeffs) -> None:
+        super().__init__(coeffs)
         if self.coeffs[0] != 0 or self.coeffs[1] != 1:
             raise ValueError("normalized series requires c_0 = 0 and c_1 = 1 exactly")
 
 
-@dataclass(frozen=True, eq=False)
-class HerglotzMixture:
-    """Finite convex combination of unit-circle point masses.
+class HerglotzMixture(_Frozen):
+    """Finite convex combination of unit-circle point masses; equal only to itself.
 
     Each atom (x, w) contributes w * (1 + x z) / (1 - x z), so the expansion
     has c_0 = 1 and c_k = 2 * sum_j w_j x_j**k, which keeps |c_k| <= 2.
@@ -88,10 +88,10 @@ class HerglotzMixture:
     part used throughout the verification suites.
     """
 
-    atoms: tuple
+    __slots__ = ("atoms",)
 
-    def __post_init__(self) -> None:
-        atoms = tuple((complex(x), float(w)) for x, w in self.atoms)
+    def __init__(self, atoms) -> None:
+        atoms = tuple((complex(x), float(w)) for x, w in atoms)
         if not atoms:
             raise ValueError("mixture needs at least one atom")
         pts = np.array([x for x, _ in atoms])

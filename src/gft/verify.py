@@ -3,7 +3,7 @@
 Each suite re-derives one sharp bound or inclusion numerically over a
 lattice of (sigma, n, beta) triples and reports the worst tolerance-adjusted
 margin; a suite passes iff that margin is nonnegative, and a NaN margin
-fails it.  Every circle check samples the fixed grid of classes (RADII,
+fails it.  Every circle check samples the fixed grid of gft.bounds (RADII,
 ANGULAR_SAMPLES), and margins already include the truncation-tail
 allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
 not a sampling artifact.
@@ -59,28 +59,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classes import (
-    _DRAWS,
+from . import _Frozen
+from .bounds import (
     ANGULAR_SAMPLES,
     GRID_TOLERANCE,
     RADII,
     ClassSpec,
     _shift,
     by_pair,
-    circle_values,
     default_lattice,
     envelope_table,
-    grid_tails,
-    member_rows,
-    mixture_rows,
     multiplier_series,
-    real_part_margins,
-    verdicts,
 )
+from .classes import _DRAWS, circle_values, grid_tails, member_rows, mixture_rows, real_part_margins
 from .kernels import OperatorParams, extremal_iterate, multiplier_row
 from .operators import bernardi, iterate_step_closed, recurrence_residuals, salagean_iterate
 from .series import SchlichtSeries, TruncatedSeries, default_order, evaluate_circle, tail_bound
@@ -101,26 +95,23 @@ _CONVEXITY_NOTE = (
 )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Outcome of one suite: worst margin over every check it ran."""
 
-    theorem: str
-    title: str
-    verdict: str
-    worst_margin: float
-    trials: int
-    seed: int
-    lattice: list
-    grid: dict
-    notes: list
+    __slots__ = ("theorem", "title", "verdict", "worst_margin", "trials", "seed", "lattice", "grid", "notes")
+
+    def __init__(self, theorem: str, title: str, verdict: str, worst_margin: float, trials: int, seed: int,
+                 lattice: list, grid: dict, notes: list) -> None:
+        values = (theorem, title, verdict, worst_margin, trials, seed, lattice, grid, notes)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """The report as JSON-ready data: a non-finite worst_margin, such as a NaN check's, becomes None.
 
         A shallow copy: its lists and dicts are the report's own.
         """
-        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data = {name: getattr(self, name) for name in self.__slots__}
         if not math.isfinite(data["worst_margin"]):
             data["worst_margin"] = None
         return data
@@ -204,14 +195,15 @@ def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> bool
             p = mu * p + (1.0 - mu) * mixture_rows(u[:, _DRAWS:-1], diagonal[idx])
         observed, padded = real_part_margins(p, 0.0)
         out.add_tests(observed, padded)
-        inconclusive |= "inconclusive" in verdicts(observed, padded)
+        # verdicts' "inconclusive": a row with no negative padded margin and not every observed margin positive
+        inconclusive |= bool(np.any(~(padded < 0.0).any(axis=-1) & ~(observed > 0.0).all(axis=-1)))
     return inconclusive
 
 
 def _sharp_envelopes(out, entries, env, depth, factor) -> None:
     """Check that the bounds env, an envelope_table of the entries at RADII, are attained on the axis.
 
-    The table is the one `gft bounds` prints, built once in classes; this only checks its sharpness, one
+    The table is the one `gft bounds` prints, built once in gft.bounds; this only checks its sharpness, one
     (sigma, n) pair at a time.  The pair's two axis rows, 1 + 2 sum_k multiplier(sigma, n + depth, k) (-+z)^k
     for k <= SHARP_ORDER, come from one multiplier_row, and one member_rows call maps them for all its betas,
     column 0 dropped.  Their sums at x = +r times factor, one row per entry against RADII, must attain lower

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gft import classes
+from gft import bounds
 from gft.classes import (
     _DRAWS,
     BOUNDS_COLUMNS,
@@ -51,6 +51,7 @@ from gft.classes import (
 from gft.kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
 from gft.operators import iterate_closed
 from gft.series import (
+    HerglotzMixture,
     SchlichtSeries,
     TruncatedSeries,
     evaluate,
@@ -58,7 +59,7 @@ from gft.series import (
     herglotz_expand,
     herglotz_rows,
 )
-from gft.verify import _BLOCK, default_lattice, run_suite
+from gft.verify import _BLOCK, VerificationReport, default_lattice, run_suite
 
 HALFPLANE_EXTREMAL = TruncatedSeries(np.concatenate([[1.0], np.full(64, 2.0)]))
 
@@ -283,7 +284,7 @@ def test_bounds_table_makes_one_quadrature_call_per_bound_and_spec(monkeypatch):
         calls.append(args)
         return multiplier_series(*args)
 
-    monkeypatch.setattr(classes, "multiplier_series", counted)
+    monkeypatch.setattr(bounds, "multiplier_series", counted)
     specs = default_lattice()
     rows = bounds_rows(specs, RADII)
     assert len(rows) == len(specs) * len(RADII)
@@ -500,6 +501,49 @@ def test_bounds_table_and_csv():
     assert float(parsed[1][4]) == rows[0]["m_lower"]  # repr round-trips exactly
 
 
+def test_parameter_labels_are_equal_keys_and_series_equal_only_themselves():
+    """OperatorParams and ClassSpec compare and hash by value, so equal labels share a dict key.
+
+    The series types compare by identity.
+    """
+    a, b = OperatorParams(2, 1), OperatorParams(2.0, 1.0)
+    assert a == b and hash(a) == hash(b) and (type(a.sigma), type(a.n)) == (float, int)
+    assert a != OperatorParams(2.0, 2) and a != OperatorParams(3.0, 1) and a != (2.0, 1)
+    spec, same = ClassSpec(a, 0.5), ClassSpec(b, 0.5)
+    assert spec == same and hash(spec) == hash(same) and {spec: "x"}[same] == "x"
+    assert ClassSpec(a) == ClassSpec(b, 0.0) and spec != ClassSpec(a) and spec != ClassSpec(OperatorParams(2.0, 2), 0.5)
+    for make in (lambda: TruncatedSeries(np.ones(3)), lambda: SchlichtSeries([0.0, 1.0, 0.5]),
+                 lambda: HerglotzMixture(((1.0, 1.0),))):
+        s, t = make(), make()
+        assert s == s and s != t and len({s, t}) == 2
+
+
+_VALUE_TYPES = [
+    (TruncatedSeries, lambda: TruncatedSeries(np.ones(3)), ("coeffs",)),
+    (SchlichtSeries, lambda: SchlichtSeries([0.0, 1.0, 0.5]), ("coeffs",)),
+    (HerglotzMixture, lambda: HerglotzMixture(((1.0, 1.0),)), ("atoms",)),
+    (OperatorParams, lambda: OperatorParams(2.0, 1), ("sigma", "n")),
+    (ClassSpec, lambda: ClassSpec(OperatorParams(2.0, 1), 0.5), ("params", "beta")),
+    (MembershipResult, lambda: MembershipResult((0.2,), (0.3,), "pass"), ("observed", "padded", "verdict")),
+    (VerificationReport, lambda: run_suite("7", trials=1),
+     ("theorem", "title", "verdict", "worst_margin", "trials", "seed", "lattice", "grid", "notes")),
+]
+
+
+@pytest.mark.parametrize("kind, make, fields", _VALUE_TYPES, ids=[kind.__name__ for kind, _, _ in _VALUE_TYPES])
+def test_value_types_reject_assignment_and_deletion(kind, make, fields):
+    """No field of the seven value types can be reassigned or deleted, and none of them takes new attributes."""
+    value = make()
+    assert type(value) is kind
+    for field in (*fields, "extra"):
+        kept = getattr(value, field, None)
+        with pytest.raises(AttributeError):
+            setattr(value, field, kept)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field, None) is kept
+
+
 def test_membership_result_margin():
     res = MembershipResult((0.2,), (0.3,), "pass")
     assert res.margin == 0.3 and bool(res)
@@ -560,14 +604,12 @@ def test_stacked_members_and_margins_equal_one_row_calls(rows):
     p = herglotz_rows(*random_mixtures(u), 64)
     for seed, row in zip(seeds, p):
         assert row.tobytes() == herglotz_expand(random_mixture(np.random.default_rng(seed)), 64).coeffs.tobytes()
-    # scalar and per-row thresholds and coefficient bounds; some rows fail, some pass
-    per_row = (np.linspace(-0.5, 0.5, rows), np.linspace(0.5, 3.0, rows))
-    for threshold, bound in ((0.0, 2.0), (0.3, 1.5), per_row):
+    # scalar thresholds and coefficient bounds; some rows fail, some pass
+    for threshold, bound in ((0.0, 2.0), (0.3, 1.5)):
         observed, padded = real_part_margins(p, threshold, bound)
         outcome = verdicts(observed, padded)
         for i, row in enumerate(p):
-            alone = real_part_test(TruncatedSeries(row), np.broadcast_to(threshold, rows)[i],
-                                   np.broadcast_to(bound, rows)[i])
+            alone = real_part_test(TruncatedSeries(row), threshold, bound)
             assert alone.observed == tuple(observed[i]) and alone.padded == tuple(padded[i])
             assert alone.verdict == outcome[i]
 
@@ -583,18 +625,20 @@ def _loaded_after(code: str, modules) -> list:
 def test_importing_gft_does_not_import_numpy_random():
     """numpy.random loads only when a generator is built, so import time stays out of every run's setup.
 
-    Every submodule is imported, as `gft verify` imports them.
+    Every submodule is imported, as `gft verify` imports them, and none of them loads dataclasses either.
     """
-    assert _loaded_after("import gft.verify, gft.cli", ["gft.verify", "numpy.random"]) == ["gft.verify"]
+    watched = ["gft.verify", "numpy.random", "dataclasses"]
+    assert _loaded_after("import gft.verify, gft.cli", watched) == ["gft.verify"]
 
 
 def test_gft_loads_its_submodules_on_first_use():
-    """`import gft, gft.cli` loads no class or suite code, and `gft bounds` loads no suite code."""
-    watched = ["gft.classes", "gft.verify", "csv"]
+    """`import gft, gft.cli` loads no gft submodule, and `gft bounds` loads only the bound layer and the multipliers."""
+    watched = ["gft.bounds", "gft.kernels", "gft.series", "gft.operators", "gft.classes", "gft.verify", "dataclasses",
+               "csv"]
     assert _loaded_after("import gft, gft.cli", watched) == []
-    bounds = "import contextlib, io, gft.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-    bounds += "    assert gft.cli.main(['bounds', '--sigma', '1', '--n', '1', '--radii', '0.5']) == 0"
-    assert _loaded_after(bounds, watched) == ["gft.classes", "csv"]
+    table = "import contextlib, io, gft.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    table += "    assert gft.cli.main(['bounds']) == 0"
+    assert _loaded_after(table, watched) == ["gft.bounds", "gft.kernels"]
 
 
 def test_every_public_name_is_its_home_module_object():

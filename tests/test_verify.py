@@ -26,6 +26,7 @@ from gft.classes import (
     p_series_of,
     random_member_B,
     real_part_test,
+    verdicts,
 )
 from gft.kernels import OperatorParams, extremal_iterate, multiplier_row
 from gft.operators import bernardi, iterate_closed, iterate_step_closed
@@ -649,6 +650,25 @@ def test_beta_drops_out_of_the_inclusion_and_turning_suites(theorem, sigma):
     ]
     assert reports[0].verdict == "pass" and reports[0].worst_margin > 0.0
     assert len({(report.worst_margin, tuple(report.notes)) for report in reports}) == 1
+
+
+# (observed, padded) margins of one row at each radius, by the verdict real_part_test gives that row
+_ROWS = {
+    "pass": ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]),
+    "inconclusive": ([1.0, -0.5, 1.0], [2.0, 0.5, 2.0]),
+    "fail": ([-2.0, 1.0, 1.0], [-1.0, 2.0, 2.0]),
+    "nan": ([math.nan, 1.0, 1.0], [math.nan, 2.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("block", [["pass"], ["pass", "inconclusive"], ["fail"], ["fail", "inconclusive"], ["nan"],
+                                   ["fail", "nan"], ["pass", "fail"]])
+def test_real_parts_finds_an_inconclusive_row_as_verdicts_does(monkeypatch, block):
+    """A block is inconclusive when one of its rows is, a NaN row too, even if another row of it fails."""
+    observed, padded = (np.array([_ROWS[kind][i] for kind in block]) for i in (0, 1))
+    monkeypatch.setattr(verify, "real_part_margins", lambda p, threshold: (observed, padded))
+    found = verify._real_parts(verify._Margins(), 2, [(1.0, 1)], 1, 0, np.ones((1, 63)))
+    assert found == ("inconclusive" in verdicts(observed, padded)) == ("inconclusive" in block or "nan" in block)
 
 
 @pytest.mark.parametrize("theorem", ["1", "2", "4", "5", "6", "8", "12"])
