@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _Frozen
-from .kernels import OperatorParams, _check_multiplier_params, _quadrature_nodes
+from .kernels import _QUADRATURE_NODES, OperatorParams, _check_multiplier_params
 
 # The fixed circle grid every membership test samples: radii, points per circle, slack.
 RADII = (0.5, 0.9, 0.99)
@@ -74,7 +74,7 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
     gives S(x) = x a / (a + n) E[1 / (1 - x T)] with a = sigma - n + 1 and
     T ~ Beta(a + 1, n): a ratio of two integrals of t**a (1 - t)**(n - 1).
     For n >= 2 both are split at the weight's mode m = a / (a + n - 1), and
-    [0, m] and [m, 1] each carry the panels of _quadrature_nodes, which halve
+    [0, m] and [m, 1] each carry the panels of _QUADRATURE_NODES, which halve
     toward their ends, so a narrow peak is resolved, and so is
     the pole of 1 / (1 - x t) near t = 1 as x -> 1.  At n = 1 the mode is t = 1
     and [0, 1] is one piece.  1 - t comes from the mirrored node of its piece,
@@ -92,7 +92,7 @@ def multiplier_series(sigma: float, n: int, x) -> np.ndarray:
         geometric = x / (1.0 - x)
         return geometric if n == 0 else geometric + x / (1.0 - x) ** 2 / (sigma + 1.0)
     a = sigma - (n - 1.0)
-    t, s, w, _ = _quadrature_nodes()
+    t, s, w, _ = _QUADRATURE_NODES
     if n >= 2:
         m, rest = a / (a + n - 1.0), (n - 1.0) / (a + n - 1.0)  # the mode and 1 - m, both without cancellation
         t, s = np.concatenate([m * t, m + rest * t]), np.concatenate([rest + m * s, rest * s])
@@ -167,20 +167,19 @@ def bounds_rows(specs, radii) -> list:
     """Closed-form bound table, one row per (spec, radius); covering blank for n = 0.
 
     The m and growth columns are two envelope_table calls, as distortion_bounds and growth_bounds map them,
-    and each (sigma, n) pair's covering series is computed once and mapped for each of its betas, as
+    and each by_pair group's covering series is computed once and mapped for each of its betas, as
     covering_constant maps it.  At n = 0 m_lower is only the alternating extremal's value, not a floor for
     the class: some members undercut it (ROADMAP item 10).
     """
     radii = np.array(radii, dtype=np.float64)
     lam = np.array([spec.sigma - (spec.n - 1) for spec in specs])[:, None]
     m, growth = envelope_table(specs, -1, radii, lam), envelope_table(specs, 0, radii, radii)
-    coverings: dict = {}
+    covering = np.empty(len(specs))
+    for params, group in by_pair(specs).items():
+        covering[group] = multiplier_series(params.sigma, params.n, -1.0) if params.n >= 1 else np.nan
     rows = []
     for i, spec in enumerate(specs):
-        if spec.params not in coverings:
-            coverings[spec.params] = multiplier_series(spec.sigma, spec.n, -1.0) if spec.n >= 1 else None
-        covering = coverings[spec.params]
-        cov = None if covering is None else float(_shift(spec.beta, covering))
+        cov = float(_shift(spec.beta, covering[i])) if spec.n >= 1 else None
         columns = [radii, *m[:, i], *growth[:, i]]
         for values in zip(*(column.tolist() for column in columns)):
             rows.append(dict(zip(BOUNDS_COLUMNS, (spec.sigma, spec.n, spec.beta, *values, cov))))

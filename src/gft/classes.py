@@ -43,7 +43,6 @@ from .series import (
     SchlichtSeries,
     TruncatedSeries,
     default_order,
-    evaluate_circle,
     evaluate_circle_real,
     herglotz_rows,
     require_unit_constant,
@@ -93,21 +92,6 @@ def min_re_on_circle(s, r: float, samples: int) -> float:
     return float(np.min(evaluate_circle_real(s, r, samples)))
 
 
-def circle_values(rows: np.ndarray, kernel=evaluate_circle) -> np.ndarray:
-    """Values of a stack of coefficient rows on the grid: kernel(rows, RADII, ANGULAR_SAMPLES).
-
-    The shape is (rows, len(RADII), ANGULAR_SAMPLES), all from one FFT, so
-    callers keep stacks small and reduce the values themselves, over the
-    last axis for one extremum per circle.  The modulus checks take the
-    complex values of evaluate_circle; the real-part tests pass
-    evaluate_circle_real.  Non-finite coefficients are rejected, as
-    TruncatedSeries rejects them.
-    """
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("series coefficients must be finite")
-    return kernel(rows, RADII, ANGULAR_SAMPLES)
-
-
 def grid_tails(coeff_bound, order: int) -> np.ndarray:
     """tail_bound(coeff_bound, order, r) for every r in RADII, along a new last axis; coeff_bound may be an array."""
     return tail_bound(np.asarray(coeff_bound)[..., None], order, np.array(RADII))
@@ -116,9 +100,9 @@ def grid_tails(coeff_bound, order: int) -> np.ndarray:
 def real_part_margins(rows: np.ndarray, threshold: float, coeff_bound: float = 2.0) -> tuple:
     """Stacked real_part_test: (observed, padded), each of shape (rows, len(RADII)).
 
-    Row i's margins are bit-identical to real_part_test on that row alone.
+    Row i's margins are bit-identical to real_part_test on that row alone, and a non-finite row is rejected.
     """
-    observed = circle_values(rows, evaluate_circle_real).min(axis=-1) - threshold
+    observed = evaluate_circle_real(rows, RADII, ANGULAR_SAMPLES).min(axis=-1) - threshold
     return observed, observed + grid_tails(coeff_bound, rows.shape[-1] - 1) + GRID_TOLERANCE
 
 
@@ -144,8 +128,7 @@ def membership_in_P(p: TruncatedSeries, beta: float = 0.0) -> MembershipResult:
 
 
 def membership_in_iterated_P(q: TruncatedSeries, params: OperatorParams) -> MembershipResult:
-    """Test for the iterated family: undo the iteration, then test real part > 0."""
-    require_unit_constant(q)
+    """Test for the iterated family: undo the iteration (deiterate checks the constant), then test real part > 0."""
     return real_part_test(deiterate(params, q), 0.0)
 
 

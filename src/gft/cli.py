@@ -4,7 +4,7 @@ Subcommands: kernel (expand a binomial kernel), apply (run an operator over
 a normalized series file), iterate (closed-form iteration of a unit-constant
 series), extremal (emit extremal series), bounds (closed-form bound table as
 CSV), verify (run a theorem suite).  Exit codes: 0 success, 1 suite failure,
-2 usage or validation error.
+2 usage or validation error, an order too large to allocate included.
 
 Each subcommand imports the parts of gft it uses when it runs, so `gft
 bounds` loads only gft.bounds and gft.kernels, and never the series,
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
         # an overflowing result is rejected as non-finite in one line; numpy's warning would add two more
         with np.errstate(over="ignore"):
             return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"gft: error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,10 @@ n nested radial integrations, and the kernels below are the series whose
 Hadamard products realize the same action.  The three functions that
 build a series here, the two kernels and extremal_iterate, import gft.series
 when they run, so the bounds layer, which needs only the multipliers and
-_quadrature_nodes, never loads it.
+_QUADRATURE_NODES, never loads it.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -96,9 +94,8 @@ def _check_multiplier_params(sigma: float, n: int) -> None:
         raise ValueError(f"require sigma - (n - 1) > 0, got sigma={sigma}, n={n}")
 
 
-@functools.cache
-def _quadrature_nodes() -> tuple:
-    """Composite Gauss-Legendre-12 nodes t, their complements 1 - t, weights on [0, 1], and log t.
+def _composite_rule() -> tuple:
+    """The rule of _QUADRATURE_NODES: composite Gauss-Legendre-12 nodes t, complements 1 - t, weights, and log t.
 
     The panels on [0, 1/2] are [2**-(j + 2), 2**-(j + 1)] for j < 64, the
     last reaching 0, and those on [1/2, 1] are their mirror images: they
@@ -107,10 +104,10 @@ def _quadrature_nodes() -> tuple:
     accuracy; a uniform split cannot reach 1e-8 once a < 0.  t on the left
     half and 1 - t on the right half are halved Gauss nodes, so the distance
     to the nearer endpoint is exact, and log t is taken from whichever of t
-    and 1 - t is exact.  2 x 64 x 12 nodes, built once and shared, so all
-    four arrays are read-only.
+    and 1 - t is exact.  2 x 64 x 12 nodes, built once at import and shared,
+    so all four arrays are read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(12)
+    x, w = np.concatenate([np.array(_GL12[::-1]) * (-1.0, 1.0), _GL12]).T  # (-x, w) mirrors the pair (x, w)
     hi = 0.5 ** np.arange(64)
     lo = np.append(hi[1:], 0.0)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -124,6 +121,13 @@ def _quadrature_nodes() -> tuple:
     for a in out:
         a.setflags(write=False)
     return out
+
+
+# leggauss(12)'s positive nodes, each with its weight: its nodes are exactly antisymmetric, its weights symmetric
+_GL12 = ((0.1252334085114689, 0.2491470458134027), (0.3678314989981802, 0.2334925365383546),
+         (0.5873179542866175, 0.20316742672306573), (0.7699026741943047, 0.16007832854334642),
+         (0.9041172563704748, 0.10693932599531907), (0.9815606342467192, 0.04717533638651141))
+_QUADRATURE_NODES = _composite_rule()
 
 
 def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:

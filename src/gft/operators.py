@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import OperatorParams, _quadrature_nodes, multiplier_row, tau_coeffs, tau_inv_coeffs
+from .kernels import _QUADRATURE_NODES, OperatorParams, multiplier_row, tau_coeffs, tau_inv_coeffs
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
@@ -111,7 +111,7 @@ def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: co
         raise ValueError("z = 0 is excluded; the limiting value is p(0)")
     if not abs(z) < 1.0:  # written so that a NaN point fails too
         raise ValueError("quadrature point must satisfy 0 < |z| < 1")
-    _, _, w, log_v = _quadrature_nodes()
+    _, _, w, log_v = _QUADRATURE_NODES
     with np.errstate(over="ignore"):  # a tiny lam overflows log v / lam to -inf, which exp takes to 0
         u = np.exp(log_v / lam)
     return complex(np.sum(w * evaluate_grid(p_prev, u * z)))

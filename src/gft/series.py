@@ -5,7 +5,7 @@ cut at order N loses nothing under the operators themselves; only point
 evaluation has a tail.  The tail convention used by all circle checks is
 B * r**(N+1) / (1 - r) for a series whose dropped coefficients are bounded
 by B.  Every circle check evaluates through one of two kernels that share
-their first step, the r**k scaling and the fold: evaluate_circle gets the
+their first step (checks, r**k scaling, fold): evaluate_circle gets the
 values at equally spaced points on any number of circles from one batched
 FFT, and evaluate_circle_real gets their real parts, which every real-part
 threshold test reads, from one real FFT of half the length.  evaluate_grid's
@@ -154,7 +154,7 @@ def evaluate_grid(s, points) -> np.ndarray:
 
 
 def _folded_circle(s, radii, samples: int) -> np.ndarray:
-    """The circle kernels' shared first step: validate, scale c_k by r**k, and fold mod samples.
+    """The circle kernels' shared first step: validate (finite coefficients too), scale c_k by r**k, fold mod samples.
 
     c_k and c_{k + samples} agree at every sample point, so their scaled values add.  The shape is
     (..., len(radii), L), with L = min(N + 1, samples): coefficients past L are zero and not stored.
@@ -165,6 +165,8 @@ def _folded_circle(s, radii, samples: int) -> np.ndarray:
     if samples < 1:
         raise ValueError("need at least one sample per circle")
     c = np.asarray(getattr(s, "coeffs", s))
+    if not np.all(np.isfinite(c)):
+        raise ValueError("series coefficients must be finite")
     rows, size = c.shape[:-1], c.shape[-1]
     scaled = c.reshape(*rows, *(1,) * r.ndim, size) * r[..., None] ** np.arange(size)
     if size <= samples:

@@ -74,7 +74,7 @@ from .bounds import (
     envelope_table,
     multiplier_series,
 )
-from .classes import _DRAWS, circle_values, grid_tails, member_rows, mixture_rows, real_part_margins
+from .classes import _DRAWS, grid_tails, member_rows, mixture_rows, real_part_margins, verdicts
 from .kernels import OperatorParams, extremal_iterate, multiplier_row
 from .operators import bernardi, iterate_step_closed, recurrence_residuals, salagean_iterate
 from .series import SchlichtSeries, TruncatedSeries, default_order, evaluate_circle, tail_bound
@@ -185,7 +185,7 @@ def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> bool
     Trial t reads the mixture of its row of _blocks through mixture_rows with its entry's diagonal (with pair,
     two mixtures and the weight mu, each scaled, then combined as mu p + (1 - mu) q), in P wherever the
     diagonal maps P into P, and adds the margins of real_part_margins(rows, 0.0): Re(1 + sum_k diagonal[i,
-    k - 1] c_k z^k) > 0, with coefficient bound 2.  Returns whether any trial was inconclusive.
+    k - 1] c_k z^k) > 0, with coefficient bound 2.  Returns whether verdicts finds any trial inconclusive.
     """
     inconclusive = False
     for idx, u in _blocks(trials, len(entries), seed, suite, 2 * _DRAWS + 1 if pair else _DRAWS):
@@ -195,8 +195,7 @@ def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> bool
             p = mu * p + (1.0 - mu) * mixture_rows(u[:, _DRAWS:-1], diagonal[idx])
         observed, padded = real_part_margins(p, 0.0)
         out.add_tests(observed, padded)
-        # verdicts' "inconclusive": a row with no negative padded margin and not every observed margin positive
-        inconclusive |= bool(np.any(~(padded < 0.0).any(axis=-1) & ~(observed > 0.0).all(axis=-1)))
+        inconclusive |= "inconclusive" in verdicts(observed, padded)
     return inconclusive
 
 
@@ -240,7 +239,7 @@ def _envelopes(out, suite, entries, trials, seed, depth, factor, order) -> None:
     tails[np.array([spec.n + depth < 0 for spec in entries])] = math.inf
     lower, upper = env
     for idx, u in _blocks(trials, len(entries), seed, suite, _DRAWS):
-        values = circle_values(member_rows(mixture_rows(u, mults[idx]), betas[idx])[:, 1:])
+        values = evaluate_circle(member_rows(mixture_rows(u, mults[idx]), betas[idx])[:, 1:], RADII, ANGULAR_SAMPLES)
         out.add(np.min(upper[idx] + GRID_TOLERANCE - factor[idx] * np.abs(values).max(axis=-1)))
         out.add(np.min(factor[idx] * values.real.min(axis=-1) - lower[idx] + tails[idx] + GRID_TOLERANCE))
 

@@ -632,13 +632,18 @@ def test_importing_gft_does_not_import_numpy_random():
 
 
 def test_gft_loads_its_submodules_on_first_use():
-    """`import gft, gft.cli` loads no gft submodule, and `gft bounds` loads only the bound layer and the multipliers."""
+    """`import gft, gft.cli` loads no gft submodule, and `gft bounds` loads only the bound layer and the multipliers.
+
+    Neither `gft bounds` nor `gft verify` loads numpy.polynomial: the Gauss-Legendre rule is written out.
+    """
     watched = ["gft.bounds", "gft.kernels", "gft.series", "gft.operators", "gft.classes", "gft.verify", "dataclasses",
-               "csv"]
+               "csv", "numpy.polynomial"]
     assert _loaded_after("import gft, gft.cli", watched) == []
-    table = "import contextlib, io, gft.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-    table += "    assert gft.cli.main(['bounds']) == 0"
-    assert _loaded_after(table, watched) == ["gft.bounds", "gft.kernels"]
+    run = "import contextlib, io, gft.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    run += "    assert gft.cli.main({}) == 0"
+    assert _loaded_after(run.format(["bounds"]), watched) == ["gft.bounds", "gft.kernels"]
+    verify = run.format(["verify", "--theorem", "all", "--trials", "1"])
+    assert _loaded_after(verify, watched) == watched[:6]  # every submodule, and no dataclasses, csv or numpy.polynomial
 
 
 def test_every_public_name_is_its_home_module_object():

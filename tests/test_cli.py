@@ -400,9 +400,23 @@ def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
          "gft: error: series must have constant term 1"),
         (["bounds", "--sigma", "1e308", "--n", "1", "--beta", "0", "--radii", "0.5"],
          "gft: error: a bound overflows at sigma=1e+308, n=1, r=0.5"),
+        # orders of 1e12 terms, too many to allocate; `verify` takes its order from GFT_DEFAULT_ORDER
+        (["kernel", "--sigma", "1", "--n", "1", "--order", "1000000000000"],
+         "gft: error: Unable to allocate 14.6 TiB"),
+        (["extremal", "--sigma", "1", "--n", "1", "--order", "1000000000000"],
+         "gft: error: Unable to allocate 14.6 TiB"),
+        (["verify", "--theorem", "all", "--trials", "1"], "gft: error: Unable to allocate 14.6 TiB"),
     ],
 )
 def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000001,) and data type "
+                          "complex128")
+
+    # the first step that would allocate for each order case raises numpy's MemoryError instead, so no case
+    # allocates; no other case reaches these three
+    for allocator in ("gft.kernels.tau_coeffs", "gft.kernels.extremal_iterate", "gft.verify.run_all"):
+        monkeypatch.setattr(allocator, out_of_memory)
     # the --in file a case names, in a fresh working directory
     (tmp_path / "non_unit.json").write_text(
         json.dumps({"order": 3, "coeffs": [[2.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]})

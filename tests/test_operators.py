@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gft.kernels import OperatorParams, multiplier, multiplier_row
+from gft import bounds, operators
+from gft.kernels import _GL12, _QUADRATURE_NODES, OperatorParams, multiplier, multiplier_row
 from gft.operators import (
-    _quadrature_nodes,
     apply_L,
     apply_l,
     bernardi,
@@ -217,9 +217,17 @@ def test_recurrence_ties_adjacent_depths():
         recurrence_residual(OperatorParams(1.0, 0), p_n, p_prev)
 
 
+def test_gauss_legendre_literals_are_leggauss():
+    """The six (node, weight) literals, mirrored as the composite rule mirrors them, are leggauss(12) bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    half = np.array(_GL12)
+    assert np.concatenate([-half[::-1, 0], half[:, 0]]).tobytes() == x.tobytes()
+    assert np.concatenate([half[::-1, 1], half[:, 1]]).tobytes() == w.tobytes()
+
+
 def test_quadrature_nodes_are_shared_and_read_only():
-    nodes, complements, weights, logs = _quadrature_nodes()
-    assert _quadrature_nodes()[0] is nodes  # built once and shared
+    nodes, complements, weights, logs = _QUADRATURE_NODES
+    assert operators._QUADRATURE_NODES[0] is bounds._QUADRATURE_NODES[0] is nodes  # built once and shared
     assert nodes.shape == complements.shape == weights.shape == logs.shape == (2 * 64 * 12,)
     for array in (nodes, complements, weights, logs):
         with pytest.raises(ValueError):

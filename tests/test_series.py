@@ -270,7 +270,7 @@ def test_evaluate_circle_real_is_the_real_part(size, samples, radii, seed):
     """The half-length real FFT gives evaluate_circle's real parts, to 1e-14 of sum_k |c_k| r**k.
 
     Sizes reach past 2 * samples, so coefficients fold; rows stack bit for bit, and both kernels reject the
-    same radii and sample counts.
+    same radii, sample counts and rows holding a NaN.
     """
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
@@ -282,10 +282,14 @@ def test_evaluate_circle_real_is_the_real_part(size, samples, radii, seed):
     assert np.all(np.abs(real - expected) <= 1e-14 * scale[..., None])
     for row, values in zip(rows, real):
         assert values.tobytes() == evaluate_circle_real(TruncatedSeries(row), radii, samples).tobytes()
-    for bad_radii, bad_samples in ((0.0, samples), ((0.5, 1.0), samples), (np.nan, samples), (radii, 0)):
+    nan_row = rows.copy()
+    nan_row[1, rng.integers(size)] = np.nan
+    bad = ((rows, 0.0, samples), (rows, (0.5, 1.0), samples), (rows, np.nan, samples), (rows, radii, 0),
+           (nan_row, radii, samples))
+    for bad_rows, bad_radii, bad_samples in bad:
         for kernel in (evaluate_circle, evaluate_circle_real):
             with pytest.raises(ValueError):
-                kernel(rows, bad_radii, bad_samples)
+                kernel(bad_rows, bad_radii, bad_samples)
 
 
 def test_differentiate_values_and_order():

@@ -623,9 +623,9 @@ def test_envelope_suites_test_the_rows_of_their_own_draws(monkeypatch, suite, si
         assert (trials, columns) == table.shape
         yield np.arange(trials) % size, table
 
-    values, rows = verify.circle_values, []
+    values, rows = verify.evaluate_circle, []
     monkeypatch.setattr(verify, "_blocks", one_block)
-    monkeypatch.setattr(verify, "circle_values", lambda block: rows.extend(block) or values(block))
+    monkeypatch.setattr(verify, "evaluate_circle", lambda block, *grid: rows.extend(block) or values(block, *grid))
     spec = ClassSpec(OperatorParams(sigma, n), beta)
     getattr(verify, f"_suite_{suite}")((spec,), len(table), 0, verify._Margins())
     assert len(rows) == len(table)
