@@ -31,19 +31,13 @@ _HOMES = {
         "min_re_on_circle",
         "random_member_B",
     ),
-    "kernels": (
-        "OperatorParams",
-        "extremal_iterate",
-        "multiplier",
-        "pochhammer",
-        "tau_coeffs",
-        "tau_inv_coeffs",
-    ),
+    "kernels": ("OperatorParams", "multiplier", "pochhammer"),
     "operators": (
         "apply_L",
         "apply_l",
         "bernardi",
         "deiterate",
+        "extremal_iterate",
         "iterate_closed",
         "iterate_quadrature_step",
         "iterate_step_closed",
@@ -51,6 +45,8 @@ _HOMES = {
         "recurrence_residual",
         "ruscheweyh",
         "salagean_iterate",
+        "tau_coeffs",
+        "tau_inv_coeffs",
     ),
     "series": (
         "HerglotzMixture",

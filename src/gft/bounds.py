@@ -8,7 +8,7 @@ prints that table through bounds_rows and write_bounds_csv, and the
 verification suites check members and extremals against it.  The layer
 needs only gft.kernels, for OperatorParams, the multiplier domain and the
 quadrature nodes, so `gft bounds` loads no series, operator, class-test or
-suite code.  gft.classes re-exports every name defined here.
+suite code.
 """
 
 from __future__ import annotations

@@ -7,11 +7,10 @@ because of the dropped tail, so the boolean tests fail only when the margin
 is negative by more than tail + GRID_TOLERANCE.  The bound layer lives in
 gft.bounds, which loads no series code: the grid constants, ClassSpec, the
 default lattice, multiplier_series and envelope_table, the table `gft
-bounds` prints.  Every name of it is re-exported here, and growth_bounds,
-distortion_bounds and covering_constant map that table and series for one
-spec.  Each class is a diagonal image of P, so every sampled row, a
-member's or a test's, is one mixture_rows call: a seeded Herglotz mixture
-scaled by a diagonal row.
+bounds` prints.  growth_bounds, distortion_bounds and covering_constant map
+that table and series for one spec.  Each class is a diagonal image of P,
+so every sampled row, a member's or a test's, is one mixture_rows call: a
+seeded Herglotz mixture scaled by a diagonal row.
 """
 
 from __future__ import annotations
@@ -19,25 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import _Frozen
-from .bounds import (  # the whole bound layer, so each of its names is also gft.classes.<name>
-    ANGULAR_SAMPLES,
-    BOUNDS_COLUMNS,
-    DEFAULT_BETAS,
-    DEFAULT_NS,
-    DEFAULT_SIGMAS,
-    GRID_TOLERANCE,
-    RADII,
-    ClassSpec,
-    _shift,
-    bounds_rows,
-    by_pair,
-    default_lattice,
-    envelope_table,
-    multiplier_series,
-    write_bounds_csv,
-)
-from .kernels import OperatorParams, extremal_iterate, multiplier_row
-from .operators import apply_L, deiterate
+from .bounds import ANGULAR_SAMPLES, GRID_TOLERANCE, RADII, ClassSpec, _shift, envelope_table, multiplier_series
+from .kernels import OperatorParams, multiplier_row
+from .operators import apply_L, deiterate, extremal_iterate
 from .series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -248,6 +231,8 @@ def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> Sc
 def _extremal_B(spec: ClassSpec, order: int | None, sign: int) -> SchlichtSeries:
     """Class member with a_k = 2 (1 - beta) multiplier(sigma, n, k - 1) sign**(k - 1)."""
     n = default_order() if order is None else int(order)
+    if n < 2:
+        raise ValueError(f"members need order >= 2, got {n}")
     return member_from_p(spec, extremal_iterate(spec.params, n - 1, sign))
 
 

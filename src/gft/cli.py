@@ -115,7 +115,8 @@ def _parse_floats(text: str | None, flag: str, default) -> list:
 
 
 def _cmd_kernel(args) -> int:
-    from .kernels import OperatorParams, tau_coeffs, tau_inv_coeffs
+    from .kernels import OperatorParams
+    from .operators import tau_coeffs, tau_inv_coeffs
     from .series import to_json
 
     params = OperatorParams(args.sigma, args.n)
@@ -162,7 +163,8 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_extremal(args) -> int:
     from .classes import ClassSpec, extremal_B_lower, extremal_B_upper
-    from .kernels import OperatorParams, extremal_iterate
+    from .kernels import OperatorParams
+    from .operators import extremal_iterate
     from .series import to_json
 
     minimum = 1 if args.family == "iterate" else 2

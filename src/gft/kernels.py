@@ -1,12 +1,11 @@
-"""Coefficient multipliers and the binomial kernel series they come from.
+"""Coefficient multipliers, their parameter domain, and the quadrature rule.
 
 The whole operator calculus reduces to one family of positive factors:
 multiplier(sigma, n, k) is the damping applied to the k-th coefficient by
-n nested radial integrations, and the kernels below are the series whose
-Hadamard products realize the same action.  The three functions that
-build a series here, the two kernels and extremal_iterate, import gft.series
-when they run, so the bounds layer, which needs only the multipliers and
-_QUADRATURE_NODES, never loads it.
+n nested radial integrations.  This module builds no series and imports no
+gft module but gft, so the bounds layer, which needs only the multipliers
+and _QUADRATURE_NODES, loads no series code; the kernel series whose
+Hadamard products realize the same action are built in gft.operators.
 """
 
 from __future__ import annotations
@@ -129,51 +128,3 @@ _GL12 = ((0.1252334085114689, 0.2491470458134027), (0.3678314989981802, 0.233492
          (0.9041172563704748, 0.10693932599531907), (0.9815606342467192, 0.04717533638651141))
 _QUADRATURE_NODES = _composite_rule()
 
-
-def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
-    """Kernel z / (1 - z)**lam with lam = sigma - (n - 1); coefficient k + 1 is (lam)_k / k!."""
-    from .series import TruncatedSeries, default_order
-
-    n = default_order() if order is None else int(order)
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
-    lam = params.sigma - (params.n - 1)
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[1] = 1.0
-    if n >= 2:
-        k = np.arange(1, n)
-        c[2:] = np.cumprod((lam + (k - 1.0)) / k)  # lam + k - 1 would round a tiny lam to 0 at k = 1
-    return TruncatedSeries(c)
-
-
-def tau_inv_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
-    """Hadamard inverse of the kernel: reciprocal coefficients for k >= 1, zero constant."""
-    from .series import TruncatedSeries
-
-    t = tau_coeffs(params, order)
-    c = np.zeros_like(t.coeffs)
-    # a kernel coefficient that is subnormal or 0 has no finite reciprocal; TruncatedSeries rejects the result
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c[1:] = 1.0 / t.coeffs[1:]
-    return TruncatedSeries(c)
-
-
-def extremal_iterate(params: OperatorParams, order: int | None = None, sign: int = 1) -> TruncatedSeries:
-    """n-fold integral iterate of the half-plane extremal (1 + s z) / (1 - s z).
-
-    Coefficients are 2 * multiplier(sigma, n, k) * sign**k, so sign=+1 gives the
-    maximal-real-part direction on the positive axis and sign=-1 the minimal one.
-    For sign=-1 the odd coefficients are negated, which is the same double as
-    the product with (-1)**k, and every imaginary part is +0.
-    """
-    from .series import TruncatedSeries, default_order
-
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = default_order() if order is None else int(order)
-    c = np.empty(n + 1, dtype=np.complex128)
-    c[0] = 1.0
-    c[1:] = 2.0 * multiplier_row(params.sigma, params.n, n)
-    if sign == -1:
-        c.real[1::2] *= -1.0
-    return TruncatedSeries(c)

@@ -1,6 +1,8 @@
-"""Convolution operators and the radial integral iteration on series coefficients.
+"""Convolution operators, their kernels, and the radial integral iteration on series coefficients.
 
-Every operator here but the two kernel convolutions is one diagonal action,
+The binomial kernel, its Hadamard inverse and the iterated half-plane
+extremal are built here from the multipliers of gft.kernels.  Every operator
+but the two kernel convolutions is one diagonal action,
 series._scaled: coefficients from a fixed index on are multiplied (or, for
 deiterate, divided) by a row that depends only on the index.  Raising and
 lowering use 1 / multiplier(sigma, n, k - 1) and multiplier(sigma, n, k - 1)
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import _QUADRATURE_NODES, OperatorParams, multiplier_row, tau_coeffs, tau_inv_coeffs
+from .kernels import _QUADRATURE_NODES, OperatorParams, multiplier_row
 from .series import (
     SchlichtSeries,
     TruncatedSeries,
     _scaled,
     convolve,
+    default_order,
     evaluate_grid,
     require_unit_constant,
 )
@@ -41,6 +44,30 @@ def apply_l(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
     if f.order < 2:
         return f
     return _scaled(f, 2, multiplier_row(params.sigma, params.n, f.order - 1))
+
+
+def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
+    """Kernel z / (1 - z)**lam with lam = sigma - (n - 1); coefficient k + 1 is (lam)_k / k!."""
+    n = default_order() if order is None else int(order)
+    if n < 1:
+        raise ValueError(f"kernel order must be >= 1, got {n}")
+    lam = params.sigma - (params.n - 1)
+    c = np.zeros(n + 1, dtype=np.complex128)
+    c[1] = 1.0
+    if n >= 2:
+        k = np.arange(1, n)
+        c[2:] = np.cumprod((lam + (k - 1.0)) / k)  # lam + k - 1 would round a tiny lam to 0 at k = 1
+    return TruncatedSeries(c)
+
+
+def tau_inv_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
+    """Hadamard inverse of the kernel: reciprocal coefficients for k >= 1, zero constant."""
+    t = tau_coeffs(params, order)
+    c = np.zeros_like(t.coeffs)
+    # a kernel coefficient that is subnormal or 0 has no finite reciprocal; TruncatedSeries rejects the result
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c[1:] = 1.0 / t.coeffs[1:]
+    return TruncatedSeries(c)
 
 
 def ruscheweyh(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
@@ -90,6 +117,27 @@ def deiterate(params: OperatorParams, q: TruncatedSeries) -> TruncatedSeries:
     # a subnormal multiplier has no finite quotient; TruncatedSeries rejects the result
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _scaled(q, 1, multiplier_row(params.sigma, params.n, q.order), np.divide)
+
+
+def extremal_iterate(params: OperatorParams, order: int | None = None, sign: int = 1) -> TruncatedSeries:
+    """n-fold integral iterate of the half-plane extremal (1 + s z) / (1 - s z).
+
+    Coefficients are 2 * multiplier(sigma, n, k) * sign**k, so sign=+1 gives the
+    maximal-real-part direction on the positive axis and sign=-1 the minimal one.
+    For sign=-1 the odd coefficients are negated, which is the same double as
+    the product with (-1)**k, and every imaginary part is +0.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    n = default_order() if order is None else int(order)
+    if n < 1:
+        raise ValueError(f"extremal iterate order must be >= 1, got {n}")
+    c = np.empty(n + 1, dtype=np.complex128)
+    c[0] = 1.0
+    c[1:] = 2.0 * multiplier_row(params.sigma, params.n, n)
+    if sign == -1:
+        c.real[1::2] *= -1.0
+    return TruncatedSeries(c)
 
 
 def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: complex) -> complex:

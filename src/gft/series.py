@@ -306,7 +306,10 @@ def from_json(text: str) -> TruncatedSeries:
     if len(pairs) != order + 1:
         raise ValueError(f"expected {order + 1} coefficient pairs, got {len(pairs)}")
     try:
+        # only JSON numbers: float() would also take true and "1", and raises OverflowError on a huge integer
+        if any(type(v) not in (int, float) for pair in pairs for v in pair):
+            raise TypeError
         c = np.array([complex(float(re), float(im)) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("coefficients must be [re, im] pairs of finite numbers") from exc
     return TruncatedSeries(c)

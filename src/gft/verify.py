@@ -75,8 +75,8 @@ from .bounds import (
     multiplier_series,
 )
 from .classes import _DRAWS, grid_tails, member_rows, mixture_rows, real_part_margins, verdicts
-from .kernels import OperatorParams, extremal_iterate, multiplier_row
-from .operators import bernardi, iterate_step_closed, recurrence_residuals, salagean_iterate
+from .kernels import OperatorParams, multiplier_row
+from .operators import bernardi, extremal_iterate, iterate_step_closed, recurrence_residuals, salagean_iterate
 from .series import SchlichtSeries, TruncatedSeries, default_order, evaluate_circle, tail_bound
 
 COEFF_TOL = 1e-12
@@ -463,8 +463,8 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
     if key not in SUITES:
         known = ", ".join(SUITE_ORDER)
         raise ValueError(f"unknown theorem id {theorem!r}; known ids: {known}")
-    if int(trials) < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not 1 <= trials < math.inf or int(trials) != trials:  # a NaN fails too
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     lattice = default_lattice() if lattice is None else tuple(lattice)
     if not lattice:
         raise ValueError("lattice must contain at least one entry")

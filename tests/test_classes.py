@@ -1,8 +1,10 @@
 """Class membership, extremal members, and the closed-form bound table."""
 
+import ast
 import csv
 import io
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -13,17 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gft import bounds
+from gft.bounds import BOUNDS_COLUMNS, RADII, ClassSpec, bounds_rows, envelope_table, multiplier_series, write_bounds_csv
 from gft.classes import (
     _DRAWS,
-    BOUNDS_COLUMNS,
-    RADII,
-    ClassSpec,
     MembershipResult,
-    bounds_rows,
     circle_points,
     covering_constant,
     distortion_bounds,
-    envelope_table,
     extremal_B_lower,
     extremal_B_upper,
     growth_bounds,
@@ -37,7 +35,6 @@ from gft.classes import (
     membership_in_iterated_P,
     min_re_on_circle,
     mixture_rows,
-    multiplier_series,
     p_rows,
     p_series_of,
     random_member_B,
@@ -46,10 +43,9 @@ from gft.classes import (
     real_part_margins,
     real_part_test,
     verdicts,
-    write_bounds_csv,
 )
-from gft.kernels import OperatorParams, extremal_iterate, multiplier, multiplier_row
-from gft.operators import iterate_closed
+from gft.kernels import OperatorParams, multiplier, multiplier_row
+from gft.operators import extremal_iterate, iterate_closed
 from gft.series import (
     HerglotzMixture,
     SchlichtSeries,
@@ -646,6 +642,27 @@ def test_gft_loads_its_submodules_on_first_use():
     assert _loaded_after(verify, watched) == watched[:6]  # every submodule, and no dataclasses, csv or numpy.polynomial
 
 
+def test_imports_are_module_level_and_the_bound_layer_imports_only_kernels():
+    """kernels.py and bounds.py import no gft module but gft and gft.kernels, and only cli.py imports in a function.
+
+    So no function body keeps `gft bounds` free of series code by importing late, and each name has one home.
+    """
+    import gft
+
+    for path in sorted(pathlib.Path(gft.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for function in functions if path.name != "cli.py" else []:
+            late = [node.lineno for node in ast.walk(function) if node in imports]
+            assert not late, f"{path.name}: {function.name} imports at line {late[0]}"
+        if path.name in ("kernels.py", "bounds.py"):
+            modules = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+            modules |= {f"gft.{node.module or ''}".rstrip(".") if node.level else node.module
+                        for node in imports if isinstance(node, ast.ImportFrom)}
+            assert {m for m in modules if m.split(".")[0] == "gft"} <= {"gft", "gft.kernels"}, path.name
+
+
 def test_every_public_name_is_its_home_module_object():
     """Each name of gft.__all__ is the object its home module defines, and `from gft import *` binds them all."""
     import gft
@@ -656,6 +673,6 @@ def test_every_public_name_is_its_home_module_object():
         value = getattr(gft, name)
         assert value.__module__.startswith("gft.") and getattr(sys.modules[value.__module__], name) is value
         assert namespace[name] is value and name in dir(gft)
-    assert gft.verify.default_lattice is gft.classes.default_lattice is gft.default_lattice
+    assert gft.verify.default_lattice is gft.bounds.default_lattice is gft.default_lattice
     with pytest.raises(AttributeError, match="no attribute 'evaluate_grid'"):
         gft.evaluate_grid

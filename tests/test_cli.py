@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gft.classes import RADII, bounds_rows, write_bounds_csv
+from gft.bounds import RADII, bounds_rows, write_bounds_csv
 from gft.cli import main
 from gft.series import SchlichtSeries, from_json, to_json
 from gft.verify import SUITE_ORDER, default_lattice
@@ -406,6 +406,8 @@ def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
         (["extremal", "--sigma", "1", "--n", "1", "--order", "1000000000000"],
          "gft: error: Unable to allocate 14.6 TiB"),
         (["verify", "--theorem", "all", "--trials", "1"], "gft: error: Unable to allocate 14.6 TiB"),
+        (["iterate", "--sigma", "2", "--n", "1", "--in", "huge.json"],
+         "gft: error: coefficients must be [re, im] pairs of finite numbers"),
     ],
 )
 def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):
@@ -415,12 +417,13 @@ def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message)
 
     # the first step that would allocate for each order case raises numpy's MemoryError instead, so no case
     # allocates; no other case reaches these three
-    for allocator in ("gft.kernels.tau_coeffs", "gft.kernels.extremal_iterate", "gft.verify.run_all"):
+    for allocator in ("gft.operators.tau_coeffs", "gft.operators.extremal_iterate", "gft.verify.run_all"):
         monkeypatch.setattr(allocator, out_of_memory)
-    # the --in file a case names, in a fresh working directory
+    # the --in files the cases name, in a fresh working directory; huge.json holds an integer too large for a float
     (tmp_path / "non_unit.json").write_text(
         json.dumps({"order": 3, "coeffs": [[2.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]})
     )
+    (tmp_path / "huge.json").write_text(json.dumps({"order": 1, "coeffs": [[1, 0], [10**400, 0]]}))
     monkeypatch.chdir(tmp_path)
     try:
         code = main(argv)

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gft.kernels import (
-    OperatorParams,
-    extremal_iterate,
-    multiplier,
-    multiplier_row,
-    pochhammer,
-    tau_coeffs,
-    tau_inv_coeffs,
-)
+from gft.bounds import ClassSpec
+from gft.classes import extremal_B_lower, extremal_B_upper
+from gft.kernels import OperatorParams, multiplier, multiplier_row, pochhammer
+from gft.operators import extremal_iterate, tau_coeffs, tau_inv_coeffs
 from gft.series import convolve
 
 
@@ -138,6 +133,13 @@ def test_extremal_iterate_coefficients():
         assert minus.coeffs[k].real == pytest.approx(expect * (-1.0) ** k, rel=1e-15)
     with pytest.raises(ValueError):
         extremal_iterate(params, order=8, sign=0)
+    for order in (-1, 0):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            extremal_iterate(params, order=order)
+    spec = ClassSpec(params)
+    for maker in (extremal_B_upper, extremal_B_lower):
+        with pytest.raises(ValueError, match="members need order >= 2"):
+            maker(spec, 1)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -393,3 +393,9 @@ def test_from_json_rejects_malformed_input():
         from_json('{"order": 1, "coeffs": [[0, 0], [1, 0, 0]]}')
     with pytest.raises(ValueError):
         from_json('{"order": 1, "coeffs": [[0, 0], [Infinity, 0]]}')
+    with pytest.raises(ValueError, match="pairs of finite numbers"):
+        from_json('{"order": 1, "coeffs": [[0, 0], [1%s, 0]]}' % ("0" * 400))  # too large for a float
+    with pytest.raises(ValueError, match="pairs of finite numbers"):
+        from_json('{"order": 1, "coeffs": [[0, 0], [true, 0]]}')  # bool is not a number
+    with pytest.raises(ValueError, match="pairs of finite numbers"):
+        from_json('{"order": 1, "coeffs": [[0, 0], ["1", 0]]}')  # nor is a numeric string

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gft import classes, verify
+from gft.bounds import RADII, ClassSpec
 from gft.classes import (
-    RADII,
-    ClassSpec,
     extremal_B_upper,
     is_in_B,
     member_rows,
@@ -28,8 +27,8 @@ from gft.classes import (
     real_part_test,
     verdicts,
 )
-from gft.kernels import OperatorParams, extremal_iterate, multiplier_row
-from gft.operators import bernardi, iterate_closed, iterate_step_closed
+from gft.kernels import OperatorParams, multiplier_row
+from gft.operators import bernardi, extremal_iterate, iterate_closed, iterate_step_closed
 from gft.series import (
     SchlichtSeries,
     TruncatedSeries,
@@ -124,6 +123,10 @@ def test_run_suite_validation():
         run_suite("99")
     with pytest.raises(ValueError):
         run_suite("7", trials=0)
+    for trials in (2.7, True, math.nan, math.inf):  # no silent truncation to int
+        with pytest.raises(ValueError, match="trials"):
+            run_suite("3", trials=trials)
+    assert run_suite("3", trials=np.int64(2)).trials == 2
     with pytest.raises(ValueError):
         run_suite("7", lattice=())
 
