@@ -4,8 +4,8 @@ Submodules load on first use (PEP 562): each public name below is read from
 its home module the first time it is accessed, and then kept here, so
 `import gft` compiles and runs none of them.  `gft.verify`, `gft.classes`
 and the other submodules load the same way, on first attribute access.
-_Frozen, the base of every value type, lives here, so each layer shares it
-without loading another.
+_Frozen, the base of every value type, and _count, the rule for every count
+argument, live here, so each layer shares them without loading another.
 """
 
 import importlib
@@ -80,6 +80,19 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _count(value, name: str, least: int, most: int | None = None) -> int:
+    """A count argument as an int: a non-bool integer or integral float in [least, most], else a named ValueError."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, an infinity or not a number
+        count = float("nan")  # equal to no value, so it is refused below
+    boolean = isinstance(value, bool) or getattr(value, "dtype", None) == bool  # numpy's bool too
+    if boolean or count != value or count < least or most is not None and count > most:
+        bound = "" if most is None else f" and <= {most}"
+        raise ValueError(f"{name} must be an integer >= {least}{bound}, got {value!r}")
+    return count
 
 
 def __getattr__(name):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _Frozen
+from . import _Frozen, _count
 from .bounds import ANGULAR_SAMPLES, GRID_TOLERANCE, RADII, ClassSpec, _shift, envelope_table, multiplier_series
 from .kernels import OperatorParams, multiplier_row
 from .operators import apply_L, deiterate, extremal_iterate
@@ -66,6 +66,7 @@ class MembershipResult(_Frozen):
 
 def circle_points(r: float, samples: int) -> np.ndarray:
     """Equally spaced points on |z| = r, starting at the positive real axis."""
+    samples = _count(samples, "samples", 1)
     theta = 2.0 * np.pi * np.arange(samples) / samples
     return r * np.exp(1j * theta)
 
@@ -207,9 +208,7 @@ def mixture_rows(u: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
 
 def random_member_B(spec: ClassSpec, seed, order: int | None = None) -> SchlichtSeries:
     """Seeded random class member: the mixture read from default_rng(seed).random((1, _DRAWS)), iterated."""
-    n = default_order() if order is None else int(order)
-    if n < 2:
-        raise ValueError(f"members need order >= 2, got {n}")
+    n = default_order() if order is None else _count(order, "order", 2)
     u = np.random.default_rng(seed).random((1, _DRAWS))
     return SchlichtSeries(member_rows(mixture_rows(u, multiplier_row(spec.sigma, spec.n, n - 1)), spec.beta)[0])
 
@@ -230,9 +229,7 @@ def inflate_to_non_member(spec: ClassSpec, seed, order: int | None = None) -> Sc
 
 def _extremal_B(spec: ClassSpec, order: int | None, sign: int) -> SchlichtSeries:
     """Class member with a_k = 2 (1 - beta) multiplier(sigma, n, k - 1) sign**(k - 1)."""
-    n = default_order() if order is None else int(order)
-    if n < 2:
-        raise ValueError(f"members need order >= 2, got {n}")
+    n = default_order() if order is None else _count(order, "order", 2)
     return member_from_p(spec, extremal_iterate(spec.params, n - 1, sign))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _Frozen
+from . import _Frozen, _count
 
 
 class OperatorParams(_Frozen):
@@ -21,10 +21,8 @@ class OperatorParams(_Frozen):
     __slots__ = ("sigma", "n")
 
     def __init__(self, sigma: float, n: int) -> None:
-        if not float(n).is_integer() or n < 0:
-            raise ValueError("n must be a nonnegative integer")
+        object.__setattr__(self, "n", _count(n, "n", 0))
         object.__setattr__(self, "sigma", float(sigma))
-        object.__setattr__(self, "n", int(n))
         _check_multiplier_params(self.sigma, self.n)
 
     def __eq__(self, other):
@@ -36,10 +34,8 @@ class OperatorParams(_Frozen):
 
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x (x + 1) ... (x + n - 1); empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
     out = 1.0
-    for i in range(n):
+    for i in range(_count(n, "n", 0)):
         out *= x + i
     return out
 
@@ -55,7 +51,7 @@ def multiplier(sigma: float, n: int, k: int) -> float:
     is the single-step inverse that shows up in the derivative-combination
     bounds; anything below n = -1 is undefined here.
     """
-    return float(multiplier_row(sigma, n, k)[-1])
+    return float(multiplier_row(sigma, n, _count(k, "k", 1))[-1])
 
 
 def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
@@ -63,9 +59,7 @@ def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
 
     The work grows with min(n, kmax), so a huge n costs no more than a long row.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    _check_multiplier_params(sigma, n)
+    kmax, n = _count(kmax, "kmax", 1), _check_multiplier_params(sigma, n)
     k = np.arange(1, kmax + 1, dtype=np.float64)
     if n == -1:
         return (sigma + k + 1.0) / (sigma + 1.0)
@@ -80,17 +74,17 @@ def multiplier_row(sigma: float, n: int, kmax: int) -> np.ndarray:
     return out
 
 
-def _check_multiplier_params(sigma: float, n: int) -> None:
-    """Reject (sigma, n) outside the multiplier's domain: finite sigma, n >= -1, a positive shift."""
+def _check_multiplier_params(sigma: float, n: int) -> int:
+    """n as an int; a ValueError for (sigma, n) outside the domain: finite sigma, integer n >= -1, a positive shift."""
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    if n < -1:
-        raise ValueError("multiplier is undefined for n < -1")
+    n = _count(n, "n", -1)
     if n == -1:
         if sigma + 1.0 <= 0.0:
             raise ValueError("the n = -1 extension needs sigma > -1")
     elif sigma - (n - 1) <= 0.0:
         raise ValueError(f"require sigma - (n - 1) > 0, got sigma={sigma}, n={n}")
+    return n
 
 
 def _composite_rule() -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _count
 from .kernels import _QUADRATURE_NODES, OperatorParams, multiplier_row
 from .series import (
     SchlichtSeries,
@@ -48,9 +49,7 @@ def apply_l(params: OperatorParams, f: SchlichtSeries) -> SchlichtSeries:
 
 def tau_coeffs(params: OperatorParams, order: int | None = None) -> TruncatedSeries:
     """Kernel z / (1 - z)**lam with lam = sigma - (n - 1); coefficient k + 1 is (lam)_k / k!."""
-    n = default_order() if order is None else int(order)
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
+    n = default_order() if order is None else _count(order, "order", 1)
     lam = params.sigma - (params.n - 1)
     c = np.zeros(n + 1, dtype=np.complex128)
     c[1] = 1.0
@@ -87,10 +86,10 @@ def noor(sigma: float, f: SchlichtSeries) -> SchlichtSeries:
 
 
 def _step_lambda(sigma: float, m: int) -> float:
-    """lam = sigma - (m - 1) of integration step m, which must be finite and positive; a NaN sigma fails too."""
-    lam = sigma - (m - 1.0)
-    if m < 1 or not 0.0 < lam < np.inf:
-        raise ValueError("step m needs m >= 1 and a finite sigma - (m - 1) > 0")
+    """lam = sigma - (m - 1) of integration step m >= 1, which must be finite and positive; a NaN sigma fails too."""
+    lam = sigma - (_count(m, "m", 1) - 1.0)
+    if not 0.0 < lam < np.inf:
+        raise ValueError("step m needs a finite sigma - (m - 1) > 0")
     return lam
 
 
@@ -129,9 +128,7 @@ def extremal_iterate(params: OperatorParams, order: int | None = None, sign: int
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    n = default_order() if order is None else int(order)
-    if n < 1:
-        raise ValueError(f"extremal iterate order must be >= 1, got {n}")
+    n = default_order() if order is None else _count(order, "order", 1)
     c = np.empty(n + 1, dtype=np.complex128)
     c[0] = 1.0
     c[1:] = 2.0 * multiplier_row(params.sigma, params.n, n)
@@ -172,15 +169,14 @@ def salagean_iterate(alpha: float, n: int, p: TruncatedSeries) -> TruncatedSerie
     """
     if not 0.0 < alpha < np.inf:  # written so that a NaN alpha fails too
         raise ValueError("require a finite alpha > 0")
-    if not (0 <= n < np.inf and int(n) == n):
-        raise ValueError("iteration count n must be a nonnegative integer")
+    n = _count(n, "n", 0)
     require_unit_constant(p)
     if n == 0:
         return p
     k = np.arange(1, p.order + 1)
     # a subnormal alpha takes k / alpha to inf and the factor to 0; n = 2**63 takes every factor below 1 to 0
     with np.errstate(over="ignore"):
-        return _scaled(p, 1, np.exp(-float(min(int(n), 2**63)) * np.log1p(k / alpha)))
+        return _scaled(p, 1, np.exp(-float(min(n, 2**63)) * np.log1p(k / alpha)))
 
 
 def bernardi(c: float, f: SchlichtSeries) -> SchlichtSeries:

@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from . import _Frozen
+from . import _Frozen, _count
 
 ENV_DEFAULT_ORDER = "GFT_DEFAULT_ORDER"
 
@@ -156,14 +156,12 @@ def evaluate_grid(s, points) -> np.ndarray:
 def _folded_circle(s, radii, samples: int) -> np.ndarray:
     """The circle kernels' shared first step: validate (finite coefficients too), scale c_k by r**k, fold mod samples.
 
-    c_k and c_{k + samples} agree at every sample point, so their scaled values add.  The shape is
-    (..., len(radii), L), with L = min(N + 1, samples): coefficients past L are zero and not stored.
+    c_k and c_{k + samples} agree at every sample point, so their scaled values add; the callers check samples.  The
+    shape is (..., len(radii), L), with L = min(N + 1, samples): coefficients past L are zero and not stored.
     """
     r = np.asarray(radii, dtype=np.float64)
     if not np.all((r > 0.0) & (r < 1.0)):
         raise ValueError("radius must lie strictly between 0 and 1")
-    if samples < 1:
-        raise ValueError("need at least one sample per circle")
     c = np.asarray(getattr(s, "coeffs", s))
     if not np.all(np.isfinite(c)):
         raise ValueError("series coefficients must be finite")
@@ -185,6 +183,7 @@ def evaluate_circle(s, radii, samples: int) -> np.ndarray:
     (..., len(radii), samples), without the radius axis for a scalar radius.
     Each row's values are bit-identical to evaluating that row alone.
     """
+    samples = _count(samples, "samples", 1)
     folded = _folded_circle(s, radii, samples)
     values = np.zeros((*folded.shape[:-1], samples), dtype=np.complex128)
     values[..., : folded.shape[-1]] = folded
@@ -206,6 +205,7 @@ def evaluate_circle_real(s, radii, samples: int) -> np.ndarray:
     arguments as evaluate_circle, and each row's values are bit-identical to
     that row's alone.
     """
+    samples = _count(samples, "samples", 1)
     folded = _folded_circle(s, radii, samples)
     half = samples // 2
     spectrum = folded[..., : half + 1].copy()
@@ -253,7 +253,7 @@ def herglotz_rows(points: np.ndarray, weights: np.ndarray, order: int) -> np.nda
 
 def herglotz_expand(m: HerglotzMixture, order: int | None = None) -> TruncatedSeries:
     """Expand a mixture to its truncated series: c_0 = 1, c_k = 2 sum_j w_j x_j^k."""
-    n = default_order() if order is None else int(order)
+    n = default_order() if order is None else _count(order, "order", 1)
     pts = np.array([[x for x, _ in m.atoms]])
     wts = np.array([[w for _, w in m.atoms]])
     return TruncatedSeries(herglotz_rows(pts, wts, n)[0])

@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from . import _Frozen
+from . import _Frozen, _count
 from .bounds import (
     ANGULAR_SAMPLES,
     GRID_TOLERANCE,
@@ -86,6 +86,7 @@ SHARPNESS_TOL = 1e-7
 SHARP_ORDER = math.ceil(math.log(1e-14) / math.log(max(RADII)))
 # Trials drawn, built and tested together, one FFT per stack.  Memory grows with the block, not with the trial count.
 _BLOCK = 16
+_MAX_TRIALS = 10**5  # the most trials run_suite takes: all 13 suites at 0.3 ms per trial take under a minute
 # The note of suites 10 and remark22, which run no trials.
 _DETERMINISTIC_NOTE = "deterministic per lattice entry; trials parameter not used"
 # The note of suites 4 and 12, whose sampled test only rounding can fail.
@@ -463,14 +464,13 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
     if key not in SUITES:
         known = ", ".join(SUITE_ORDER)
         raise ValueError(f"unknown theorem id {theorem!r}; known ids: {known}")
-    if isinstance(trials, bool) or not 1 <= trials < math.inf or int(trials) != trials:  # a NaN fails too
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _count(trials, "trials", 1, _MAX_TRIALS)
     lattice = default_lattice() if lattice is None else tuple(lattice)
     if not lattice:
         raise ValueError("lattice must contain at least one entry")
     title, suite = SUITES[key]
     margins = _Margins()
-    suite(lattice, int(trials), seed, margins)
+    suite(lattice, trials, seed, margins)
     if margins.worst == math.inf:
         margins.worst = 0.0
         margins.note("no checks ran for this lattice")
@@ -487,7 +487,7 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
         title=title,
         verdict=verdict,
         worst_margin=margins.worst,
-        trials=int(trials),
+        trials=trials,
         seed=int(seed) if isinstance(seed, np.integer) else seed,  # numpy integers as int, for JSON
         lattice=[{"sigma": s.sigma, "n": s.n, "beta": s.beta} for s in lattice],
         grid={"radii": list(RADII), "angular_samples": ANGULAR_SAMPLES, "tolerance": GRID_TOLERANCE},

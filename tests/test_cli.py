@@ -367,10 +367,12 @@ def test_extremal_fuzzed_flags_finish_cleanly(family, sigma, n, beta, sign, orde
 
 @given(
     theorem=st.sampled_from((*SUITE_ORDER, "all", "0", "bogus")),
-    trials=st.integers(-3, 2).map(str),
+    trials=st.one_of(st.integers(-3, 2).map(str), st.sampled_from(("1000000000000000", "1" + "0" * 400))),
     seed=st.one_of(st.integers(-3, 3).map(str), st.sampled_from(("1e3", "", "18446744073709551616"))),
 )
 @settings(max_examples=30, deadline=2000)
+@example(theorem="7", trials="1000000000000000", seed="0")  # counts above the trial cap exit 2 at once
+@example(theorem="all", trials="1" + "0" * 400, seed="0")
 def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
     code, out = _run_fuzzed(["verify", "--theorem", theorem, "--trials", trials, "--seed", seed])
     assert code in (0, 1, 2)
@@ -408,6 +410,9 @@ def test_verify_fuzzed_flags_finish_cleanly(theorem, trials, seed):
         (["verify", "--theorem", "all", "--trials", "1"], "gft: error: Unable to allocate 14.6 TiB"),
         (["iterate", "--sigma", "2", "--n", "1", "--in", "huge.json"],
          "gft: error: coefficients must be [re, im] pairs of finite numbers"),
+        # a trial count above the cap is refused before any suite runs
+        (["verify", "--theorem", "7", "--trials", "1000000000000000"],
+         "gft: error: trials must be an integer >= 1 and <= 100000, got 1000000000000000"),
     ],
 )
 def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):

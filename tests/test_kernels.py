@@ -134,11 +134,11 @@ def test_extremal_iterate_coefficients():
     with pytest.raises(ValueError):
         extremal_iterate(params, order=8, sign=0)
     for order in (-1, 0):
-        with pytest.raises(ValueError, match="order must be >= 1"):
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
             extremal_iterate(params, order=order)
     spec = ClassSpec(params)
     for maker in (extremal_B_upper, extremal_B_lower):
-        with pytest.raises(ValueError, match="members need order >= 2"):
+        with pytest.raises(ValueError, match="order must be an integer >= 2"):
             maker(spec, 1)
 
 

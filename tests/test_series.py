@@ -118,8 +118,8 @@ _UNIT = TruncatedSeries(np.r_[1.0, np.full(8, 2.0)])
         (lambda: combine_convex(np.nan, _UNIT, 1.0, _UNIT), "weights must be nonnegative and sum to 1"),
         (lambda: salagean_iterate(np.nan, 1, _UNIT), "require a finite alpha > 0"),
         (lambda: salagean_iterate(np.inf, 1, _UNIT), "require a finite alpha > 0"),
-        (lambda: salagean_iterate(1.0, np.nan, _UNIT), "iteration count n must be a nonnegative integer"),
-        (lambda: salagean_iterate(1.0, np.inf, _UNIT), "iteration count n must be a nonnegative integer"),
+        (lambda: salagean_iterate(1.0, np.nan, _UNIT), "n must be an integer >= 0, got nan"),
+        (lambda: salagean_iterate(1.0, np.inf, _UNIT), "n must be an integer >= 0, got inf"),
     ],
     ids=["atom-nan", "weight-nan", "mu-nan", "alpha-nan", "alpha-inf", "n-nan", "n-inf"],
 )

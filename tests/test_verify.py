@@ -118,7 +118,7 @@ def test_report_serialization():
     assert len(data["lattice"]) == 44
 
 
-def test_run_suite_validation():
+def test_run_suite_validation(monkeypatch):
     with pytest.raises(ValueError, match="unknown theorem id"):
         run_suite("99")
     with pytest.raises(ValueError):
@@ -129,6 +129,10 @@ def test_run_suite_validation():
     assert run_suite("3", trials=np.int64(2)).trials == 2
     with pytest.raises(ValueError):
         run_suite("7", lattice=())
+    # a count above the cap is refused before the suite runs: the None patched in here would raise TypeError
+    monkeypatch.setitem(verify.SUITES, "7", ("not run", None))
+    with pytest.raises(ValueError, match=f"trials must be an integer >= 1 and <= {verify._MAX_TRIALS}, got"):
+        run_suite("7", trials=verify._MAX_TRIALS + 1)
 
 
 def test_run_all_covers_every_suite_in_order():
