@@ -4,11 +4,12 @@ Submodules load on first use (PEP 562): each public name below is read from
 its home module the first time it is accessed, and then kept here, so
 `import gft` compiles and runs none of them.  `gft.verify`, `gft.classes`
 and the other submodules load the same way, on first attribute access.
-_Frozen, the base of every value type, and _count, the rule for every count
-argument, live here, so each layer shares them without loading another.
+_Frozen, the base of every value type, and the argument rules _count and
+_real live here, so each layer shares them without loading another.
 """
 
 import importlib
+import numbers
 
 __version__ = "0.1.0"
 
@@ -88,11 +89,19 @@ def _count(value, name: str, least: int, most: int | None = None) -> int:
         count = int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, an infinity or not a number
         count = float("nan")  # equal to no value, so it is refused below
-    boolean = isinstance(value, bool) or getattr(value, "dtype", None) == bool  # numpy's bool too
-    if boolean or count != value or count < least or most is not None and count > most:
+    # a bool, numpy's too, is no count, nor is an array, which count != value would compare elementwise
+    refused = isinstance(value, bool) or getattr(value, "dtype", None) == bool or getattr(value, "ndim", 0) > 0
+    if refused or count != value or count < least or most is not None and count > most:
         bound = "" if most is None else f" and <= {most}"
         raise ValueError(f"{name} must be an integer >= {least}{bound}, got {value!r}")
     return count
+
+
+def _real(value, name: str) -> float:
+    """A real field as a float; a bool (numpy's too), a string or a complex value raises a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy's bool is no numbers.Real
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def __getattr__(name):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _Frozen
+from . import _Frozen, _real
 from .kernels import _QUADRATURE_NODES, OperatorParams, _check_multiplier_params
 
 # The fixed circle grid every membership test samples: radii, points per circle, slack.
@@ -35,6 +35,7 @@ class ClassSpec(_Frozen):
     __slots__ = ("params", "beta")
 
     def __init__(self, params: OperatorParams, beta: float = 0.0) -> None:
+        beta = _real(beta, "beta")
         if not 0.0 <= beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         object.__setattr__(self, "params", params)

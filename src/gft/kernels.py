@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _Frozen, _count
+from . import _Frozen, _count, _real
 
 
 class OperatorParams(_Frozen):
@@ -22,7 +22,7 @@ class OperatorParams(_Frozen):
 
     def __init__(self, sigma: float, n: int) -> None:
         object.__setattr__(self, "n", _count(n, "n", 0))
-        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "sigma", _real(sigma, "sigma"))
         _check_multiplier_params(self.sigma, self.n)
 
     def __eq__(self, other):

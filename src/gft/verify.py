@@ -1,12 +1,12 @@
 """Theorem-keyed verification suites producing machine-readable reports.
 
-Each suite re-derives one sharp bound or inclusion numerically over a
-lattice of (sigma, n, beta) triples and reports the worst tolerance-adjusted
-margin; a suite passes iff that margin is nonnegative, and a NaN margin
-fails it.  Every circle check samples the fixed grid of gft.bounds (RADII,
-ANGULAR_SAMPLES), and margins already include the truncation-tail
-allowance and GRID_TOLERANCE, so a negative value is a genuine violation,
-not a sampling artifact.
+Each suite re-derives one sharp bound or inclusion numerically over a lattice
+of (sigma, n, beta) triples and reports the worst tolerance-adjusted margin; a
+suite passes iff that margin is nonnegative, and a NaN margin fails it.  Every
+circle check samples the fixed grid of gft.bounds (RADII, ANGULAR_SAMPLES), and
+margins already include the truncation-tail allowance and GRID_TOLERANCE, so a
+negative value is a genuine violation, not a sampling artifact; a real-part
+suite notes the trials its allowance leaves inconclusive.
 
 The envelope suites 3, 9 and 11 share one driver, _envelopes.  Each tests
 w = beta + (1 - beta) p, with p a mixture scaled by multiplier(sigma, n +
@@ -123,26 +123,17 @@ class VerificationReport(_Frozen):
 
 
 class _Margins:
-    """Running minimum of tolerance-adjusted margins, plus free-form notes."""
+    """Running minimum of tolerance-adjusted margins, plus the notes the suites and their drivers write."""
 
     def __init__(self) -> None:
         self.worst = math.inf
         self.notes: list = []
-        self.allowance = np.full(len(RADII), math.inf)  # per radius, the smallest slack any real-part test added
 
     def add(self, value: float) -> None:
         """Keep the smallest margin; a NaN margin sticks, so the suite fails."""
         v = float(value)
         if v < self.worst or math.isnan(v):
             self.worst = v
-
-    def add_tests(self, observed: np.ndarray, padded: np.ndarray) -> None:
-        """Add real-part tests' margins, arrays (tests, len(RADII)) as real_part_margins gives them.
-
-        Keeps the smallest padded margin and, per radius, the smallest slack any test was given.
-        """
-        self.add(np.min(padded))
-        self.allowance = np.minimum(self.allowance, np.min(padded - observed, axis=0))
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -180,13 +171,14 @@ def _depth_step(pairs, kmax: int) -> np.ndarray:
     return _mults([(sigma, n + 1) for sigma, n in pairs], kmax) / _mults(pairs, kmax)
 
 
-def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> bool:
+def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> None:
     """The real-part test of suites 1, 2, 4, 5, 6, 8 and 12: the entry's diagonal maps P into P.
 
     Trial t reads the mixture of its row of _blocks through mixture_rows with its entry's diagonal (with pair,
     two mixtures and the weight mu, each scaled, then combined as mu p + (1 - mu) q), in P wherever the
     diagonal maps P into P, and adds the margins of real_part_margins(rows, 0.0): Re(1 + sum_k diagonal[i,
-    k - 1] c_k z^k) > 0, with coefficient bound 2.  Returns whether verdicts finds any trial inconclusive.
+    k - 1] c_k z^k) > 0, with coefficient bound 2.  It notes any trial verdicts finds inconclusive, and each radius
+    whose allowance, padded - observed, is 1 or more: all rows share one order and bound, so the last block's is all.
     """
     inconclusive = False
     for idx, u in _blocks(trials, len(entries), seed, suite, 2 * _DRAWS + 1 if pair else _DRAWS):
@@ -195,9 +187,16 @@ def _real_parts(out, suite, entries, trials, seed, diagonal, pair=False) -> bool
             mu = u[:, -1:]
             p = mu * p + (1.0 - mu) * mixture_rows(u[:, _DRAWS:-1], diagonal[idx])
         observed, padded = real_part_margins(p, 0.0)
-        out.add_tests(observed, padded)
+        out.add(np.min(padded))
         inconclusive |= "inconclusive" in verdicts(observed, padded)
-    return inconclusive
+    if inconclusive:
+        out.note("inconclusive for some trials: the real part dips below 0 by less than the truncation allowance")
+    loose = [f"r = {r:g} (at least {s:.4g})" for r, s in zip(RADII, np.min(padded - observed, axis=0)) if s >= 1.0]
+    if loose:
+        out.note(
+            "truncation allowance of 1 or more at " + ", ".join(loose) + ": a real-part test fails on such "
+            "a circle only where the real part dips below the threshold by more than the allowance"
+        )
 
 
 def _sharp_envelopes(out, entries, env, depth, factor) -> None:
@@ -317,8 +316,7 @@ def _suite_6(lattice, trials, seed, out):
         return
     order = default_order()
     derivative = np.arange(2, order + 1) * _mults([(spec.sigma, spec.n) for spec in entries], order - 1)
-    if _real_parts(out, 6, entries, trials, seed, derivative):
-        out.note("inconclusive for some members: Re f' dips below beta by less than the truncation allowance")
+    _real_parts(out, 6, entries, trials, seed, derivative)
 
 
 def _suite_7(lattice, trials, seed, out):
@@ -474,13 +472,6 @@ def run_suite(theorem, lattice=None, trials: int = 200, seed: int = 0) -> Verifi
     if margins.worst == math.inf:
         margins.worst = 0.0
         margins.note("no checks ran for this lattice")
-    # a suite with no real-part test leaves every slack at inf
-    loose = [f"r = {r:g} (at least {s:.4g})" for r, s in zip(RADII, margins.allowance) if 1.0 <= s < math.inf]
-    if loose:
-        margins.note(
-            "truncation allowance of 1 or more at " + ", ".join(loose) + ": a real-part test fails on such "
-            "a circle only where the real part dips below the threshold by more than the allowance"
-        )
     verdict = "pass" if margins.worst >= 0.0 else "fail"
     return VerificationReport(
         theorem=key,

@@ -1,7 +1,7 @@
 """Every count argument follows one rule: an integer, or an integral float, of at least its least value.
 
-A bool, a non-integral value, NaN, an infinity or a value below the least one raises one ValueError that
-names the argument, and numpy integers and integral floats give the same result as the plain integer.
+A bool, a non-integral value, NaN, an infinity, a value below the least one or an array raises one ValueError
+that names the argument, and numpy integers and integral floats give the same result as the plain integer.
 """
 
 import math
@@ -58,7 +58,7 @@ _COUNTS = {
 @pytest.mark.parametrize("site", _COUNTS)
 def test_count_arguments_follow_one_rule(site):
     name, least, k, call = _COUNTS[site]
-    for bad in (2.7, True, np.True_, math.nan, math.inf, least - 1):
+    for bad in (2.7, True, np.True_, math.nan, math.inf, least - 1, np.array([3, 4])):
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer >= {least}')}"):
             call(bad)
     expected = pickle.dumps(call(k))

@@ -509,26 +509,25 @@ def test_seeds_are_reported_as_given():
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_value_types_store_their_real_fields_as_floats():
+    """An int or a numpy scalar gives the report of the equal float, byte for byte; a bool (numpy's too), a string or a
+    complex value is refused with a ValueError naming the field."""
+    for sigma, beta in ((2, 0), (np.int64(2), np.float32(0.25))):
+        reports = [run_suite("12", lattice=(ClassSpec(OperatorParams(s, 1), b),), trials=3).to_json()
+                   for s, b in ((sigma, beta), (float(sigma), float(beta)))]
+        assert reports[0] == reports[1]
+    for bad in (False, np.False_, "0.5", 0.5 + 0j):
+        with pytest.raises(ValueError, match="^beta must be a real number"):
+            ClassSpec(OperatorParams(2.0, 1), bad)
+    for bad in (True, np.True_, "2", 2 + 0j):
+        with pytest.raises(ValueError, match="^sigma must be a real number"):
+            OperatorParams(bad, 1)
+
+
 def test_a_negative_seed_is_rejected():
     for seed in (-1, (0, -2)):
         with pytest.raises(ValueError):
             run_suite("2", trials=1, seed=seed)
-
-
-class _Recorder:
-    """Stands in for a suite's margins and keeps the observed margins of every real-part test, row by row."""
-
-    def __init__(self) -> None:
-        self.observed = []
-
-    def add_tests(self, observed, padded) -> None:
-        self.observed.extend(observed)
-
-    def add(self, value) -> None:
-        pass
-
-    def note(self, text) -> None:
-        pass
 
 
 def _mixture_p(u):
@@ -603,13 +602,21 @@ def test_each_draw_reads_its_own_columns(monkeypatch, suite, width, trial):
         assert (trials, columns) == table.shape
         yield np.arange(trials) % size, table
 
+    margins, rows = verify.real_part_margins, []
+
+    def recording(p, threshold):
+        """real_part_margins, keeping the observed margins of each tested row."""
+        observed, padded = margins(p, threshold)
+        rows.extend(observed)
+        return observed, padded
+
     monkeypatch.setattr(verify, "_blocks", one_block)
+    monkeypatch.setattr(verify, "real_part_margins", recording)
     # suites 2, 5 and 8 exclude sigma - n = 0, which suite 6 tests
     spec = ClassSpec(OperatorParams(3.5 if suite in ("2", "5", "8") else 2.0, 2), 0.25)
-    out = _Recorder()
-    getattr(verify, f"_suite_{suite}")((spec,), len(table), 0, out)
-    assert len(out.observed) == len(table)
-    for t, (u, observed) in enumerate(zip(table, out.observed)):
+    getattr(verify, f"_suite_{suite}")((spec,), len(table), 0, verify._Margins())
+    assert len(rows) == len(table)
+    for t, (u, observed) in enumerate(zip(table, rows)):
         assert np.allclose(observed, trial(spec, t, u), rtol=0.0, atol=1e-12), f"trial {t}"
 
 
@@ -659,6 +666,8 @@ def test_beta_drops_out_of_the_inclusion_and_turning_suites(theorem, sigma):
     assert len({(report.worst_margin, tuple(report.notes)) for report in reports}) == 1
 
 
+# the start of the note a real-part suite writes when verdicts finds an inconclusive trial
+_INCONCLUSIVE = "inconclusive for some trials"
 # (observed, padded) margins of one row at each radius, by the verdict real_part_test gives that row
 _ROWS = {
     "pass": ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]),
@@ -674,8 +683,24 @@ def test_real_parts_finds_an_inconclusive_row_as_verdicts_does(monkeypatch, bloc
     """A block is inconclusive when one of its rows is, a NaN row too, even if another row of it fails."""
     observed, padded = (np.array([_ROWS[kind][i] for kind in block]) for i in (0, 1))
     monkeypatch.setattr(verify, "real_part_margins", lambda p, threshold: (observed, padded))
-    found = verify._real_parts(verify._Margins(), 2, [(1.0, 1)], 1, 0, np.ones((1, 63)))
+    out = verify._Margins()
+    assert verify._real_parts(out, 2, [(1.0, 1)], 1, 0, np.ones((1, 63))) is None
+    found = any(note.startswith(_INCONCLUSIVE) for note in out.notes)
     assert found == ("inconclusive" in verdicts(observed, padded)) == ("inconclusive" in block or "nan" in block)
+
+
+def test_every_real_part_suite_notes_its_inconclusive_trials(monkeypatch):
+    """At order 64 suites 4, 6 and 12 have trials whose real part dips below 0 by less than the allowance, and at
+    order 2 all seven suites of the driver do.  Each such report says so after the suite's own notes and before
+    the allowance note."""
+    keys = ("1", "2", "4", "5", "6", "8", "12")
+    firsts = {key: [note.split()[0] for note in run_suite(key, seed=0).notes] for key in keys}
+    allowance, noted = ["truncation"], ["inconclusive", "truncation"]
+    assert firsts == {"1": allowance, "2": allowance, "4": ["rounding", *noted], "5": allowance,
+                      "6": ["entries", *noted], "8": allowance, "12": ["rounding", *noted]}
+    monkeypatch.setenv("GFT_DEFAULT_ORDER", "2")
+    for key in keys:
+        assert any(note.startswith(_INCONCLUSIVE) for note in run_suite(key, trials=20, seed=0).notes), key
 
 
 @pytest.mark.parametrize("theorem", ["1", "2", "4", "5", "6", "8", "12"])
