@@ -1,7 +1,9 @@
 """Convolution operators, their kernels, and the radial integral iteration on series coefficients.
 
 The binomial kernel, its Hadamard inverse and the iterated half-plane
-extremal are built here from the multipliers of gft.kernels.  Every operator
+extremal are built here from the multipliers of gft.kernels; _extremal_rows
+builds the two axis extremals' real rows, which extremal_iterate wraps and
+the sharpness checks of gft.verify read directly.  Every operator
 but the two kernel convolutions is one diagonal action,
 series._scaled: coefficients from a fixed index on are multiplied (or, for
 deiterate, divided) by a row that depends only on the index.  Raising and
@@ -123,18 +125,21 @@ def extremal_iterate(params: OperatorParams, order: int | None = None, sign: int
 
     Coefficients are 2 * multiplier(sigma, n, k) * sign**k, so sign=+1 gives the
     maximal-real-part direction on the positive axis and sign=-1 the minimal one.
-    For sign=-1 the odd coefficients are negated, which is the same double as
-    the product with (-1)**k, and every imaginary part is +0.
+    They are the sign's row of _extremal_rows: negating the odd entries gives
+    the same doubles as the product with (-1)**k, and every imaginary part is +0.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = default_order() if order is None else _count(order, "order", 1)
-    c = np.empty(n + 1, dtype=np.complex128)
-    c[0] = 1.0
-    c[1:] = 2.0 * multiplier_row(params.sigma, params.n, n)
-    if sign == -1:
-        c.real[1::2] *= -1.0
-    return TruncatedSeries(c)
+    return TruncatedSeries(_extremal_rows(params.sigma, params.n, n)[(1 + sign) // 2])
+
+
+def _extremal_rows(sigma: float, n: int, kmax: int) -> np.ndarray:
+    """Rows [alternating, upper] of 1 + 2 sum_{k <= kmax} multiplier(sigma, n, k) (-+z)^k, for n >= -1 too."""
+    rows = np.ones((2, kmax + 1))
+    rows[:, 1:] = 2.0 * multiplier_row(sigma, n, kmax)
+    rows[0, 1::2] *= -1.0
+    return rows
 
 
 def iterate_quadrature_step(sigma: float, m: int, p_prev: TruncatedSeries, z: complex) -> complex:

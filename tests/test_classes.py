@@ -121,6 +121,10 @@ def test_membership_requires_unit_constant_and_valid_beta():
         membership_in_P(TruncatedSeries(np.array([0.5, 1.0])))
     with pytest.raises(ValueError):
         membership_in_P(HALFPLANE_EXTREMAL, beta=-0.1)
+    member = extremal_B_upper(ClassSpec(OperatorParams(2.0, 1)), 8)
+    for beta in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            p_series_of(member, beta)
 
 
 def test_iterated_family_membership():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gft.bounds import ClassSpec
 from gft.classes import extremal_B_lower, extremal_B_upper
 from gft.kernels import OperatorParams, multiplier, multiplier_row, pochhammer
-from gft.operators import extremal_iterate, tau_coeffs, tau_inv_coeffs
+from gft.operators import _extremal_rows, extremal_iterate, tau_coeffs, tau_inv_coeffs
 from gft.series import convolve
 
 
@@ -146,13 +146,24 @@ def test_extremal_iterate_coefficients():
 @pytest.mark.parametrize("order", [1, 2, 63, 3208, 8191])
 @given(
     shift=st.floats(1e-3, 1e4),
-    n=st.one_of(st.integers(0, 200), st.integers(8192, 10**6)),  # the second range is past every order
+    n=st.one_of(st.integers(-1, 200), st.integers(8192, 10**6)),  # the second range is past every order
 )
 @settings(max_examples=20, deadline=None)
 @example(shift=1.0, n=64)  # a depth one past order 63
+@example(shift=1.0, n=-1)
 def test_extremal_iterate_keeps_the_bytes_of_the_signed_power(order, sign, shift, n):
-    """Negated odd coefficients are the bytes of 2 multiplier(sigma, n, k) sign**k, imaginary parts included."""
-    params = OperatorParams(shift + (n - 1.0), n)
+    """Negated odd coefficients are the bytes of 2 multiplier(sigma, n, k) sign**k, imaginary parts included.
+
+    Both come from _extremal_rows: its row of that sign is extremal_iterate's coefficients with imaginary parts +0,
+    and at n = -1, which suite 11 takes at n = 0 and no OperatorParams holds, 1 + 2 sum_k (sigma + k + 1) /
+    (sigma + 1) (sign z)^k, with sigma + 1 = shift.
+    """
     k = np.arange(1, order + 1)
-    power = np.concatenate([[1.0 + 0.0j], 2.0 * multiplier_row(params.sigma, n, order) * float(sign) ** k])
-    assert extremal_iterate(params, order, sign).coeffs.tobytes() == power.tobytes()
+    sigma = shift - 1.0 if n == -1 else shift + (n - 1.0)
+    row = _extremal_rows(sigma, n, order)[(1 + sign) // 2]
+    if n == -1:
+        assert row.tobytes() == np.r_[1.0, 2.0 * ((sigma + k + 1.0) / (sigma + 1.0)) * float(sign) ** k].tobytes()
+        return
+    power = np.concatenate([[1.0 + 0.0j], 2.0 * multiplier_row(sigma, n, order) * float(sign) ** k])
+    assert extremal_iterate(OperatorParams(sigma, n), order, sign).coeffs.tobytes() == power.tobytes()
+    assert row.astype(np.complex128).tobytes() == power.tobytes()

@@ -142,11 +142,15 @@ def test_run_all_covers_every_suite_in_order():
 
 
 def test_suite_with_no_applicable_entries_reports_a_note():
-    lattice = (ClassSpec(OperatorParams(0.5, 1)),)
-    report = run_suite("2", lattice=lattice, trials=4)
-    assert report.verdict == "pass" and report.worst_margin == 0.0
-    assert any("no lattice entries" in note for note in report.notes)
-    assert any("no checks ran" in note for note in report.notes)
+    """Suites 2, 5 and 8 need sigma - n > 0, suite 4 n >= 1, and suite 10 skips n = 0 before any check."""
+    deep, shallow = ClassSpec(OperatorParams(0.5, 1)), ClassSpec(OperatorParams(1.0, 0))
+    cases = {"2": deep, "4": shallow, "5": deep, "8": deep, "10": shallow}
+    for theorem, spec in cases.items():
+        report = run_suite(theorem, lattice=(spec,), trials=4)
+        assert report.verdict == "pass" and report.worst_margin == 0.0
+        note = "n = 0 entries skipped" if theorem == "10" else "no lattice entries"
+        assert any(note in text for text in report.notes)
+        assert any("no checks ran" in text for text in report.notes)
 
 
 def test_remark22_skips_entries_with_sigma_at_most_zero():
@@ -407,6 +411,20 @@ def test_suite_11_passes_at_large_sigma_with_one_step(sigma):
     """Trial residuals (lam + k) c_k - lam c'_k of size lam rounded past COEFF_TOL here; the factor rows do not."""
     report = run_suite("11", lattice=(ClassSpec(OperatorParams(sigma, 1)),), trials=16, seed=0)
     assert report.verdict == "pass"
+
+
+def test_suite_7_allows_for_the_running_products_rounding_at_a_high_order(monkeypatch):
+    """At order 20,000 the running powers x^k drift past a flat 1e-12, but not past (4 k + 32) 2**-53 of the bound.
+
+    A member scaled by 1 + 1e-9 breaks the bound by 2e-9, far past that allowance, and still fails.
+    """
+    monkeypatch.setenv("GFT_DEFAULT_ORDER", "20000")
+    lattice = [ClassSpec(OperatorParams(2.0, 0), 0.0)]
+    assert run_suite("7", lattice=lattice, trials=16, seed=0).verdict == "pass"
+    rows = verify.mixture_rows
+    monkeypatch.setattr(verify, "mixture_rows", lambda u, diagonal: rows(u, diagonal) * (1.0 + 1e-9))
+    report = run_suite("7", lattice=lattice, trials=16, seed=0)
+    assert report.verdict == "fail" and report.worst_margin < -1e-9
 
 
 def test_remark22_fails_on_factors_off_by_a_billionth(monkeypatch):
